@@ -5,6 +5,12 @@ of self-attention refinement layers, and mean pooling over rows. Video
 arrives as two parallel streams (face and background); each stream gets
 its own LSTM parameters and the row-concatenated pair feeds one shared
 attention stack, so face rows can attend to background rows.
+
+Each LSTM direction is one fused ``tensor.lstm_scan`` record and each
+attention layer one ``tensor.attend`` record, so the tape grows by a
+fixed count per call whatever the sequence length. The context
+classifier reuses ``bilstm_forward`` for its speaker and dialogue
+branches.
 """
 from __future__ import annotations
 
@@ -58,7 +64,6 @@ class BiLstmParams:
     Gate blocks along the weight columns are ordered input, forget,
     candidate, output. Hidden states start at zero.
     """
-    hidden: int
     wx_f: T.Tensor
     wh_f: T.Tensor
     b_f: T.Tensor
@@ -78,7 +83,6 @@ def init_bilstm(din: int, hidden: int, dout: int, rng: Rng) -> BiLstmParams:
         return T.Tensor(np.zeros(shape), requires_grad=True)
 
     return BiLstmParams(
-        hidden=hidden,
         wx_f=T.init_xavier((din, 4 * hidden), rng),
         wh_f=T.init_xavier((hidden, 4 * hidden), rng),
         b_f=zeros((1, 4 * hidden)),
@@ -90,29 +94,6 @@ def init_bilstm(din: int, hidden: int, dout: int, rng: Rng) -> BiLstmParams:
     )
 
 
-def _lstm_direction(xg: T.Tensor, wh: T.Tensor, hidden: int, order):
-    """Run one direction over precomputed input projections.
-
-    ``xg`` is len x 4H (inputs already through their weight and bias);
-    ``order`` gives the timestep visit order. Returns hidden states
-    indexed by timestep (not visit order).
-    """
-    n = xg.values.shape[0]
-    h = T.Tensor(np.zeros((1, hidden)))
-    c = T.Tensor(np.zeros((1, hidden)))
-    states = [None] * n
-    for t in order:
-        z = T.add(T.slice_rows(xg, t, t + 1), T.matmul(h, wh))
-        i_g = T.sigmoid(T.slice_cols(z, 0, hidden))
-        f_g = T.sigmoid(T.slice_cols(z, hidden, 2 * hidden))
-        g_g = T.tanh(T.slice_cols(z, 2 * hidden, 3 * hidden))
-        o_g = T.sigmoid(T.slice_cols(z, 3 * hidden, 4 * hidden))
-        c = T.add(T.mul(f_g, c), T.mul(i_g, g_g))
-        h = T.mul(o_g, T.tanh(c))
-        states[t] = h
-    return states
-
-
 def bilstm_forward(params: BiLstmParams, seq: T.Tensor) -> T.Tensor:
     """len x din sequence -> len x dout, both directions concatenated then projected."""
     if seq.values.ndim != 2 or seq.values.shape[0] < 1:
@@ -122,14 +103,11 @@ def bilstm_forward(params: BiLstmParams, seq: T.Tensor) -> T.Tensor:
             f"bilstm_forward: input width {seq.values.shape[1]} does not match "
             f"parameter width {params.wx_f.values.shape[0]}")
     n = seq.values.shape[0]
-    H = params.hidden
     xg_f = T.add(T.matmul(seq, params.wx_f), params.b_f)
     xg_b = T.add(T.matmul(seq, params.wx_b), params.b_b)
-    fwd = _lstm_direction(xg_f, params.wh_f, H, range(n))
-    bwd = _lstm_direction(xg_b, params.wh_b, H, range(n - 1, -1, -1))
-    rows = [T.concat_cols([fwd[t], bwd[t]]) for t in range(n)]
-    stacked = rows[0] if n == 1 else T.concat_rows(rows)
-    return T.add(T.matmul(stacked, params.proj_w), params.proj_b)
+    both = T.concat_cols([T.lstm_scan(xg_f, params.wh_f, range(n)),
+                          T.lstm_scan(xg_b, params.wh_b, range(n - 1, -1, -1))])
+    return T.add(T.matmul(both, params.proj_w), params.proj_b)
 
 
 @dataclass
@@ -163,12 +141,9 @@ def self_attention_stack(params: AttentionStackParams, w0: T.Tensor) -> T.Tensor
     if len(params.layers) < 1:
         raise ContractError("self_attention_stack: need at least one layer")
     w = w0
-    d = w0.values.shape[1]
-    inv = 1.0 / math.sqrt(d)
+    inv = 1.0 / math.sqrt(w0.values.shape[1])
     for lw, lb in params.layers:
-        att = T.softmax_rows(T.scale(T.matmul(w, T.transpose(w)), inv))
-        mixed = T.matmul(att, w)
-        w = T.add(T.matmul(mixed, lw), lb)
+        w = T.add(T.matmul(T.attend(w, w, w, inv), lw), lb)
     return w
 
 

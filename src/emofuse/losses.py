@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
 from .errors import ContractError
 
@@ -40,27 +38,13 @@ class LossConfig:
             raise ContractError(f"LossConfig.nce_form must be one of {NCE_FORMS}")
 
 
-def cosine_sim(a: T.Tensor, b: T.Tensor) -> T.Tensor:
-    """Cosine similarity of two 1 x d rows as a 1 x 1 tensor.
-
-    A zero vector has no direction; its similarity is defined as 0.
-    """
-    if float(np.linalg.norm(a.values)) == 0.0 or float(np.linalg.norm(b.values)) == 0.0:
-        return T.Tensor([[0.0]])
-    dot = T.sum_all(T.mul(a, b))
-    na = T.sqrt(T.sum_all(T.mul(a, a)))
-    nb = T.sqrt(T.sum_all(T.mul(b, b)))
-    return T.reshape(T.div(dot, T.mul(na, nb)), (1, 1))
-
-
 def candidate_distribution(f_query: T.Tensor, candidates, tau: float) -> T.Tensor:
     """Softmax over temperature-scaled cosine similarities, 1 x K."""
     if tau <= 0.0:
         raise ContractError("candidate_distribution: tau must be positive")
     if not candidates:
         raise ContractError("candidate_distribution: empty candidate set")
-    sims = [cosine_sim(f_query, c) for c in candidates]
-    row = sims[0] if len(sims) == 1 else T.concat_cols(sims)
+    row = T.cosine_rows(f_query, T.concat_rows(candidates))
     return T.softmax_rows(T.scale(row, 1.0 / tau))
 
 
@@ -131,24 +115,44 @@ def ace_loss(descriptors: dict, negatives: dict, pool_size: int, tau: float,
 
 
 def focal_loss(p_c, gamma: float, form: str = "canonical") -> T.Tensor:
-    """Class-imbalance-weighted penalty on the true class probability.
+    """Class-imbalance-weighted penalty on true class probabilities.
 
+    ``p_c`` is one probability or a tensor of them; the result holds one
+    term per entry, in the same shape (a bare number gives 1 x 1).
     Canonical form -(1-p)^gamma * log(p) with p floored at 1e-12; the
     "printed" variant (1-p)^gamma * p is kept for fidelity experiments.
     """
     if gamma < 0.0:
         raise ContractError("focal_loss: gamma must be >= 0")
     p = p_c if isinstance(p_c, T.Tensor) else T.Tensor([[float(p_c)]])
-    v = float(p.values.reshape(-1)[0])
-    if not 0.0 <= v <= 1.0:
-        raise ContractError(f"focal_loss: probability {v} outside [0, 1]")
+    outside = ~((p.values >= 0.0) & (p.values <= 1.0))
+    if outside.any():
+        raise ContractError(f"focal_loss: probability {float(p.values[outside][0])} "
+                            f"outside [0, 1]")
     modulator = T.powf(T.add_scalar(T.neg(p), 1.0), gamma)
     if form == "printed":
-        return T.reshape(T.mul(modulator, p), (1, 1))
+        return T.mul(modulator, p)
     if form != "canonical":
         raise ContractError(f"focal_loss: unknown form {form!r}")
     ce = T.neg(T.log(T.maximum_scalar(p, 1e-12)))
-    return T.reshape(T.mul(modulator, ce), (1, 1))
+    return T.mul(modulator, ce)
+
+
+def focal_mean(pairs: list, gamma: float, form: str = "canonical") -> T.Tensor:
+    """Mean focal term over a list of (probs 1 x C tensor, true label) pairs.
+
+    The true class probabilities are gathered into one column, so the
+    focal terms and their mean are a fixed number of ops for any count.
+    """
+    if not pairs:
+        raise ContractError("focal_mean: no terms")
+    for probs, label in pairs:
+        if not 0 <= label < probs.values.shape[1]:
+            raise ContractError(f"focal_mean: label {label} out of range for "
+                                f"{probs.values.shape[1]} classes")
+    column = T.concat_rows([T.slice_cols(probs, label, label + 1)
+                            for probs, label in pairs])
+    return T.mean_all(focal_loss(column, gamma, form))
 
 
 def averaged_focal(per_mode: dict, gamma: float, form: str = "canonical") -> T.Tensor:
@@ -163,16 +167,8 @@ def averaged_focal(per_mode: dict, gamma: float, form: str = "canonical") -> T.T
     sizes = set(counts.values())
     if len(sizes) != 1 or 0 in sizes:
         raise ContractError(f"averaged_focal: unbalanced or empty mode lists {counts}")
-    total = None
-    n = 0
-    for mode in sorted(per_mode):
-        for probs, label in per_mode[mode]:
-            if not 0 <= label < probs.values.shape[1]:
-                raise ContractError(f"averaged_focal: label {label} out of range")
-            term = focal_loss(T.reshape(T.pick(probs, 0, label), (1, 1)), gamma, form)
-            total = term if total is None else T.add(total, term)
-            n += 1
-    return T.scale(total, 1.0 / n)
+    return focal_mean([pair for mode in sorted(per_mode) for pair in per_mode[mode]],
+                      gamma, form)
 
 
 @dataclass

@@ -139,9 +139,7 @@ def cross_attend_layer(g_prev: T.Tensor, kv_pairs, affines, num_modes: int) -> T
     inv = 1.0 / math.sqrt(d_l)
     total = None
     for (k, v), (sc, bi) in zip(kv_pairs, affines):
-        raw = T.scale(T.matmul(g_prev, T.transpose(k)), inv)
-        scored = T.add(T.mul(raw, sc), bi)
-        attended = T.matmul(T.softmax_rows(scored), v)
+        attended = T.attend(g_prev, k, v, inv, sc, bi)
         total = attended if total is None else T.add(total, attended)
     return T.add(g_prev, T.scale(total, 1.0 / num_modes))
 

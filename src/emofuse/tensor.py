@@ -12,7 +12,13 @@ points that the rest of the package relies on:
   accumulation order is fixed and runs are bit-reproducible,
 * after ``backward`` every tensor that requires grad and lies upstream
   of the loss holds its full adjoint in ``.grad``; leaf grads accumulate
-  across calls until ``zero_grad``.
+  across calls until ``zero_grad``,
+* the model's three hot blocks are fused ops: ``lstm_scan`` (one LSTM
+  direction), ``attend`` (scaled dot-product attention with an optional
+  score affine) and ``cosine_rows`` (a query's cosine row against
+  stacked candidates). Each runs its forward pass in numpy and records
+  exactly one tape entry, whose pulls compute the hand-written adjoint
+  once and share it between the inputs.
 """
 from __future__ import annotations
 
@@ -127,8 +133,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 continue
             contrib = pull(g)
             if inp.grad is None:
-                inp.grad = np.zeros_like(inp.values)
-            inp.grad += contrib
+                # a copy, never the pull's array: pulls may return g itself
+                # or a read-only broadcast view
+                inp.grad = np.array(contrib, dtype=np.float64)
+            else:
+                inp.grad += contrib
 
 
 def zero_grad(tensors) -> None:
@@ -220,21 +229,6 @@ def powf(a: Tensor, p: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
 
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.values)
-    return _result(t, ((a, lambda g: g * (1.0 - t * t)),))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    av = a.values
-    s = np.empty_like(av)
-    pos = av >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-av[pos]))
-    e = np.exp(av[~pos])
-    s[~pos] = e / (1.0 + e)
-    return _result(s, ((a, lambda g: g * s * (1.0 - s)),))
-
-
 def relu(a: Tensor) -> Tensor:
     av = a.values
     return _result(np.maximum(av, 0.0), ((a, lambda g: g * (av > 0.0)),))
@@ -299,10 +293,6 @@ def softmax_rows(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # structure ops
 
-def transpose(a: Tensor) -> Tensor:
-    return _result(a.values.T, ((a, lambda g: g.T),))
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     orig = a.values.shape
     return _result(a.values.reshape(shape), ((a, lambda g: g.reshape(orig)),))
@@ -363,6 +353,157 @@ def pick(a: Tensor, i: int, j: int) -> Tensor:
         return z
 
     return _result(np.asarray(av[i, j]), ((a, pull),))
+
+
+# ---------------------------------------------------------------------------
+# fused ops: one record each, adjoint computed once for all inputs
+
+def _joint_pulls(inputs, adjoint):
+    """Pulls for inputs whose adjoints come from one shared computation.
+
+    ``adjoint(g)`` returns one array per input. It runs once per
+    upstream gradient, however many of the inputs ask for theirs.
+    """
+    memo = [None, None]  # (g, adjoint(g))
+
+    def pull_for(i):
+        def pull(g):
+            if memo[0] is not g:
+                memo[0], memo[1] = g, adjoint(g)
+            return memo[1][i]
+        return pull
+
+    return tuple((t, pull_for(i)) for i, t in enumerate(inputs))
+
+
+def lstm_scan(xg: Tensor, wh: Tensor, order) -> Tensor:
+    """One LSTM direction over precomputed input projections.
+
+    ``xg`` is n x 4H (inputs already through their weight and bias),
+    ``wh`` the H x 4H recurrent weight, with gate blocks ordered input,
+    forget, candidate, output; ``order`` visits every timestep once.
+    The state starts at zero. Returns the n x H hidden states indexed by
+    timestep, not visit order. The pull runs backpropagation through
+    time into ``xg`` and ``wh``.
+    """
+    xv, whv = xg.values, wh.values
+    if xv.ndim != 2 or xv.shape[1] % 4 or whv.shape != (xv.shape[1] // 4, xv.shape[1]):
+        raise ShapeError(f"lstm_scan: need n x 4H and H x 4H, got {xv.shape} and {whv.shape}")
+    n, four_h = xv.shape
+    hid = four_h // 4
+    steps = list(order)
+    # sigmoid(z) = (1 + tanh(z / 2)) / 2, so one tanh gives all four gates
+    half = np.full(four_h, 0.5)
+    half[2 * hid:3 * hid] = 1.0
+    rest = 1.0 - half
+    # the per-step caches feed only the pull, so an untaped scan skips them
+    keep = _TAPE is not None and (xg.requires_grad or wh.requires_grad)
+    hs = np.empty((n, hid))
+    if keep:
+        gates = np.empty((n, four_h))
+        tanh_c = np.empty((n, hid))
+        c_prev = np.empty((n, hid))
+        h_prev = np.empty((n, hid))
+    h = np.zeros(hid)
+    c = np.zeros(hid)
+    for t in steps:
+        a = np.tanh((xv[t] + h @ whv) * half) * half + rest
+        if keep:
+            gates[t] = a
+            c_prev[t] = c
+            h_prev[t] = h
+        c = a[hid:2 * hid] * c + a[:hid] * a[2 * hid:3 * hid]
+        tc = np.tanh(c)
+        h = a[3 * hid:] * tc
+        hs[t] = h
+        if keep:
+            tanh_c[t] = tc
+    if not keep:
+        return _wrap(hs)
+
+    def adjoint(g):
+        slope = gates * (1.0 - gates)
+        slope[:, 2 * hid:3 * hid] = 1.0 - gates[:, 2 * hid:3 * hid] ** 2
+        dxg = np.empty((n, four_h))
+        da = np.empty(four_h)
+        dh = np.zeros(hid)
+        dc = np.zeros(hid)
+        for t in reversed(steps):
+            a, tc = gates[t], tanh_c[t]
+            dh = g[t] + dh
+            dc = dc + dh * a[3 * hid:] * (1.0 - tc * tc)
+            da[:hid] = dc * a[2 * hid:3 * hid]
+            da[hid:2 * hid] = dc * c_prev[t]
+            da[2 * hid:3 * hid] = dc * a[:hid]
+            da[3 * hid:] = dh * tc
+            dz = da * slope[t]
+            dxg[t] = dz
+            dc = dc * a[hid:2 * hid]
+            dh = whv @ dz
+        return dxg, h_prev.T @ dxg
+
+    return _result(hs, _joint_pulls((xg, wh), adjoint))
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, inv: float,
+           sc: Tensor = None, bi: Tensor = None) -> Tensor:
+    """Scaled dot-product attention softmax(sc * (q k^T * inv) + bi) v.
+
+    ``sc`` and ``bi`` are an optional 1 x 1 score scale and bias, given
+    together. Passing one tensor as several of q, k, v is how
+    self-attention is spelled; its adjoint contributions add up.
+    """
+    qv, kv, vv = q.values, k.values, v.values
+    if qv.ndim != 2 or kv.ndim != 2 or vv.ndim != 2 or qv.shape[1] != kv.shape[1] \
+            or kv.shape[0] != vv.shape[0]:
+        raise ShapeError(f"attend: incompatible shapes q {qv.shape}, k {kv.shape}, v {vv.shape}")
+    if (sc is None) != (bi is None):
+        raise ContractError("attend: score scale and bias go together")
+    raw = (qv @ kv.T) * inv
+    scores = raw if sc is None else raw * sc.values + bi.values
+    if not np.all(np.isfinite(scores)):
+        raise ContractError("attend: scores must be finite")
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    inputs = (q, k, v) if sc is None else (q, k, v, sc, bi)
+
+    def adjoint(g):
+        dp = g @ vv.T
+        ds = p * (dp - (dp * p).sum(axis=1, keepdims=True))
+        extra = ()
+        if sc is not None:
+            extra = (np.full(sc.values.shape, (ds * raw).sum()),
+                     np.full(bi.values.shape, ds.sum()))
+            ds = ds * sc.values
+        ds = ds * inv
+        return (ds @ kv, ds.T @ qv, p.T @ g) + extra
+
+    return _result(p @ vv, _joint_pulls(inputs, adjoint))
+
+
+def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
+    """Cosine similarity of a 1 x d query with each row of K x d ``b``, as 1 x K.
+
+    A zero vector has no direction: its similarity is defined as 0 and
+    passes no gradient.
+    """
+    av, bv = a.values, b.values
+    if av.ndim != 2 or av.shape[0] != 1 or bv.ndim != 2 or bv.shape[1] != av.shape[1]:
+        raise ShapeError(f"cosine_rows: need 1 x d and K x d, got {av.shape} and {bv.shape}")
+    na = np.sqrt((av * av).sum())
+    nb = np.sqrt((bv * bv).sum(axis=1))
+    live = (nb > 0.0) & (na > 0.0)
+    denom = np.where(live, na * nb, 1.0)
+    cos = np.where(live, (bv @ av[0]) / denom, 0.0)
+
+    def adjoint(g):
+        w = np.where(live, g[0] / denom, 0.0)
+        gc = g[0] * cos
+        da = w @ bv - (gc.sum() / (na * na if na > 0.0 else 1.0)) * av[0]
+        db = w[:, None] * av - (gc / np.where(live, nb * nb, 1.0))[:, None] * bv
+        return da[None, :], db
+
+    return _result(cos[None, :], _joint_pulls((a, b), adjoint))
 
 
 # ---------------------------------------------------------------------------

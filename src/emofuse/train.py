@@ -25,7 +25,7 @@ from .encoders import MODES
 from .errors import ContractError, DataError, NumericError
 from .fusion import (adaptive_fuse, estimate_alpha_pair,
                      select_informative_samples, update_alphas)
-from .losses import (ace_loss, averaged_focal, combined_loss, focal_loss,
+from .losses import (ace_loss, averaged_focal, combined_loss, focal_mean,
                      sample_negative_ids)
 from .model import (LoadedCheckpoint, Pipeline, evaluate, fuse_dialogue,
                     init_pipeline, named_parameters, pairwise_coefficients,
@@ -197,13 +197,9 @@ def _alpha_estimates(pipeline: Pipeline, val_dlgs, config: RunConfig):
                 fused, [u.speaker_id for u in d.utterances],
                 [u.utterance_id for u in d.utterances],
                 pipeline.context, config.eval_mode)
-            terms = [focal_loss(T.reshape(T.pick(pr.probs, 0, utt.label), (1, 1)),
-                                config.gamma, config.focal_form)
-                     for utt, pr in zip(d.utterances, preds)]
-            acc = terms[0]
-            for t2 in terms[1:]:
-                acc = T.add(acc, t2)
-            loss = T.scale(acc, 1.0 / len(terms))
+            loss = focal_mean([(pr.probs, utt.label)
+                               for utt, pr in zip(d.utterances, preds)],
+                              config.gamma, config.focal_form)
         T.backward(loss, tape)
         for utt, dd in zip(d.utterances, descs):
             ft = dd["text"].f_ca
@@ -274,21 +270,16 @@ def _stage2_epoch(pipeline: Pipeline, adam: AdamState, rng: Rng,
         tape = T.Tape()
         try:
             with T.recording(tape):
-                terms = []
+                pairs = []
                 for d in batch:
                     fused, _ = fuse_dialogue(pipeline, d, pairwise)
                     preds = classify_dialogue(
                         fused, [u.speaker_id for u in d.utterances],
                         [u.utterance_id for u in d.utterances],
                         pipeline.context, config.eval_mode)
-                    for utt, pr in zip(d.utterances, preds):
-                        p_true = T.reshape(T.pick(pr.probs, 0, utt.label), (1, 1))
-                        terms.append(focal_loss(p_true, config.gamma,
-                                                config.focal_form))
-                acc = terms[0]
-                for t2 in terms[1:]:
-                    acc = T.add(acc, t2)
-                loss = T.scale(acc, 1.0 / len(terms))
+                    pairs.extend((pr.probs, utt.label)
+                                 for utt, pr in zip(d.utterances, preds))
+                loss = focal_mean(pairs, config.gamma, config.focal_form)
             if not math.isfinite(loss.item()):
                 raise _wrap_numeric(2, bi, batch)
             T.backward(loss, tape)

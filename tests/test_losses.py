@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from emofuse import tensor as T
 from emofuse.errors import ContractError
 from emofuse.losses import (LossConfig, ace_loss, averaged_focal,
-                            candidate_distribution, combined_loss, cosine_sim,
-                            focal_loss, nce_loss, pair_probability,
+                            candidate_distribution, combined_loss, focal_loss,
+                            focal_mean, nce_loss, pair_probability,
                             sample_negative_ids)
 from emofuse.rng import Rng
 
@@ -50,8 +50,13 @@ def test_identical_positive_and_negative():
 
 
 def test_zero_vector_similarity_is_zero():
-    assert cosine_sim(vec([0.0, 0.0]), vec([1.0, 2.0])).item() == 0.0
-    assert cosine_sim(vec([1.0, 2.0]), vec([0.0, 0.0])).item() == 0.0
+    # a zero candidate scores cosine 0, as does every candidate of a zero query
+    dist = candidate_distribution(vec([1.0, 2.0]), [vec([0.0, 0.0]), vec([2.0, 4.0])],
+                                  tau=1.0).values[0]
+    assert dist == pytest.approx([1.0 / (1.0 + math.e), math.e / (1.0 + math.e)], abs=1e-12)
+    dist = candidate_distribution(vec([0.0, 0.0]), [vec([1.0, 2.0]), vec([0.0, 0.0])],
+                                  tau=0.1).values[0]
+    assert list(dist) == [0.5, 0.5]
 
 
 def test_distribution_sums_to_one():
@@ -246,6 +251,26 @@ def test_averaged_two_by_two_hand_sum():
     want = (focal_term(0.9, 1.0) + focal_term(0.4, 1.0) +
             focal_term(0.7, 1.0) + focal_term(0.55, 1.0)) / 4.0
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_focal_mean_is_one_column_of_terms():
+    rng = Rng(18)
+    pairs = [(probs_for(i % 3, p=rng.uniform(0.2, 0.9)), i % 3) for i in range(5)]
+    want = sum(focal_term(pr.values[0, lab], 0.5) for pr, lab in pairs) / 5
+    sizes = []
+    for n in (1, 5):
+        # the tape grows by one gather per term and a fixed count for the rest
+        probs = [T.Tensor(pr.values, requires_grad=True) for pr, _ in pairs[:n]]
+        tape = T.Tape()
+        with T.recording(tape):
+            got = focal_mean([(pr, lab) for pr, (_, lab) in zip(probs, pairs)], 0.5)
+        sizes.append(len(tape) - n)
+    assert got.item() == pytest.approx(want, abs=1e-12)
+    assert sizes[0] == sizes[1]
+    with pytest.raises(ContractError):
+        focal_mean([], 1.0)
+    with pytest.raises(ContractError):
+        focal_mean([(probs_for(0), 3)], 1.0)
 
 
 def test_averaged_rejects_unbalanced():

@@ -7,9 +7,11 @@ import pytest
 from emofuse import tensor as T
 from emofuse.config import RunConfig, load_config, save_config
 from emofuse.data import SynthSpec, synth_generate
+from emofuse.encoders import MODES
 from emofuse.errors import ConfigError, DataError
 from emofuse.explain import PerturbationConfig
 from emofuse.fusion import AlphaState
+from emofuse.losses import ace_loss, averaged_focal, combined_loss
 from emofuse.model import (evaluate, explain_utterance, fuse_dialogue,
                            init_pipeline, load_checkpoint, named_parameters,
                            pairwise_coefficients, predict_dialogue,
@@ -211,3 +213,26 @@ def test_explanations_reproducible(pipeline, corpus):
     a = explain_utterance(pipeline, corpus[0], 1, cfg)
     b = explain_utterance(pipeline, corpus[0], 1, cfg)
     assert a == b
+
+
+def test_tape_records_per_training_utterance(corpus, pipeline):
+    # A count, not a time: the fused LSTM, attention and cosine ops keep one
+    # default-config utterance plus its stage-1 losses at 227 tape records,
+    # down from 972 when they were spelled out as per-step ops.
+    cfg = pipeline.config
+    utts = [u for d in corpus for u in d.utterances]
+    negatives = []
+    for other in utts[1:1 + cfg.negatives_per_anchor]:
+        descs = utterance_descriptors(pipeline, other)
+        negatives.append({m: T.Tensor(descs[m].f_ca.values) for m in MODES})
+    utt = utts[0]
+    tape = T.Tape()
+    with T.recording(tape):
+        descs = utterance_descriptors(pipeline, utt)
+        l_ace = ace_loss({utt.utterance_id: {m: descs[m].f_ca for m in MODES}},
+                         {utt.utterance_id: negatives}, len(utts), cfg.tau,
+                         cfg.nce_form)
+        l_fl = averaged_focal({m: [(descs[m].probs, utt.label)] for m in MODES},
+                              cfg.gamma, cfg.focal_form)
+        combined_loss(l_ace, l_fl)
+    assert len(tape) <= 227

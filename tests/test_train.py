@@ -200,7 +200,7 @@ def test_numeric_abort_names_batch(monkeypatch):
     # a loss that degenerates to NaN must stop training and name the batch
     corpus = small_corpus()
     cfg = small_config(stage1_epochs=0, stage2_epochs=1, alpha_mode="fixed")
-    monkeypatch.setattr(train_mod, "focal_loss", lambda *a, **k: _nan_scalar())
+    monkeypatch.setattr(train_mod, "focal_mean", lambda *a, **k: _nan_scalar())
     with pytest.raises(NumericError, match=r"stage 2 batch 0 \(dialogues"):
         run_training(cfg, corpus, [])
 
