@@ -104,8 +104,7 @@ class RunConfig:
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(text_in=self.text_dim, video_in=self.video_dim,
-                             audio_in=self.audio_dim, text_out=self.encoder_out,
-                             video_out=self.encoder_out, audio_out=self.encoder_out,
+                             audio_in=self.audio_dim, out=self.encoder_out,
                              lstm_hidden=self.lstm_hidden,
                              attention_layers=self.attention_layers)
 
@@ -156,9 +155,3 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     return RunConfig.from_dict(raw)
-
-
-def save_config(config: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")

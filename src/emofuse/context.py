@@ -8,7 +8,7 @@ by a linear softmax head.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,40 +54,15 @@ def init_context(config: ContextConfig, rng: Rng) -> ContextParams:
     )
 
 
-@dataclass
-class DialogueContexts:
-    """A dialogue's fused descriptors plus one speaker's view of them."""
-    dialogue_seq: list
-    speaker_seq: list
-    index_map: list = field(default_factory=list)
-
-
-def speaker_subsequence(fused_seq, speaker_ids, speaker_id: str) -> DialogueContexts:
-    """Filter the dialogue to one speaker's utterances, keeping positions."""
+def speaker_subsequence(fused_seq, speaker_ids, speaker_id: str):
+    """One speaker's utterances: (dialogue positions, descriptors at them)."""
     if len(fused_seq) != len(speaker_ids):
         raise ContractError("speaker_subsequence: one speaker id per descriptor required")
     index_map = [i for i, s in enumerate(speaker_ids) if s == speaker_id]
     if not index_map:
         known = sorted(set(speaker_ids))
         raise DataError(f"unknown speaker {speaker_id!r}; dialogue has speakers {known}")
-    return DialogueContexts(dialogue_seq=list(fused_seq),
-                            speaker_seq=[fused_seq[i] for i in index_map],
-                            index_map=index_map)
-
-
-def dual_context_forward(contexts: DialogueContexts, params: ContextParams):
-    """Per-speaker-utterance states: speaker branch joined with dialogue branch."""
-    if not contexts.dialogue_seq or not contexts.speaker_seq:
-        raise ContractError("dual_context_forward: both sequences must be nonempty")
-    d_in = _stack(contexts.dialogue_seq)
-    s_in = _stack(contexts.speaker_seq)
-    d_states = bilstm_forward(params.dialogue_lstm, d_in)
-    s_states = bilstm_forward(params.speaker_lstm, s_in)
-    out = []
-    for l, i in enumerate(contexts.index_map):
-        out.append(T.concat_cols([T.slice_rows(s_states, l, l + 1),
-                                  T.slice_rows(d_states, i, i + 1)]))
-    return out
+    return index_map, [fused_seq[i] for i in index_map]
 
 
 def _stack(rows):
@@ -121,6 +96,8 @@ def classify_dialogue(fused_seq, speaker_ids, utt_ids, params: ContextParams,
     if eval_mode not in ("own", "dialogue"):
         raise ContractError(f"classify_dialogue: unknown eval_mode {eval_mode!r}")
     n = len(fused_seq)
+    if n == 0:
+        raise ContractError("classify_dialogue: empty dialogue")
     if not (n == len(speaker_ids) == len(utt_ids)):
         raise ContractError("classify_dialogue: sequence length mismatch")
     d_states = bilstm_forward(params.dialogue_lstm, _stack(fused_seq))
@@ -128,9 +105,9 @@ def classify_dialogue(fused_seq, speaker_ids, utt_ids, params: ContextParams,
     joined = [None] * n
     if eval_mode == "own":
         for speaker in dict.fromkeys(speaker_ids):  # first-appearance order
-            ctx = speaker_subsequence(fused_seq, speaker_ids, speaker)
-            s_states = bilstm_forward(params.speaker_lstm, _stack(ctx.speaker_seq))
-            for l, i in enumerate(ctx.index_map):
+            index_map, rows = speaker_subsequence(fused_seq, speaker_ids, speaker)
+            s_states = bilstm_forward(params.speaker_lstm, _stack(rows))
+            for l, i in enumerate(index_map):
                 joined[i] = T.concat_cols([T.slice_rows(s_states, l, l + 1),
                                            T.slice_rows(d_states, i, i + 1)])
     else:

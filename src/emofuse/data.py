@@ -87,14 +87,20 @@ def load_dataset(path) -> list:
                 raise DataError(f"line {line_no}: malformed JSON ({e.msg})") from None
             if not isinstance(raw, dict) or "dialogue_id" not in raw or "utterances" not in raw:
                 raise DataError(f"line {line_no}: expected dialogue_id and utterances keys")
+            if not isinstance(raw["utterances"], list):
+                raise DataError(f"line {line_no}: utterances must be a list, got "
+                                f"{type(raw['utterances']).__name__}")
             utts = []
             for u in raw["utterances"]:
                 record += 1
+                if not isinstance(u, dict):
+                    raise DataError(f"line {line_no}, record {record}: utterance must be "
+                                    f"an object, got {type(u).__name__}")
                 try:
                     utt_id = u["utterance_id"]
                     speaker = u["speaker_id"]
                     label = u["label"]
-                except (KeyError, TypeError) as e:
+                except KeyError as e:
                     raise DataError(f"line {line_no}, record {record}: missing field {e}") from None
                 if not isinstance(label, int) or isinstance(label, bool) or label < 0:
                     raise DataError(

@@ -38,23 +38,18 @@ class EncoderConfig:
     text_in: int
     video_in: int
     audio_in: int
-    text_out: int = 8
-    video_out: int = 8
-    audio_out: int = 8
+    out: int = 8
     lstm_hidden: int = 8
     attention_layers: int = 2
 
     def __post_init__(self):
-        for name in ("text_in", "video_in", "audio_in", "text_out", "video_out",
-                     "audio_out", "lstm_hidden", "attention_layers"):
+        for name in ("text_in", "video_in", "audio_in", "out", "lstm_hidden",
+                     "attention_layers"):
             if getattr(self, name) < 1:
                 raise ContractError(f"EncoderConfig.{name} must be positive")
 
     def in_dim(self, mode: str) -> int:
         return {"text": self.text_in, "video": self.video_in, "audio": self.audio_in}[mode]
-
-    def out_dim(self, mode: str) -> int:
-        return {"text": self.text_out, "video": self.video_out, "audio": self.audio_out}[mode]
 
 
 @dataclass
@@ -152,7 +147,6 @@ class ModeEncoderParams:
     mode: str
     lstms: dict
     attention: AttentionStackParams
-    out_dim: int
 
     def tensors(self):
         out = []
@@ -167,15 +161,13 @@ def init_encoders(config: EncoderConfig, rng: Rng) -> dict:
     encoders = {}
     for mode in MODES:
         din = config.in_dim(mode)
-        dout = config.out_dim(mode)
         if mode == "video":
-            lstms = {"face": init_bilstm(din, config.lstm_hidden, dout, rng),
-                     "back": init_bilstm(din, config.lstm_hidden, dout, rng)}
+            lstms = {"face": init_bilstm(din, config.lstm_hidden, config.out, rng),
+                     "back": init_bilstm(din, config.lstm_hidden, config.out, rng)}
         else:
-            lstms = {"main": init_bilstm(din, config.lstm_hidden, dout, rng)}
-        attention = init_attention_stack(dout, config.attention_layers, rng)
-        encoders[mode] = ModeEncoderParams(mode=mode, lstms=lstms,
-                                           attention=attention, out_dim=dout)
+            lstms = {"main": init_bilstm(din, config.lstm_hidden, config.out, rng)}
+        attention = init_attention_stack(config.out, config.attention_layers, rng)
+        encoders[mode] = ModeEncoderParams(mode=mode, lstms=lstms, attention=attention)
     return encoders
 
 

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,33 +65,14 @@ class Explanation:
                 "sample_count": self.sample_count,
                 "mask_prob": self.mask_prob}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Explanation":
-        return cls(**d)
 
-
-def mode_groups(mode_order, block_width: int, subgroup_width: int = 0) -> list:
-    """Contiguous (name, start, stop) groups over a fused descriptor.
-
-    One group per mode block by default; a positive subgroup_width cuts
-    each block into tagged sub-blocks of at most that many features.
-    """
+def mode_groups(mode_order, block_width: int) -> list:
+    """Contiguous (name, start, stop) groups over a fused descriptor, one
+    per mode block."""
     if block_width < 1:
         raise ContractError("mode_groups: block_width must be positive")
-    groups = []
-    for i, mode in enumerate(mode_order):
-        start = i * block_width
-        if subgroup_width and subgroup_width < block_width:
-            lo = start
-            part = 0
-            while lo < start + block_width:
-                hi = min(lo + subgroup_width, start + block_width)
-                groups.append((f"{mode}[{part}]", lo, hi))
-                lo = hi
-                part += 1
-        else:
-            groups.append((mode, start, start + block_width))
-    return groups
+    return [(mode, i * block_width, (i + 1) * block_width)
+            for i, mode in enumerate(mode_order)]
 
 
 def perturb_and_score(descriptor, predict_fn, groups, config: PerturbationConfig):

@@ -14,9 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
+from .encoders import MODES
 from .errors import ContractError
-
-FUSE_ORDER = ("text", "video", "audio")
 
 
 def compose_alphas(alpha_prime_1: float, alpha_prime_2: float):
@@ -33,18 +32,18 @@ def compose_alphas(alpha_prime_1: float, alpha_prime_2: float):
             1.0 - alpha_prime_2)
 
 
-def pairwise_from_composed(composed, modes=FUSE_ORDER) -> dict:
+def pairwise_from_composed(composed) -> dict:
     """Bridge per-mode weights to the pairwise coefficients fusion needs.
 
     alpha[(m, mi)] = w_m / (w_m + w_mi), falling back to 0.5 when both
     weights are zero. Complementary pairs sum to 1.
     """
-    if len(composed) != len(modes):
+    if len(composed) != len(MODES):
         raise ContractError("pairwise_from_composed: one weight per mode required")
-    w = dict(zip(modes, composed))
+    w = dict(zip(MODES, composed))
     out = {}
-    for m in modes:
-        for mi in modes:
+    for m in MODES:
+        for mi in MODES:
             if m == mi:
                 continue
             denom = w[m] + w[mi]
@@ -71,8 +70,8 @@ class AlphaState:
     def composed(self):
         return compose_alphas(self.alpha_prime_1, self.alpha_prime_2)
 
-    def pairwise(self, modes=FUSE_ORDER) -> dict:
-        return pairwise_from_composed(self.composed(), modes)
+    def pairwise(self) -> dict:
+        return pairwise_from_composed(self.composed())
 
     def to_dict(self) -> dict:
         return {"alpha_prime_1": self.alpha_prime_1, "alpha_prime_2": self.alpha_prime_2,
@@ -83,25 +82,22 @@ class AlphaState:
         return cls(**d)
 
 
-def adaptive_fuse(descriptors: dict, alphas: dict, mode_order=None) -> T.Tensor:
+def adaptive_fuse(descriptors: dict, alphas: dict) -> T.Tensor:
     """Interpolate and concatenate mode descriptors into one 1 x (|M| d) row.
 
     ``descriptors`` maps mode -> 1 x d tensor; ``alphas`` maps ordered
     mode pairs (m, mi) -> coefficient in [0, 1]. Gradients flow through
-    the descriptors; the coefficients are plain floats.
+    the descriptors; the coefficients are plain floats. Blocks follow
+    ``MODES`` order.
     """
-    order = tuple(mode_order) if mode_order is not None else tuple(
-        m for m in FUSE_ORDER if m in descriptors)
-    if len(order) < 2:
-        raise ContractError("adaptive_fuse: need at least 2 modes")
-    for m in order:
+    for m in MODES:
         if m not in descriptors:
             raise ContractError(f"adaptive_fuse: missing descriptor for mode {m}")
-    n = len(order)
+    n = len(MODES)
     blocks = []
-    for m in order:
+    for m in MODES:
         acc = None
-        for mi in order:
+        for mi in MODES:
             if mi == m:
                 continue
             a = alphas.get((m, mi))

@@ -48,12 +48,6 @@ def candidate_distribution(f_query: T.Tensor, candidates, tau: float) -> T.Tenso
     return T.softmax_rows(T.scale(row, 1.0 / tau))
 
 
-def pair_probability(f_query: T.Tensor, f_key: T.Tensor, negatives, tau: float) -> T.Tensor:
-    """Probability mass the candidate softmax puts on the positive key."""
-    dist = candidate_distribution(f_query, [f_key] + list(negatives), tau)
-    return T.pick(dist, 0, 0)
-
-
 def nce_loss(f_query: T.Tensor, f_positive: T.Tensor, negatives, nu: float,
              tau: float, form: str = "printed") -> T.Tensor:
     """Contrastive loss for one anchor pair against its negative set.
@@ -177,18 +171,10 @@ class LossReport:
     l_ace: T.Tensor
     l_fl: T.Tensor
     total: T.Tensor
-    breakdown: dict
-
-    def as_floats(self) -> dict:
-        out = {"l_ace": self.l_ace.item(), "l_fl": self.l_fl.item(),
-               "total": self.total.item()}
-        out.update(self.breakdown)
-        return out
 
 
-def combined_loss(l_ace: T.Tensor, l_fl: T.Tensor, breakdown=None) -> LossReport:
-    return LossReport(l_ace=l_ace, l_fl=l_fl, total=T.add(l_ace, l_fl),
-                      breakdown=dict(breakdown or {}))
+def combined_loss(l_ace: T.Tensor, l_fl: T.Tensor) -> LossReport:
+    return LossReport(l_ace=l_ace, l_fl=l_fl, total=T.add(l_ace, l_fl))
 
 
 def sample_negative_ids(ids, anchor_index: int, k: int, rng) -> list:

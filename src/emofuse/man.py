@@ -51,7 +51,6 @@ class CrossMaps:
 
 @dataclass
 class ModeManParams:
-    mode: str
     peripherals: tuple
     dense: list = field(default_factory=list)   # [(w, b)] per layer, head-shared
     cross: dict = field(default_factory=dict)   # (layer, peripheral, head) -> CrossMaps
@@ -70,7 +69,6 @@ class ModeManParams:
 
 @dataclass
 class CrossAttendedDescriptor:
-    mode: str
     f_ca: T.Tensor   # 1 x descriptor_dim
     probs: T.Tensor  # 1 x num_classes
 
@@ -108,7 +106,7 @@ def init_man(config: ManConfig, encoder_dims: dict, rng: Rng) -> dict:
                         score_bias=zeros((1, 1)),
                     )
         params[mode] = ModeManParams(
-            mode=mode, peripherals=peripherals, dense=dense, cross=cross,
+            peripherals=peripherals, dense=dense, cross=cross,
             cls_w=T.init_xavier((d, config.num_classes), rng),
             cls_b=zeros((1, config.num_classes)),
         )
@@ -189,13 +187,5 @@ def man_forward(encoded: dict, params: dict, trace=None) -> dict:
         avg = T.scale(acc, 1.0 / num_heads) if num_heads > 1 else acc
         f_ca = T.mean_rows(avg)
         probs = T.softmax_rows(T.add(T.matmul(f_ca, p.cls_w), p.cls_b))
-        out[mode] = CrossAttendedDescriptor(mode=mode, f_ca=f_ca, probs=probs)
-    return out
-
-
-def man_tensors(params: dict):
-    """All trainable tensors in a fixed iteration order."""
-    out = []
-    for mode in params:
-        out.extend(params[mode].tensors())
+        out[mode] = CrossAttendedDescriptor(f_ca=f_ca, probs=probs)
     return out

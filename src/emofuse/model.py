@@ -18,7 +18,7 @@ from . import tensor as T
 from .config import RunConfig
 from .context import ContextParams, classify_dialogue, init_context
 from .encoders import MODES, encode_mode, init_encoders
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .explain import Explanation, PerturbationConfig, explain_instance, mode_groups
 from .fusion import AlphaState, adaptive_fuse
 from .man import init_man, man_forward
@@ -26,6 +26,9 @@ from .metrics import confusion, metrics_report
 from .rng import Rng
 
 CHECKPOINT_FORMAT = "emofuse-checkpoint-v1"
+# required checkpoint keys and their JSON types (a bool is not an integer)
+_CHECKPOINT_KEYS = {"config": dict, "alphas": dict, "stage": int, "epoch": int,
+                    "params": dict}
 _PARAM_STREAM = 101
 _ALPHA_STREAM = 102
 
@@ -61,7 +64,7 @@ def pairwise_coefficients(pipeline: Pipeline) -> dict:
     """Interpolation coefficients under the configured regime."""
     if pipeline.config.alpha_mode == "fixed":
         return {(m, mi): 0.5 for m in MODES for mi in MODES if m != mi}
-    return pipeline.alphas.pairwise(MODES)
+    return pipeline.alphas.pairwise()
 
 
 def utterance_descriptors(pipeline: Pipeline, utt) -> dict:
@@ -91,7 +94,7 @@ def fuse_dialogue(pipeline: Pipeline, dialogue, pairwise=None):
     for utt in dialogue.utterances:
         d = utterance_descriptors(pipeline, utt)
         descs.append(d)
-        fused.append(adaptive_fuse({m: d[m].f_ca for m in d}, pairwise, MODES))
+        fused.append(adaptive_fuse({m: d[m].f_ca for m in d}, pairwise))
     return fused, descs
 
 
@@ -173,11 +176,6 @@ def stage1_parameters(pipeline: Pipeline) -> dict:
             if not k.startswith("ctx.")}
 
 
-def context_parameters(pipeline: Pipeline) -> dict:
-    return {k: v for k, v in named_parameters(pipeline).items()
-            if k.startswith("ctx.")}
-
-
 def save_checkpoint(path, pipeline: Pipeline, stage: int, epoch: int,
                     adam: dict = None, trainer_rng: list = None) -> None:
     doc = {
@@ -220,26 +218,40 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         raise DataError(f"checkpoint {path} has unknown format "
                         f"{doc.get('format')!r}" if isinstance(doc, dict)
                         else f"checkpoint {path} is not a JSON object")
+    for key, kind in _CHECKPOINT_KEYS.items():
+        if key not in doc:
+            raise DataError(f"checkpoint {path}: missing key {key!r}")
+        if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
+            raise DataError(f"checkpoint {path}: key {key!r} must be a JSON "
+                            f"{'object' if kind is dict else 'integer'}, "
+                            f"got {type(doc[key]).__name__}")
     config = RunConfig.from_dict(doc["config"])
     if doc.get("config_hash") != config.hash():
         raise DataError(f"checkpoint {path}: config hash mismatch")
     pipeline = init_pipeline(config)
     params = named_parameters(pipeline)
-    stored = doc.get("params", {})
+    stored = doc["params"]
     missing = sorted(set(params) - set(stored))
     extra = sorted(set(stored) - set(params))
     if missing or extra:
         raise DataError(f"checkpoint {path}: parameter set mismatch "
                         f"(missing {missing[:3]}, extra {extra[:3]})")
     for name, t in params.items():
-        arr = np.asarray(stored[name], dtype=np.float64)
+        try:
+            arr = np.asarray(stored[name], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DataError(f"checkpoint {path}: parameter {name} is not a "
+                            f"numeric array") from None
         if arr.shape != t.values.shape:
             raise DataError(f"checkpoint {path}: parameter {name} has shape "
                             f"{arr.shape}, expected {t.values.shape}")
         t.values = arr
-    pipeline.alphas = AlphaState.from_dict(doc["alphas"])
-    return LoadedCheckpoint(pipeline=pipeline, stage=int(doc["stage"]),
-                            epoch=int(doc["epoch"]), adam=doc.get("adam"),
+    try:
+        pipeline.alphas = AlphaState.from_dict(doc["alphas"])
+    except (TypeError, ContractError) as e:
+        raise DataError(f"checkpoint {path}: invalid alphas: {e}") from None
+    return LoadedCheckpoint(pipeline=pipeline, stage=doc["stage"],
+                            epoch=doc["epoch"], adam=doc.get("adam"),
                             trainer_rng=doc.get("trainer_rng"))
 
 

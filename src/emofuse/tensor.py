@@ -64,10 +64,6 @@ def _wrap(arr, requires_grad=False):
     return t
 
 
-def constant(values) -> Tensor:
-    return Tensor(values, requires_grad=False)
-
-
 class Tape:
     """Ordered record of executed differentiable ops.
 
@@ -171,12 +167,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                              (b, lambda g: _sum_to(g, bv.shape))))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.values, b.values
-    return _result(av - bv, ((a, lambda g: _sum_to(g, av.shape)),
-                             (b, lambda g: _sum_to(-g, bv.shape))))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     return _result(av * bv, ((a, lambda g: _sum_to(g * bv, av.shape)),
@@ -210,11 +200,6 @@ def maximum_scalar(a: Tensor, c: float) -> Tensor:
     return _result(np.maximum(av, c), ((a, lambda g: g * (av > c)),))
 
 
-def minimum_scalar(a: Tensor, c: float) -> Tensor:
-    av = a.values
-    return _result(np.minimum(av, c), ((a, lambda g: g * (av < c)),))
-
-
 def powf(a: Tensor, p: float) -> Tensor:
     """Elementwise a**p for a >= 0; gradient is 0 where the base is 0."""
     av = a.values
@@ -234,19 +219,9 @@ def relu(a: Tensor) -> Tensor:
     return _result(np.maximum(av, 0.0), ((a, lambda g: g * (av > 0.0)),))
 
 
-def exp(a: Tensor) -> Tensor:
-    e = np.exp(a.values)
-    return _result(e, ((a, lambda g: g * e),))
-
-
 def log(a: Tensor) -> Tensor:
     av = a.values
     return _result(np.log(av), ((a, lambda g: g / av),))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    s = np.sqrt(a.values)
-    return _result(s, ((a, lambda g: g / (2.0 * s)),))
 
 
 # ---------------------------------------------------------------------------

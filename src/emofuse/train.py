@@ -182,17 +182,19 @@ def per_mode_accuracy(pipeline: Pipeline, dialogues) -> dict:
 def _alpha_estimates(pipeline: Pipeline, val_dlgs, config: RunConfig):
     """Per-validation-utterance coefficient estimates from loss gradients.
 
-    Returns (estimates: uid -> (a1, a2), frozen per-dialogue descriptor
-    cache for cheap re-prediction under candidate coefficients).
+    Returns (estimates: uid -> (a1, a2), labels: uid -> class predicted
+    under the current coefficients, frozen per-dialogue descriptor cache
+    for cheap re-prediction under candidate coefficients).
     """
     estimates = {}
+    labels = {}
     cache = {}
     eps = pipeline.alphas.epsilon
     cur_a1 = pipeline.alphas.alpha_prime_1
     for d in val_dlgs:
         tape = T.Tape()
         with T.recording(tape):
-            fused, descs = fuse_dialogue(pipeline, d)
+            fused, descs = fuse_dialogue(pipeline, d, pipeline.alphas.pairwise())
             preds = classify_dialogue(
                 fused, [u.speaker_id for u in d.utterances],
                 [u.utterance_id for u in d.utterances],
@@ -201,7 +203,7 @@ def _alpha_estimates(pipeline: Pipeline, val_dlgs, config: RunConfig):
                                for utt, pr in zip(d.utterances, preds)],
                               config.gamma, config.focal_form)
         T.backward(loss, tape)
-        for utt, dd in zip(d.utterances, descs):
+        for utt, dd, pr in zip(d.utterances, descs, preds):
             ft = dd["text"].f_ca
             fv = dd["video"].f_ca
             fa = dd["audio"].f_ca
@@ -212,19 +214,20 @@ def _alpha_estimates(pipeline: Pipeline, val_dlgs, config: RunConfig):
             mix = cur_a1 * ft.values + (1.0 - cur_a1) * fv.values
             a2 = estimate_alpha_pair(mix, fa.values, ga, eps)
             estimates[utt.utterance_id] = (a1, a2)
+            labels[utt.utterance_id] = pr.label
             cache[utt.utterance_id] = (d, {m: dd[m].f_ca.values.copy()
                                            for m in MODES})
         T.zero_grad(named_parameters(pipeline).values())
-    return estimates, cache
+    return estimates, labels, cache
 
 
 def _reclassify(pipeline: Pipeline, dialogue, frozen, alphas, config, uid):
     """Predict one utterance from frozen descriptors under given coefficients."""
-    pairwise = alphas.pairwise(MODES)
+    pairwise = alphas.pairwise()
     fused = []
     for utt in dialogue.utterances:
         descs = {m: T.Tensor(frozen[utt.utterance_id][m]) for m in MODES}
-        fused.append(adaptive_fuse(descs, pairwise, MODES))
+        fused.append(adaptive_fuse(descs, pairwise))
     preds = classify_dialogue(fused, [u.speaker_id for u in dialogue.utterances],
                               [u.utterance_id for u in dialogue.utterances],
                               pipeline.context, config.eval_mode)
@@ -235,16 +238,20 @@ def _reclassify(pipeline: Pipeline, dialogue, frozen, alphas, config, uid):
 
 
 def _update_alphas_from_val(pipeline: Pipeline, val_dlgs, config: RunConfig) -> dict:
-    estimates, cache = _alpha_estimates(pipeline, val_dlgs, config)
+    estimates, labels, cache = _alpha_estimates(pipeline, val_dlgs, config)
     frozen = {uid: arrs for uid, (_, arrs) in cache.items()}
+    current = pipeline.alphas
 
     def predict(uid, alpha_state):
+        if alpha_state == current:
+            # the estimate pass already classified under these coefficients
+            return labels[uid]
         dialogue = cache[uid][0]
         return _reclassify(pipeline, dialogue, frozen, alpha_state, config, uid)
 
     chosen = select_informative_samples(
         list(estimates), predict, lambda uid: estimates[uid],
-        pipeline.alphas, config.informative_budget)
+        current, config.informative_budget)
     if chosen:
         pipeline.alphas = update_alphas(pipeline.alphas,
                                         [estimates[uid] for uid in chosen])
@@ -298,6 +305,29 @@ def _stage2_epoch(pipeline: Pipeline, adam: AdamState, rng: Rng,
 # ---------------------------------------------------------------------------
 # orchestration
 
+def _truncate_log(path, stage: int, epoch: int) -> None:
+    """Keep only the log records at or before a checkpoint's (stage, epoch).
+
+    An epoch is logged before it is checkpointed, so a run stopped between
+    the two leaves a record that the resumed run writes again.
+    """
+    kept = []
+    if os.path.exists(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError:
+                    break  # a line cut short by the interruption
+                if (rec["stage"], rec["epoch"]) > (stage, epoch):
+                    break
+                kept.append(line)
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
+    os.replace(tmp, path)
+
+
 @dataclass
 class TrainResult:
     pipeline: Pipeline
@@ -333,8 +363,10 @@ def run_training(config: RunConfig, train_dlgs, val_dlgs, out_dir=None,
     log_fh = None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        mode = "a" if resume is not None else "w"
-        log_fh = open(os.path.join(out_dir, "train_log.jsonl"), mode,
+        log_path = os.path.join(out_dir, "train_log.jsonl")
+        if resume is not None:
+            _truncate_log(log_path, stage, epoch)
+        log_fh = open(log_path, "a" if resume is not None else "w",
                       encoding="utf-8")
 
     def _emit(rec):

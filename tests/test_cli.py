@@ -189,6 +189,46 @@ def test_resume_nan_checkpoint_names_cache(workdir, tmp_path, capsys):
     assert "negative cache" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record, message", [
+    ({"dialogue_id": "d", "utterances": 5}, "line 1: utterances must be a list"),
+    ({"dialogue_id": "d", "utterances": [5]},
+     "line 1, record 1: utterance must be an object"),
+], ids=["utterances-not-list", "utterance-not-object"])
+def test_malformed_dataset_is_data_error(tmp_path, capsys, record, message):
+    data = tmp_path / "bad.jsonl"
+    data.write_text(json.dumps(record) + "\n")
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "r"),
+               "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert message in err and "Traceback" not in err
+
+
+def _with_param(blob, name, value):
+    blob["params"][name] = value
+    return blob
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda b: {"format": b["format"]}, "missing key 'config'"),
+    (lambda b: dict(b, stage="1"), "key 'stage' must be a JSON integer, got str"),
+    (lambda b: dict(b, params=[]), "key 'params' must be a JSON object, got list"),
+    (lambda b: dict(b, alphas={"bogus": 1}), "invalid alphas"),
+    (lambda b: _with_param(b, "enc.text.0", "x"), "enc.text.0 is not a numeric array"),
+], ids=["missing-key", "string-stage", "list-params", "unknown-alpha-key",
+        "text-param"])
+def test_malformed_checkpoint_is_data_error(workdir, tmp_path, capsys, edit,
+                                            message):
+    blob = json.loads((workdir["run"] / "checkpoint.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(blob)))
+    rc = main(["eval", "--checkpoint", str(bad), "--data", workdir["data"],
+               "--out", str(tmp_path), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert message in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # explain / ablate
 

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from emofuse import context
 from emofuse import tensor as T
-from emofuse.context import (ContextConfig, ContextParams, DialogueContexts,
-                             classify_dialogue, dual_context_forward,
+from emofuse.context import (ContextConfig, ContextParams, classify_dialogue,
                              init_context, predict_emotion, speaker_subsequence)
 from emofuse.encoders import bilstm_forward
 from emofuse.errors import ContractError, DataError
@@ -28,9 +28,9 @@ def params(d=4, seed=1, c=3, state=3):
 
 def test_single_speaker_subsequence_is_whole_dialogue():
     seq = fused(Rng(2), 3)
-    ctx = speaker_subsequence(seq, ["s1", "s1", "s1"], "s1")
-    assert ctx.index_map == [0, 1, 2]
-    assert [id(t) for t in ctx.speaker_seq] == [id(t) for t in ctx.dialogue_seq]
+    index_map, rows = speaker_subsequence(seq, ["s1", "s1", "s1"], "s1")
+    assert index_map == [0, 1, 2]
+    assert [id(t) for t in rows] == [id(t) for t in seq]
 
 
 def test_absent_speaker_lists_known():
@@ -41,61 +41,70 @@ def test_absent_speaker_lists_known():
 
 def test_alternating_speakers_indices():
     seq = fused(Rng(4), 4)
-    ctx = speaker_subsequence(seq, ["a", "b", "a", "b"], "a")
-    assert ctx.index_map == [0, 2]
-    assert len(ctx.speaker_seq) == 2
+    index_map, rows = speaker_subsequence(seq, ["a", "b", "a", "b"], "a")
+    assert index_map == [0, 2]
+    assert len(rows) == 2
 
 
 # ---------------------------------------------------------------------------
-# dual context forward
+# joined context states (speaker branch, then dialogue branch)
 
-def test_zero_params_give_zero_states():
+def joined_states(monkeypatch, seq, speakers, p):
+    """The state classify_dialogue hands the prediction head, per utterance."""
+    seen = []
+    head = context.predict_emotion
+
+    def spy(e_l, params, utterance_id="?"):
+        seen.append(e_l)
+        return head(e_l, params, utterance_id)
+
+    monkeypatch.setattr(context, "predict_emotion", spy)
+    classify_dialogue(seq, speakers, [f"u{i}" for i in range(len(seq))], p)
+    return seen
+
+
+def test_zero_params_give_zero_states(monkeypatch):
     p = params()
     for t in p.tensors():
         t.values[:] = 0.0
     seq = fused(Rng(5), 3)
-    ctx = speaker_subsequence(seq, ["a", "a", "b"], "a")
-    states = dual_context_forward(ctx, p)
-    assert len(states) == 2
+    states = joined_states(monkeypatch, seq, ["a", "a", "b"], p)
+    assert len(states) == 3
     for e in states:
         assert e.shape == (1, 6)
         assert np.all(e.values == 0.0)
 
 
-def test_single_utterance_dialogue():
+def test_single_utterance_dialogue(monkeypatch):
     p = params()
     seq = fused(Rng(6), 1)
-    ctx = speaker_subsequence(seq, ["a"], "a")
-    states = dual_context_forward(ctx, p)
+    states = joined_states(monkeypatch, seq, ["a"], p)
     assert len(states) == 1 and states[0].shape == (1, 6)
 
 
-def test_matches_composed_lstm_oracle():
+def test_matches_composed_lstm_oracle(monkeypatch):
     p = params(seed=7)
     seq = fused(Rng(8), 4)
-    ctx = speaker_subsequence(seq, ["a", "b", "a", "a"], "a")
-    states = dual_context_forward(ctx, p)
+    states = joined_states(monkeypatch, seq, ["a", "b", "a", "a"], p)
 
-    d_mat = T.concat_rows(seq)
-    s_mat = T.concat_rows([seq[0], seq[2], seq[3]])
-    d_states = bilstm_forward(p.dialogue_lstm, d_mat).values
-    s_states = bilstm_forward(p.speaker_lstm, s_mat).values
-    for l, i in enumerate([0, 2, 3]):
-        want = np.hstack([s_states[l:l + 1], d_states[i:i + 1]])
-        assert np.allclose(states[l].values, want, atol=1e-10)
+    d_states = bilstm_forward(p.dialogue_lstm, T.concat_rows(seq)).values
+    for turns in ([0, 2, 3], [1]):
+        s_states = bilstm_forward(p.speaker_lstm,
+                                  T.concat_rows([seq[i] for i in turns])).values
+        for l, i in enumerate(turns):
+            want = np.hstack([s_states[l:l + 1], d_states[i:i + 1]])
+            assert np.allclose(states[i].values, want, atol=1e-10)
 
 
-def test_width_is_sum_of_branch_widths():
+def test_width_is_sum_of_branch_widths(monkeypatch):
     p = params(state=5)
     seq = fused(Rng(9), 2)
-    ctx = speaker_subsequence(seq, ["a", "a"], "a")
-    assert dual_context_forward(ctx, p)[0].shape == (1, 10)
+    assert joined_states(monkeypatch, seq, ["a", "a"], p)[0].shape == (1, 10)
 
 
 def test_empty_sequences_rejected():
-    p = params()
     with pytest.raises(ContractError):
-        dual_context_forward(DialogueContexts([], [], []), p)
+        classify_dialogue([], [], [], params())
 
 
 # ---------------------------------------------------------------------------

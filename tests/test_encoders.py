@@ -122,8 +122,7 @@ def test_attention_two_layers_compose_and_match_oracle():
 
 def cfg():
     return EncoderConfig(text_in=5, video_in=4, audio_in=3,
-                         text_out=6, video_out=6, audio_out=6,
-                         lstm_hidden=3, attention_layers=2)
+                         out=6, lstm_hidden=3, attention_layers=2)
 
 
 def feats(rng, p=4, n=2, e=3):
@@ -186,8 +185,7 @@ def test_output_dims_for_random_lengths(n, seed):
 
 def test_encoder_gradients_pass_finite_diff():
     config = EncoderConfig(text_in=3, video_in=3, audio_in=3,
-                           text_out=4, video_out=4, audio_out=4,
-                           lstm_hidden=2, attention_layers=1)
+                           out=4, lstm_hidden=2, attention_layers=1)
     enc = init_encoders(config, Rng(27))
     x = T.Tensor(Rng(28).uniform_array((3, 3), -1.0, 1.0), requires_grad=True)
     probe = T.Tensor(Rng(29).uniform_array((1, 4), -1.0, 1.0))

@@ -123,7 +123,7 @@ def test_fuse_missing_mode_and_bad_alpha():
     desc = descriptors(Rng(7))
     del desc["audio"]
     with pytest.raises(ContractError):
-        adaptive_fuse(desc, const_alphas(0.5), mode_order=("text", "video", "audio"))
+        adaptive_fuse(desc, const_alphas(0.5))
     desc = descriptors(Rng(8))
     bad = const_alphas(0.5)
     bad[("text", "video")] = 1.2

@@ -10,8 +10,7 @@ from emofuse import tensor as T
 from emofuse.errors import ContractError
 from emofuse.losses import (LossConfig, ace_loss, averaged_focal,
                             candidate_distribution, combined_loss, focal_loss,
-                            focal_mean, nce_loss, pair_probability,
-                            sample_negative_ids)
+                            focal_mean, nce_loss, sample_negative_ids)
 from emofuse.rng import Rng
 
 from oracles import ace_oracle, focal_term, nce_printed_oracle
@@ -28,25 +27,30 @@ def rvec(rng, d=3):
 # ---------------------------------------------------------------------------
 # probability model
 
+def positive_probability(query, key, negatives, tau):
+    """Mass the candidate softmax puts on the positive key (entry [0, 0])."""
+    return candidate_distribution(query, [key] + negatives, tau).values[0, 0]
+
+
 def test_single_candidate_probability_one():
-    p = pair_probability(vec([1.0, 0.0]), vec([0.3, 0.4]), [], tau=1.0)
-    assert p.item() == pytest.approx(1.0)
+    p = positive_probability(vec([1.0, 0.0]), vec([0.3, 0.4]), [], tau=1.0)
+    assert p == pytest.approx(1.0)
 
 
 def test_aligned_vs_orthogonal():
     q = vec([2.0, 0.0])
     pos = vec([5.0, 0.0])     # cosine 1
     neg = vec([0.0, 1.0])     # cosine 0
-    p = pair_probability(q, pos, [neg], tau=1.0)
-    assert p.item() == pytest.approx(math.e / (math.e + 1.0), abs=1e-12)
+    p = positive_probability(q, pos, [neg], tau=1.0)
+    assert p == pytest.approx(math.e / (math.e + 1.0), abs=1e-12)
 
 
 def test_identical_positive_and_negative():
     q = rvec(Rng(1))
     key = rvec(Rng(2))
     twin = T.Tensor(key.values.copy())
-    p = pair_probability(q, key, [twin], tau=0.1)
-    assert p.item() == pytest.approx(0.5, abs=1e-12)
+    p = positive_probability(q, key, [twin], tau=0.1)
+    assert p == pytest.approx(0.5, abs=1e-12)
 
 
 def test_zero_vector_similarity_is_zero():

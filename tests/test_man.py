@@ -6,7 +6,7 @@ import pytest
 from emofuse import tensor as T
 from emofuse.errors import ContractError
 from emofuse.man import (CrossMaps, ManConfig, cross_attend_layer, init_man,
-                         man_forward, man_tensors, peripheral_kv)
+                         man_forward, peripheral_kv)
 from emofuse.rng import Rng
 
 from oracles import cross_attention_block, cross_network_oracle, matmul_loops
@@ -255,6 +255,6 @@ def test_gradients_pass_finite_diff():
 
 def test_tensor_collection_is_stable():
     _, params, _ = setup_model()
-    a = [id(t) for t in man_tensors(params)]
-    b = [id(t) for t in man_tensors(params)]
+    a = [id(t) for mode in params for t in params[mode].tensors()]
+    b = [id(t) for mode in params for t in params[mode].tensors()]
     assert a == b and len(a) > 0

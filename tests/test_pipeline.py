@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from emofuse import tensor as T
-from emofuse.config import RunConfig, load_config, save_config
+from emofuse.config import RunConfig, load_config
 from emofuse.data import SynthSpec, synth_generate
 from emofuse.encoders import MODES
 from emofuse.errors import ConfigError, DataError
@@ -61,7 +61,7 @@ def test_config_rejects_unknown_keys():
 def test_config_file_round_trip(tmp_path):
     cfg = RunConfig(gamma=0.75, subset_classes=[0, 2], seed=11)
     path = tmp_path / "run.json"
-    save_config(cfg, path)
+    path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     again = load_config(path)
     assert again == cfg
     assert again.hash() == cfg.hash()

@@ -148,6 +148,37 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     assert [json.loads(ln) for ln in lines] == full.logs
 
 
+def test_resume_after_kill_between_log_and_checkpoint(tmp_path, monkeypatch):
+    corpus = small_corpus()
+    tr, va, _ = split(corpus, (0.7, 0.2, 0.1), 3)
+    cfg = small_config(stage1_epochs=2, stage2_epochs=1)
+    run_training(cfg, tr, va, out_dir=str(tmp_path / "full"))
+
+    # the second save comes right after epoch 2's log line; fail it once
+    part_dir = tmp_path / "part"
+    real_save = train_mod.save_checkpoint
+    saves = []
+
+    def killed_on_second(*args, **kwargs):
+        saves.append(1)
+        if len(saves) == 2:
+            raise KeyboardInterrupt
+        real_save(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "save_checkpoint", killed_on_second)
+    with pytest.raises(KeyboardInterrupt):
+        run_training(cfg, tr, va, out_dir=str(part_dir))
+    monkeypatch.setattr(train_mod, "save_checkpoint", real_save)
+    assert len((part_dir / "train_log.jsonl").read_text().splitlines()) == 2
+
+    ck = load_checkpoint(part_dir / "checkpoint.json")
+    assert (ck.stage, ck.epoch) == (1, 1)
+    run_training(cfg, tr, va, out_dir=str(part_dir), resume=ck)
+    for name in ("train_log.jsonl", "checkpoint.json"):
+        assert (part_dir / name).read_bytes() == \
+            (tmp_path / "full" / name).read_bytes(), name
+
+
 def test_resume_across_stage_boundary(tmp_path):
     corpus = small_corpus()
     tr, va, _ = split(corpus, (0.7, 0.2, 0.1), 3)
