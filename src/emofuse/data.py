@@ -235,6 +235,12 @@ def synth_generate(spec: SynthSpec) -> list:
         lo, hi = lo_hi
         return lo + rng.randint(hi - lo + 1) if hi > lo else lo
 
+    # per-stream constants, looked up once: (stream, width, length range, or
+    # None for the video streams, which share one drawn length, mixer)
+    layout = [(stream, spec.stream_dim(stream),
+               None if stream.startswith("video") else spec.stream_len_range(stream),
+               mixers[stream]) for stream in STREAMS]
+    scale, corr, own = spec.noise_scale, spec.correlation, 1.0 - spec.correlation
     dialogues = []
     for di in range(spec.num_dialogues):
         n_utts = rand_len(rng, spec.utterances_per_dialogue)
@@ -244,16 +250,11 @@ def synth_generate(spec: SynthSpec) -> list:
             latent = rng.normal_array((_LATENT_DIM,))
             feats = {}
             video_rows = rand_len(rng, spec.video_len)
-            for stream in STREAMS:
-                dim = spec.stream_dim(stream)
-                rows = video_rows if stream.startswith("video") else \
-                    rand_len(rng, spec.stream_len_range(stream))
-                shared = latent @ mixers[stream]
+            for stream, dim, len_range, mixer in layout:
+                rows = video_rows if len_range is None else rand_len(rng, len_range)
                 noise = rng.normal_array((rows, dim))
-                mat = (centroids[(label, stream)] +
-                       spec.noise_scale * (spec.correlation * shared +
-                                           (1.0 - spec.correlation) * noise))
-                feats[stream] = mat
+                feats[stream] = (centroids[(label, stream)] +
+                                 scale * (corr * (latent @ mixer) + own * noise))
             utts.append(Utterance(
                 utterance_id=f"d{di:04d}_u{uj:02d}",
                 speaker_id=f"s{uj % spec.num_speakers}",

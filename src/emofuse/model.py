@@ -8,9 +8,11 @@ per-utterance class probabilities.
 """
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .man import init_man, man_forward
 from .metrics import confusion, metrics_report
 from .rng import Rng
 
-CHECKPOINT_FORMAT = "emofuse-checkpoint-v1"
+CHECKPOINT_FORMAT = "emofuse-checkpoint-v2"
 # required checkpoint keys and their JSON types (a bool is not an integer)
 _CHECKPOINT_KEYS = {"config": dict, "alphas": dict, "stage": int, "epoch": int,
                     "params": dict}
@@ -43,21 +45,33 @@ class Pipeline:
 
 
 def init_pipeline(config: RunConfig) -> Pipeline:
-    rng = Rng(config.seed).spawn(_PARAM_STREAM)
-    encoders = init_encoders(config.encoder_config(), rng)
-    man = init_man(config.man_config(),
-                   {m: config.encoder_out for m in MODES}, rng)
-    context = init_context(config.context_config(), rng)
+    pipeline = _assemble(config, Rng(config.seed).spawn(_PARAM_STREAM))
     if config.alpha_mode == "random":
         # one shared draw per run, frozen afterwards
         arng = Rng(config.seed).spawn(_ALPHA_STREAM)
-        alphas = AlphaState(arng.uniform(), arng.uniform(),
-                            config.epsilon, config.alpha_momentum)
-    else:
-        alphas = AlphaState(epsilon=config.epsilon,
-                            momentum=config.alpha_momentum)
-    return Pipeline(config=config, encoders=encoders, man=man,
-                    context=context, alphas=alphas)
+        pipeline.alphas = AlphaState(arng.uniform(), arng.uniform(),
+                                     config.epsilon, config.alpha_momentum)
+    return pipeline
+
+
+def _assemble(config: RunConfig, rng) -> Pipeline:
+    """Parameters drawn from ``rng`` in a fixed order; default alphas."""
+    return Pipeline(
+        config=config,
+        encoders=init_encoders(config.encoder_config(), rng),
+        man=init_man(config.man_config(),
+                     {m: config.encoder_out for m in MODES}, rng),
+        context=init_context(config.context_config(), rng),
+        alphas=AlphaState(epsilon=config.epsilon, momentum=config.alpha_momentum))
+
+
+class _NoDraws:
+    """Stands in for the parameter Rng when a checkpoint is about to
+    overwrite every value: the skeleton gets zeros, and no draws."""
+
+    @staticmethod
+    def uniform_array(shape, lo=0.0, hi=1.0):
+        return np.zeros(shape)
 
 
 def pairwise_coefficients(pipeline: Pipeline) -> dict:
@@ -176,6 +190,59 @@ def stage1_parameters(pipeline: Pipeline) -> dict:
             if not k.startswith("ctx.")}
 
 
+def encode_array(a) -> dict:
+    """Exact JSON form of a float64 array: its shape and the base64 of its
+    little-endian bytes."""
+    a = np.asarray(a, dtype="<f8")
+    return {"shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def decode_array(obj, what: str) -> np.ndarray:
+    """Inverse of `encode_array`; a DataError names ``what`` and the reason."""
+    def bad(reason):
+        return DataError(f"{what} is not a numeric array: {reason}")
+
+    if not isinstance(obj, dict) or set(obj) != {"shape", "data"}:
+        raise bad(f"expected an object with shape and data, got "
+                  f"{type(obj).__name__}")
+    shape = obj["shape"]
+    if not isinstance(shape, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+        raise bad(f"bad shape {shape!r:.60}")
+    if not isinstance(obj["data"], str):
+        raise bad("data is not a base64 string")
+    try:
+        raw = base64.b64decode(obj["data"], validate=True)
+    except ValueError as e:
+        raise bad(f"bad base64 ({e})") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise bad(f"{len(raw)} bytes of data for shape {shape}, expected "
+                  f"8 x {math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
+@dataclass
+class AdamState:
+    """First and second moment accumulators, keyed like named_parameters."""
+    steps: dict = field(default_factory=dict)
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        return {"steps": dict(self.steps),
+                "m": {k: encode_array(a) for k, a in self.m.items()},
+                "v": {k: encode_array(a) for k, a in self.v.items()}}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "AdamState":
+        return cls(steps={k: int(v) for k, v in d["steps"].items()},
+                   m={k: decode_array(a, f"adam.m entry {k}")
+                      for k, a in d["m"].items()},
+                   v={k: decode_array(a, f"adam.v entry {k}")
+                      for k, a in d["v"].items()})
+
+
 def save_checkpoint(path, pipeline: Pipeline, stage: int, epoch: int,
                     adam: dict = None, trainer_rng: list = None) -> None:
     doc = {
@@ -185,7 +252,7 @@ def save_checkpoint(path, pipeline: Pipeline, stage: int, epoch: int,
         "stage": stage,
         "epoch": epoch,
         "alphas": pipeline.alphas.to_dict(),
-        "params": {name: t.values.tolist()
+        "params": {name: encode_array(t.values)
                    for name, t in named_parameters(pipeline).items()},
         "adam": adam,
         "trainer_rng": trainer_rng,
@@ -202,7 +269,7 @@ class LoadedCheckpoint:
     pipeline: Pipeline
     stage: int
     epoch: int
-    adam: dict
+    adam: AdamState
     trainer_rng: list
 
 
@@ -214,45 +281,89 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         raise DataError(f"cannot read checkpoint {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise DataError(f"checkpoint {path} is not valid JSON: {e}") from None
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"checkpoint {path} has unknown format "
-                        f"{doc.get('format')!r}" if isinstance(doc, dict)
-                        else f"checkpoint {path} is not a JSON object")
+    except UnicodeDecodeError as e:
+        raise DataError(f"checkpoint {path} is not UTF-8 text: {e}") from None
+    try:
+        return _checkpoint_from_doc(doc)
+    except DataError as e:
+        raise DataError(f"checkpoint {path}: {e}") from None
+
+
+def _checkpoint_from_doc(doc) -> LoadedCheckpoint:
+    if not isinstance(doc, dict):
+        raise DataError("not a JSON object")
+    if doc.get("format") != CHECKPOINT_FORMAT:
+        raise DataError(f"unknown format {doc.get('format')!r:.60}, expected "
+                        f"{CHECKPOINT_FORMAT!r}")
     for key, kind in _CHECKPOINT_KEYS.items():
         if key not in doc:
-            raise DataError(f"checkpoint {path}: missing key {key!r}")
+            raise DataError(f"missing key {key!r}")
         if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
-            raise DataError(f"checkpoint {path}: key {key!r} must be a JSON "
+            raise DataError(f"key {key!r} must be a JSON "
                             f"{'object' if kind is dict else 'integer'}, "
                             f"got {type(doc[key]).__name__}")
     config = RunConfig.from_dict(doc["config"])
     if doc.get("config_hash") != config.hash():
-        raise DataError(f"checkpoint {path}: config hash mismatch")
-    pipeline = init_pipeline(config)
+        raise DataError("config hash mismatch")
+    pipeline = _assemble(config, _NoDraws())
     params = named_parameters(pipeline)
     stored = doc["params"]
     missing = sorted(set(params) - set(stored))
     extra = sorted(set(stored) - set(params))
     if missing or extra:
-        raise DataError(f"checkpoint {path}: parameter set mismatch "
+        raise DataError(f"parameter set mismatch "
                         f"(missing {missing[:3]}, extra {extra[:3]})")
     for name, t in params.items():
-        try:
-            arr = np.asarray(stored[name], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise DataError(f"checkpoint {path}: parameter {name} is not a "
-                            f"numeric array") from None
+        arr = decode_array(stored[name], f"parameter {name}")
         if arr.shape != t.values.shape:
-            raise DataError(f"checkpoint {path}: parameter {name} has shape "
-                            f"{arr.shape}, expected {t.values.shape}")
+            raise DataError(f"parameter {name} has shape {arr.shape}, "
+                            f"expected {t.values.shape}")
         t.values = arr
     try:
         pipeline.alphas = AlphaState.from_dict(doc["alphas"])
     except (TypeError, ContractError) as e:
-        raise DataError(f"checkpoint {path}: invalid alphas: {e}") from None
+        raise DataError(f"invalid alphas: {e}") from None
     return LoadedCheckpoint(pipeline=pipeline, stage=doc["stage"],
-                            epoch=doc["epoch"], adam=doc.get("adam"),
-                            trainer_rng=doc.get("trainer_rng"))
+                            epoch=doc["epoch"],
+                            adam=_adam_from_doc(doc.get("adam"), params),
+                            trainer_rng=_trainer_rng_from_doc(doc.get("trainer_rng")))
+
+
+def _adam_from_doc(adam, params: dict) -> AdamState:
+    """Optimizer state whose entries name parameters and match their shapes."""
+    if adam is None:
+        return AdamState()
+    if not isinstance(adam, dict) or set(adam) != {"steps", "m", "v"} or \
+            not all(isinstance(adam[k], dict) for k in adam):
+        raise DataError(f"key 'adam' must be null or an object of three "
+                        f"objects steps, m and v, got {adam!r:.60}")
+    for name, n in adam["steps"].items():
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise DataError(f"adam.steps entry {name} must be a positive "
+                            f"integer, got {n!r:.60}")
+    for part in ("m", "v"):
+        if set(adam[part]) != set(adam["steps"]):
+            raise DataError(f"adam.{part} names other parameters than adam.steps")
+    unknown = sorted(set(adam["steps"]) - set(params))
+    if unknown:
+        raise DataError(f"adam.steps names unknown parameters {unknown[:3]}")
+    state = AdamState.from_dict(adam)
+    for part in ("m", "v"):
+        for name, a in getattr(state, part).items():
+            if a.shape != params[name].values.shape:
+                raise DataError(f"adam.{part} entry {name} has shape {a.shape}, "
+                                f"expected {params[name].values.shape}")
+    return state
+
+
+def _trainer_rng_from_doc(state):
+    if state is not None and not (
+            isinstance(state, list) and len(state) == 5 and
+            all(isinstance(x, int) and not isinstance(x, bool) and 0 <= x < 2 ** 64
+                for x in state)):
+        raise DataError(f"key 'trainer_rng' must be null or five integers in "
+                        f"[0, 2**64), got {state!r:.60}")
+    return state
 
 
 def require_same_config(checkpoint_config: RunConfig, given: RunConfig) -> None:

@@ -3,7 +3,11 @@
 The generator is xoshiro256++ seeded through splitmix64, implemented in
 plain Python integers. The stream depends only on the seed and the call
 sequence, never on numpy or platform details, so checkpointed states
-replay bit-identically anywhere.
+replay bit-identically anywhere. The bulk draws (`uniform_array`,
+`normal_array`) equal the scalar stream: the same values, in the same
+order, leaving the same state as the matching run of `uniform()` calls
+or of Box-Muller pairs built from `u64()`. Their transcendental
+functions stay in `math`, whose results do not depend on numpy's build.
 """
 from __future__ import annotations
 
@@ -24,10 +28,6 @@ def _splitmix64(x):
     return x, z ^ (z >> 31)
 
 
-def _rotl(x, k):
-    return ((x << k) | (x >> (64 - k))) & _MASK
-
-
 class Rng:
     """Seeded generator: identical seed implies identical draw sequence."""
 
@@ -43,15 +43,22 @@ class Rng:
         self._s = state
 
     def u64(self) -> int:
+        return self._u64s(1)[0]
+
+    def _u64s(self, n: int) -> list:
+        """The next n raw 64-bit outputs; the state is stored once, at the end."""
         s0, s1, s2, s3 = self._s
-        out = (_rotl((s0 + s3) & _MASK, 23) + s0) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
+        out = [0] * n
+        for i in range(n):
+            r = (s0 + s3) & _MASK
+            out[i] = (((r << 23) | (r >> 41)) + s0) & _MASK
+            t = (s1 << 17) & _MASK
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
         self._s = [s0, s1, s2, s3]
         return out
 
@@ -66,17 +73,19 @@ class Rng:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        span = hi - lo
-        vals = [lo + (self.u64() >> 11) * _TWO_POW_NEG53 * span for _ in range(n)]
-        return np.array(vals, dtype=np.float64).reshape(shape)
+        k = np.array(self._u64s(math.prod(shape)), dtype=np.uint64) >> np.uint64(11)
+        # same operation order as uniform(): lo + (k * 2**-53) * span
+        return (lo + k.astype(np.float64) * _TWO_POW_NEG53 * (hi - lo)).reshape(shape)
 
     def normal_array(self, shape) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
+        # Box-Muller pairs as in normal(), keeping both partners; an odd
+        # count drops the last sine partner.
+        n = math.prod(shape)
+        raw = self._u64s(2 * ((n + 1) // 2))
         vals = []
-        while len(vals) < n:
-            u1 = ((self.u64() >> 11) + 1) * _TWO_POW_NEG53
-            u2 = (self.u64() >> 11) * _TWO_POW_NEG53
+        for i in range(0, len(raw), 2):
+            u1 = ((raw[i] >> 11) + 1) * _TWO_POW_NEG53
+            u2 = (raw[i + 1] >> 11) * _TWO_POW_NEG53
             r = math.sqrt(-2.0 * math.log(u1))
             a = 2.0 * math.pi * u2
             vals.append(r * math.cos(a))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,34 +27,16 @@ from .fusion import (adaptive_fuse, estimate_alpha_pair,
                      select_informative_samples, update_alphas)
 from .losses import (ace_loss, averaged_focal, combined_loss, focal_mean,
                      sample_negative_ids)
-from .model import (LoadedCheckpoint, Pipeline, evaluate, fuse_dialogue,
-                    init_pipeline, named_parameters, pairwise_coefficients,
-                    save_checkpoint, stage1_parameters, utterance_descriptors)
+from .model import (AdamState, LoadedCheckpoint, Pipeline, evaluate,
+                    fuse_dialogue, init_pipeline, named_parameters,
+                    pairwise_coefficients, save_checkpoint, stage1_parameters,
+                    utterance_descriptors)
 from .rng import Rng
 
 _TRAIN_STREAM = 7
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-@dataclass
-class AdamState:
-    """First and second moment accumulators, keyed like named_parameters."""
-    steps: dict = field(default_factory=dict)
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"steps": dict(self.steps),
-                "m": {k: a.tolist() for k, a in self.m.items()},
-                "v": {k: a.tolist() for k, a in self.v.items()}}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdamState":
-        return cls(steps={k: int(v) for k, v in d["steps"].items()},
-                   m={k: np.asarray(a, dtype=np.float64) for k, a in d["m"].items()},
-                   v={k: np.asarray(a, dtype=np.float64) for k, a in d["v"].items()})
 
 
 def adam_step(params: dict, state: AdamState, lr: float, scale: dict = None) -> None:
@@ -347,7 +329,7 @@ def run_training(config: RunConfig, train_dlgs, val_dlgs, out_dir=None,
         raise DataError("training requires at least one dialogue")
     if resume is not None:
         pipeline = resume.pipeline
-        adam = AdamState.from_dict(resume.adam) if resume.adam else AdamState()
+        adam = resume.adam
         rng = Rng(config.seed).spawn(_TRAIN_STREAM)
         if resume.trainer_rng:
             rng.set_state(resume.trainer_rng)

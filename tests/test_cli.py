@@ -2,12 +2,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emofuse.cli import ALPHA_SETTINGS, main, run_ablation
 from emofuse.config import RunConfig
 from emofuse.data import load_dataset
 from emofuse.errors import ConfigError
+from emofuse.model import encode_array
 
 TINY = {"stage1_epochs": 1, "stage2_epochs": 1, "batch_size": 4, "seed": 2}
 
@@ -17,10 +20,9 @@ def write_json(path, obj):
     return str(path)
 
 
-def nan_fill(x):
-    if isinstance(x, list):
-        return [nan_fill(v) for v in x]
-    return float("nan")
+def nan_fill(entry):
+    """An encoded array of the same shape whose bytes are all NaN."""
+    return encode_array(np.full(entry["shape"], np.nan))
 
 
 @pytest.fixture(scope="module")
@@ -209,14 +211,41 @@ def _with_param(blob, name, value):
     return blob
 
 
+def _with_param_field(blob, name, **fields):
+    return _with_param(blob, name, dict(blob["params"][name], **fields))
+
+
+def _with_adam_m(blob, name, value):
+    blob["adam"]["m"][name] = value
+    return blob
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda b: {"format": b["format"]}, "missing key 'config'"),
     (lambda b: dict(b, stage="1"), "key 'stage' must be a JSON integer, got str"),
     (lambda b: dict(b, params=[]), "key 'params' must be a JSON object, got list"),
     (lambda b: dict(b, alphas={"bogus": 1}), "invalid alphas"),
     (lambda b: _with_param(b, "enc.text.0", "x"), "enc.text.0 is not a numeric array"),
+    (lambda b: _with_param_field(b, "enc.text.0", data="@@@@"),
+     "parameter enc.text.0 is not a numeric array: bad base64"),
+    (lambda b: _with_param_field(b, "enc.text.0",
+                                 data=b["params"]["enc.text.0"]["data"][:-4]),
+     "parameter enc.text.0 is not a numeric array: 1533 bytes of data for "
+     "shape [6, 32], expected 8 x 192"),
+    (lambda b: _with_param_field(b, "enc.text.0", shape=[-1]),
+     "parameter enc.text.0 is not a numeric array: bad shape [-1]"),
+    (lambda b: dict(b, format="emofuse-checkpoint-v1"),
+     "unknown format 'emofuse-checkpoint-v1'"),
+    (lambda b: dict(b, adam=5), "key 'adam' must be null or an object"),
+    (lambda b: _with_adam_m(b, "enc.text.0", encode_array(np.zeros((1, 1)))),
+     "adam.m entry enc.text.0 has shape (1, 1)"),
+    (lambda b: dict(b, trainer_rng=[1, 2, 3, 4]),
+     "key 'trainer_rng' must be null or five integers"),
+    (lambda b: dict(b, trainer_rng="abc"),
+     "key 'trainer_rng' must be null or five integers"),
 ], ids=["missing-key", "string-stage", "list-params", "unknown-alpha-key",
-        "text-param"])
+        "text-param", "bad-base64", "short-data", "bad-shape", "v1-format",
+        "adam-not-object", "adam-m-shape", "trainer-rng-four", "trainer-rng-string"])
 def test_malformed_checkpoint_is_data_error(workdir, tmp_path, capsys, edit,
                                             message):
     blob = json.loads((workdir["run"] / "checkpoint.json").read_text())
@@ -227,6 +256,68 @@ def test_malformed_checkpoint_is_data_error(workdir, tmp_path, capsys, edit,
     err = capsys.readouterr().err
     assert rc == 3
     assert message in err and "Traceback" not in err
+
+
+def _json_paths(node, prefix=()):
+    """Every key path in a JSON document, the root first."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _parent_of(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) |
+    st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_mutated_checkpoint_never_escapes(workdir, data):
+    """One mutation of a real checkpoint: a clean exit code, never a crash."""
+    doc = json.loads((workdir["run"] / "checkpoint.json").read_text())
+    paths = list(_json_paths(doc))
+    encoded = [p for p in paths if p and p[-1] == "data"]
+    kind = data.draw(st.sampled_from(["delete", "replace", "flip", "truncate"]))
+    if kind == "delete":
+        path = data.draw(st.sampled_from(paths[1:]))
+        del _parent_of(doc, path)[path[-1]]
+    elif kind == "replace":
+        path = data.draw(st.sampled_from(paths))
+        value = data.draw(_JSON)
+        if path:
+            _parent_of(doc, path)[path[-1]] = value
+        else:
+            doc = value
+    else:
+        path = data.draw(st.sampled_from(encoded))
+        text = _parent_of(doc, path)[path[-1]]
+        i = data.draw(st.integers(0, len(text) - 1))
+        if kind == "flip":
+            char = data.draw(st.sampled_from("AQgw9/+=_-!\u00e9"))
+            text = text[:i] + char + text[i + 1:]
+        else:
+            text = text[:i]
+        _parent_of(doc, path)[path[-1]] = text
+    fuzz = workdir["root"] / "fuzz"
+    fuzz.mkdir(exist_ok=True)
+    (fuzz / "ck.json").write_text(json.dumps(doc))
+    rc = main(["eval", "--checkpoint", str(fuzz / "ck.json"),
+               "--data", workdir["data"], "--out", str(fuzz / "out"), "--quiet"])
+    assert rc in (0, 2, 3, 4)
 
 
 # ---------------------------------------------------------------------------

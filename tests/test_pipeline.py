@@ -12,11 +12,12 @@ from emofuse.errors import ConfigError, DataError
 from emofuse.explain import PerturbationConfig
 from emofuse.fusion import AlphaState
 from emofuse.losses import ace_loss, averaged_focal, combined_loss
-from emofuse.model import (evaluate, explain_utterance, fuse_dialogue,
-                           init_pipeline, load_checkpoint, named_parameters,
-                           pairwise_coefficients, predict_dialogue,
-                           require_same_config, save_checkpoint,
-                           stage1_parameters, utterance_descriptors)
+from emofuse.model import (encode_array, evaluate, explain_utterance,
+                           fuse_dialogue, init_pipeline, load_checkpoint,
+                           named_parameters, pairwise_coefficients,
+                           predict_dialogue, require_same_config,
+                           save_checkpoint, stage1_parameters,
+                           utterance_descriptors)
 
 SPEC = SynthSpec(num_dialogues=6, utterances_per_dialogue=(2, 3), seed=9)
 
@@ -174,7 +175,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
 
     bad = json.loads(path.read_text())
     first = sorted(bad["params"])[0]
-    bad["params"][first] = [[0.0]]
+    bad["params"][first] = encode_array(np.zeros((1, 1)))
     (tmp_path / "shape.json").write_text(json.dumps(bad))
     with pytest.raises(DataError, match="shape"):
         load_checkpoint(tmp_path / "shape.json")
@@ -188,6 +189,10 @@ def test_checkpoint_rejects_corruption(tmp_path):
     (tmp_path / "trunc.json").write_text(path.read_text()[:50])
     with pytest.raises(DataError, match="not valid JSON"):
         load_checkpoint(tmp_path / "trunc.json")
+
+    (tmp_path / "binary.json").write_bytes(b'{"format": "\xff"}')
+    with pytest.raises(DataError, match="not UTF-8 text"):
+        load_checkpoint(tmp_path / "binary.json")
 
 
 def test_require_same_config():

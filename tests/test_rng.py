@@ -1,6 +1,7 @@
 """Determinism and distribution sanity for the seeded generator."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -133,3 +134,35 @@ def test_normal_array_matches_box_muller_structure():
     assert arr.shape == (9,)
     assert all(math.isfinite(v) for v in arr)
     assert max(arr) != min(arr)
+
+
+def _scalar_uniforms(r, n, lo, hi):
+    return [lo + (r.u64() >> 11) * 2.0 ** -53 * (hi - lo) for _ in range(n)]
+
+
+def _scalar_normals(r, n):
+    out = []
+    while len(out) < n:
+        u1 = ((r.u64() >> 11) + 1) * 2.0 ** -53
+        u2 = (r.u64() >> 11) * 2.0 ** -53
+        rad = math.sqrt(-2.0 * math.log(u1))
+        out += [rad * math.cos(2.0 * math.pi * u2), rad * math.sin(2.0 * math.pi * u2)]
+    return out[:n]  # an odd count drops the last sine partner
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (2,), (7,), (8,), (), (3,), (2, 5)])
+@pytest.mark.parametrize("seed", [0, 9, 2 ** 63 + 5])
+def test_bulk_draws_equal_scalar_stream(seed, shape):
+    n = math.prod(shape)
+    bulk, scalar = Rng(seed), Rng(seed)
+    u = bulk.uniform_array(shape, -0.75, 0.5)
+    want = _scalar_uniforms(scalar, n, -0.75, 0.5)
+    assert u.shape == shape and u.dtype.name == "float64"
+    assert u.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    assert bulk.get_state() == scalar.get_state()
+    z = bulk.normal_array(shape)
+    want = _scalar_normals(scalar, n)
+    assert z.shape == shape
+    assert z.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    assert bulk.get_state() == scalar.get_state()
+    assert bulk.u64() == scalar.u64()
