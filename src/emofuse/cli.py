@@ -14,8 +14,9 @@ import json
 import os
 import sys
 
-from .config import RunConfig, load_config
+from .config import RunConfig, check_type, load_config
 from .data import SynthSpec, load_dataset, save_dataset, split, synth_generate
+from .encoders import MODES
 from .errors import (ConfigError, ContractError, DataError, NumericError,
                      ShapeError)
 from .explain import PerturbationConfig, render_report
@@ -92,6 +93,51 @@ def check_data_matches(config: RunConfig, dialogues) -> None:
                         f"configured {config.num_classes} classes")
 
 
+# synth spec keys by JSON type; the range keys hold [lo, hi] with 1 <= lo <= hi
+_SPEC_INTS = ("num_classes", "text_dim", "video_dim", "audio_dim", "num_dialogues",
+              "num_speakers", "seed")
+_SPEC_FLOATS = ("separation", "correlation", "noise_scale")
+_SPEC_RANGES = ("text_len", "video_len", "audio_len", "utterances_per_dialogue")
+
+
+def _check_spec(raw: dict) -> None:
+    """Reject spec values of the wrong JSON type or outside what synthesis
+    can build, naming the key."""
+    for key in _SPEC_INTS:
+        if key in raw:
+            check_type(key, raw[key], "int")
+    for key in ("text_dim", "video_dim", "audio_dim"):
+        if raw.get(key, 1) < 1:
+            raise ConfigError(f"{key} must be positive, got {raw[key]}")
+    if not 0 <= raw.get("seed", 0) < 2 ** 64:
+        raise ConfigError(f"seed must be a u64, got {raw['seed']}")
+    for key in _SPEC_FLOATS:
+        if key in raw:
+            check_type(key, raw[key], "float")
+    for key in _SPEC_RANGES:
+        if key in raw:
+            v = raw[key]
+            if not (isinstance(v, list) and len(v) == 2 and
+                    all(isinstance(x, int) and not isinstance(x, bool) for x in v) and
+                    1 <= v[0] <= v[1]):
+                raise ConfigError(f"{key} must be a list of two integers "
+                                  f"1 <= lo <= hi, got {v!r:.40}")
+    if "informativeness" in raw:
+        _check_weights("informativeness", raw["informativeness"], len(MODES))
+    if raw.get("class_weights") is not None:
+        _check_weights("class_weights", raw["class_weights"], None)
+
+
+def _check_weights(key: str, v, size) -> None:
+    if not isinstance(v, list) or (size is not None and len(v) != size):
+        raise ConfigError(f"{key} must be a list of {size or 'num_classes'} "
+                          f"numbers, got {v!r:.40}")
+    for x in v:
+        check_type(f"{key} entry", x, "float")
+        if x < 0:
+            raise ConfigError(f"{key} entries must be >= 0, got {x}")
+
+
 def _load_synth_spec(path) -> SynthSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -106,9 +152,9 @@ def _load_synth_spec(path) -> SynthSpec:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown synth spec keys: {unknown}")
-    for key in ("text_len", "video_len", "audio_len", "utterances_per_dialogue",
-                "informativeness"):
-        if key in raw and isinstance(raw[key], list):
+    _check_spec(raw)
+    for key in _SPEC_RANGES + ("informativeness",):
+        if key in raw:
             raw[key] = tuple(raw[key])
     try:
         return SynthSpec(**raw)
@@ -181,6 +227,10 @@ def cmd_explain(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     dialogues = load_dataset(args.input)
     seed = args.seed if args.seed is not None else ck.pipeline.config.seed
+    # a surrogate fit needs the unmasked sample plus one per mode group
+    if args.samples < len(MODES) + 1:
+        raise ConfigError(f"--samples must be at least {len(MODES) + 1} "
+                          f"(mode groups + 1), got {args.samples}")
     pcfg = PerturbationConfig(num_samples=args.samples, seed=seed)
     if args.utterance == "all":
         targets = [(d, i) for d in dialogues

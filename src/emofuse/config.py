@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .context import ContextConfig
@@ -19,6 +20,19 @@ from .losses import LossConfig
 from .man import ManConfig
 
 ALPHA_MODES = ("learned", "fixed", "random")
+
+
+def check_type(key: str, value, kind: str) -> None:
+    """Raise a ConfigError naming ``key`` unless ``value`` is a JSON value
+    of ``kind``: "int" (not a bool or float), "float" (an int or a finite
+    float, not a bool) or "str"."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok = {"int": number and isinstance(value, int),
+          "float": number and math.isfinite(value),
+          "str": isinstance(value, str)}[kind]
+    if not ok:
+        noun = {"int": "an integer", "float": "a finite number", "str": "a string"}[kind]
+        raise ConfigError(f"{key} must be {noun}, got {value!r:.40}")
 
 
 @dataclass
@@ -62,6 +76,9 @@ class RunConfig:
     subset_classes: list = None
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.type in ("int", "float", "str"):
+                check_type(f.name, getattr(self, f.name), f.type)
         try:
             self.encoder_config()
             self.man_config()
@@ -92,11 +109,12 @@ class RunConfig:
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be a u64")
         if self.subset_classes is not None:
+            if not isinstance(self.subset_classes, (list, tuple)) or not self.subset_classes:
+                raise ConfigError("subset_classes must be null or a nonempty list")
             self.subset_classes = list(self.subset_classes)
-            if not self.subset_classes:
-                raise ConfigError("subset_classes must be null or nonempty")
             for c in self.subset_classes:
-                if not isinstance(c, int) or not 0 <= c < self.num_classes:
+                if not isinstance(c, int) or isinstance(c, bool) or \
+                        not 0 <= c < self.num_classes:
                     raise ConfigError(f"subset class {c!r} outside "
                                       f"[0, {self.num_classes})")
 

@@ -4,10 +4,12 @@ Two recurrent encoders read the fused utterance descriptors: one over
 the whole dialogue in order, one over the subsequence spoken by a single
 speaker. Each speaker utterance is represented by the concatenation of
 its speaker-branch state and its dialogue-branch state, then classified
-by a linear softmax head.
+by a linear softmax head that takes every utterance of the dialogue in
+one matmul.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,40 +56,58 @@ def init_context(config: ContextConfig, rng: Rng) -> ContextParams:
     )
 
 
-def speaker_subsequence(fused_seq, speaker_ids, speaker_id: str):
-    """One speaker's utterances: (dialogue positions, descriptors at them)."""
-    if len(fused_seq) != len(speaker_ids):
+def speaker_subsequence(fused: T.Tensor, speaker_ids, speaker_id: str):
+    """One speaker's utterances: (dialogue positions, their rows of ``fused``)."""
+    if fused.values.shape[0] != len(speaker_ids):
         raise ContractError("speaker_subsequence: one speaker id per descriptor required")
     index_map = [i for i, s in enumerate(speaker_ids) if s == speaker_id]
     if not index_map:
         known = sorted(set(speaker_ids))
         raise DataError(f"unknown speaker {speaker_id!r}; dialogue has speakers {known}")
-    return index_map, [fused_seq[i] for i in index_map]
-
-
-def _stack(rows):
-    return rows[0] if len(rows) == 1 else T.concat_rows(rows)
+    return index_map, T.take_rows(fused, index_map)
 
 
 @dataclass
 class EmotionPrediction:
     utterance_id: str
-    probs: T.Tensor
+    probs: T.Tensor  # 1 x num_classes
     label: int
 
 
-def predict_emotion(e_l: T.Tensor, params: ContextParams,
-                    utterance_id: str = "?") -> EmotionPrediction:
-    """Linear softmax head over one joined context state; ties go to the
-    lowest class index."""
-    probs = T.softmax_rows(T.add(T.matmul(e_l, params.head_w), params.head_b))
-    label = int(np.argmax(probs.values[0]))
-    return EmotionPrediction(utterance_id=utterance_id, probs=probs, label=label)
+class DialoguePredictions(Sequence):
+    """Predictions for every utterance of a dialogue. ``probs`` holds one
+    row per utterance; item i is utterance i's EmotionPrediction, its
+    probability row sliced on access."""
+
+    def __init__(self, utterance_ids, probs: T.Tensor, labels):
+        self.utterance_ids = list(utterance_ids)
+        self.probs = probs
+        self.labels = labels
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        return EmotionPrediction(self.utterance_ids[i], T.slice_rows(self.probs, i, i + 1),
+                                 self.labels[i])
 
 
-def classify_dialogue(fused_seq, speaker_ids, utt_ids, params: ContextParams,
-                      eval_mode: str = "own"):
-    """Predict every utterance of one dialogue, in order.
+def predict_emotion(e: T.Tensor, params: ContextParams,
+                    utterance_ids=None) -> DialoguePredictions:
+    """Linear softmax head over joined context states, one per row; ties
+    go to the lowest class index."""
+    probs = T.softmax_rows(T.affine(e, params.head_w, params.head_b))
+    labels = [int(c) for c in np.argmax(probs.values, axis=1)]
+    ids = ["?"] * len(labels) if utterance_ids is None else utterance_ids
+    return DialoguePredictions(ids, probs, labels)
+
+
+def classify_dialogue(fused_seq: T.Tensor, speaker_ids, utt_ids, params: ContextParams,
+                      eval_mode: str = "own") -> DialoguePredictions:
+    """Predict every utterance of one dialogue, in order, from its n x D
+    fused descriptors.
 
     eval_mode "own": each utterance pairs the dialogue state with its own
     speaker's branch state. eval_mode "dialogue": the speaker slot is a
@@ -95,23 +115,20 @@ def classify_dialogue(fused_seq, speaker_ids, utt_ids, params: ContextParams,
     """
     if eval_mode not in ("own", "dialogue"):
         raise ContractError(f"classify_dialogue: unknown eval_mode {eval_mode!r}")
-    n = len(fused_seq)
+    n = fused_seq.values.shape[0]
     if n == 0:
         raise ContractError("classify_dialogue: empty dialogue")
     if not (n == len(speaker_ids) == len(utt_ids)):
         raise ContractError("classify_dialogue: sequence length mismatch")
-    d_states = bilstm_forward(params.dialogue_lstm, _stack(fused_seq))
-    state_dim = d_states.values.shape[1]
-    joined = [None] * n
+    d_states = bilstm_forward(params.dialogue_lstm, fused_seq)
     if eval_mode == "own":
+        order, branches = [], []
         for speaker in dict.fromkeys(speaker_ids):  # first-appearance order
             index_map, rows = speaker_subsequence(fused_seq, speaker_ids, speaker)
-            s_states = bilstm_forward(params.speaker_lstm, _stack(rows))
-            for l, i in enumerate(index_map):
-                joined[i] = T.concat_cols([T.slice_rows(s_states, l, l + 1),
-                                           T.slice_rows(d_states, i, i + 1)])
+            branches.append(bilstm_forward(params.speaker_lstm, rows))
+            order.extend(index_map)
+        stacked = branches[0] if len(branches) == 1 else T.concat_rows(branches)
+        s_states = T.take_rows(stacked, np.argsort(order))  # back to dialogue order
     else:
-        zero = T.Tensor(np.zeros((1, state_dim)))
-        for i in range(n):
-            joined[i] = T.concat_cols([zero, T.slice_rows(d_states, i, i + 1)])
-    return [predict_emotion(joined[i], params, utt_ids[i]) for i in range(n)]
+        s_states = T.Tensor(np.zeros(d_states.values.shape))
+    return predict_emotion(T.concat_cols([s_states, d_states]), params, utt_ids)

@@ -1,16 +1,18 @@
 """Per-mode sequence encoders.
 
-Each mode's raw feature rows pass through a bidirectional LSTM, a stack
-of self-attention refinement layers, and mean pooling over rows. Video
-arrives as two parallel streams (face and background); each stream gets
-its own LSTM parameters and the row-concatenated pair feeds one shared
-attention stack, so face rows can attend to background rows.
+Each mode's raw feature rows pass through a bidirectional LSTM and a
+stack of self-attention refinement layers. Video arrives as two parallel
+streams (face and background); each stream gets its own LSTM parameters
+and the row-concatenated pair feeds one shared attention stack, so face
+rows can attend to background rows.
 
-Each LSTM direction is one fused ``tensor.lstm_scan`` record and each
-attention layer one ``tensor.attend`` record, so the tape grows by a
-fixed count per call whatever the sequence length. The context
-classifier reuses ``bilstm_forward`` for its speaker and dialogue
-branches.
+Encoders run on a batch of utterances: every stream is zero-padded to
+its longest sequence in the batch (``pad_streams``), each LSTM direction
+is one fused ``tensor.lstm_scan`` record over the whole batch and each
+attention layer one masked ``tensor.attend`` record, so the tape grows
+by a fixed count per batch whatever its size and lengths. The context
+classifier reuses ``bilstm_forward`` on single sequences for its speaker
+and dialogue branches.
 """
 from __future__ import annotations
 
@@ -31,6 +33,9 @@ MODE_STREAMS = {
     "video": ("video_face", "video_back"),
     "audio": ("audio",),
 }
+# the BiLSTM of ModeEncoderParams.lstms that reads each stream
+_STREAM_LSTM = {"text": "main", "video_face": "face", "video_back": "back",
+                "audio": "main"}
 
 
 @dataclass
@@ -89,20 +94,26 @@ def init_bilstm(din: int, hidden: int, dout: int, rng: Rng) -> BiLstmParams:
     )
 
 
-def bilstm_forward(params: BiLstmParams, seq: T.Tensor) -> T.Tensor:
-    """len x din sequence -> len x dout, both directions concatenated then projected."""
-    if seq.values.ndim != 2 or seq.values.shape[0] < 1:
-        raise ShapeError(f"bilstm_forward: need a nonempty matrix, got shape {seq.shape}")
-    if seq.values.shape[1] != params.wx_f.values.shape[0]:
+def bilstm_forward(params: BiLstmParams, seq: T.Tensor, lengths=None) -> T.Tensor:
+    """Both directions concatenated, then projected to dout columns.
+
+    ``seq`` is one len x din sequence, or a B x L x din batch padded to L
+    with ``lengths`` its rows' real lengths; padded steps carry no state
+    and get no gradient.
+    """
+    sv = seq.values
+    if sv.ndim not in (2, 3) or sv.shape[-2] < 1:
+        raise ShapeError(f"bilstm_forward: need a nonempty sequence or batch, got shape {seq.shape}")
+    if sv.shape[-1] != params.wx_f.values.shape[0]:
         raise ShapeError(
-            f"bilstm_forward: input width {seq.values.shape[1]} does not match "
+            f"bilstm_forward: input width {sv.shape[-1]} does not match "
             f"parameter width {params.wx_f.values.shape[0]}")
-    n = seq.values.shape[0]
-    xg_f = T.add(T.matmul(seq, params.wx_f), params.b_f)
-    xg_b = T.add(T.matmul(seq, params.wx_b), params.b_b)
-    both = T.concat_cols([T.lstm_scan(xg_f, params.wh_f, range(n)),
-                          T.lstm_scan(xg_b, params.wh_b, range(n - 1, -1, -1))])
-    return T.add(T.matmul(both, params.proj_w), params.proj_b)
+    n = sv.shape[-2]
+    xg_f = T.affine(seq, params.wx_f, params.b_f)
+    xg_b = T.affine(seq, params.wx_b, params.b_b)
+    both = T.concat_cols([T.lstm_scan(xg_f, params.wh_f, range(n), lengths),
+                          T.lstm_scan(xg_b, params.wh_b, range(n - 1, -1, -1), lengths)])
+    return T.affine(both, params.proj_w, params.proj_b)
 
 
 @dataclass
@@ -126,19 +137,23 @@ def init_attention_stack(d: int, m_layers: int, rng: Rng) -> AttentionStackParam
     return AttentionStackParams(layers=layers)
 
 
-def self_attention_stack(params: AttentionStackParams, w0: T.Tensor) -> T.Tensor:
+def self_attention_stack(params: AttentionStackParams, w0: T.Tensor,
+                         mask=None) -> T.Tensor:
     """Apply the refinement recurrence once per layer.
 
     Each layer mixes rows by softmax(w w^T / sqrt(d)) then maps the
-    mixture through the layer's affine transform. Output shape equals
-    input shape.
+    mixture through the layer's affine transform. ``w0`` is one n x d
+    matrix or a B x L x d batch whose real rows ``mask`` (B x L boolean)
+    marks; padded rows are never attended to. Output shape equals input
+    shape.
     """
     if len(params.layers) < 1:
         raise ContractError("self_attention_stack: need at least one layer")
     w = w0
-    inv = 1.0 / math.sqrt(w0.values.shape[1])
+    inv = 1.0 / math.sqrt(w0.values.shape[-1])
+    keys = None if mask is None else mask[..., None, :]
     for lw, lb in params.layers:
-        w = T.add(T.matmul(T.attend(w, w, w, inv), lw), lb)
+        w = T.affine(T.attend(w, w, w, inv, mask=keys), lw, lb)
     return w
 
 
@@ -171,25 +186,45 @@ def init_encoders(config: EncoderConfig, rng: Rng) -> dict:
     return encoders
 
 
-def encode_mode(params: ModeEncoderParams, features: dict, utt_id: str = "?"):
-    """Encode one utterance's streams for this mode.
+def pad_streams(features, utt_ids) -> dict:
+    """Zero-pad a batch's feature matrices, stream by stream.
 
-    Returns (full matrix, pooled 1 x d row). ``features`` maps stream
-    name to a Tensor of raw feature rows.
+    ``features`` holds one stream -> matrix dict per utterance. Returns
+    stream -> (B x L x din tensor, lengths), L being that stream's longest
+    sequence in the batch.
     """
+    batch = {}
+    for stream in _STREAM_LSTM:
+        mats = []
+        for feats, uid in zip(features, utt_ids):
+            if stream not in feats:
+                raise DataError(f"utterance {uid}: missing {stream} stream")
+            mats.append(feats[stream])
+        lengths = np.array([m.shape[0] for m in mats])
+        rows = np.zeros((len(mats), lengths.max(), mats[0].shape[1]))
+        for b, m in enumerate(mats):
+            rows[b, :m.shape[0]] = m
+        batch[stream] = (T.Tensor(rows), lengths)
+    face, back = batch["video_face"][1], batch["video_back"][1]
+    for uid, nf, nb in zip(utt_ids, face, back):
+        if nf != nb:
+            raise ContractError(f"utterance {uid}: video streams disagree on length "
+                                f"({nf} vs {nb})")
+    return batch
+
+
+def encode_mode(params: ModeEncoderParams, batch: dict):
+    """Encode one mode for a padded batch from `pad_streams`.
+
+    Returns (B x L x d rows, B x L boolean mask of the real rows). Video
+    rows are the face rows then the background rows, each padded to the
+    batch's longest video.
+    """
+    rows, masks = [], []
     for stream in MODE_STREAMS[params.mode]:
-        if stream not in features:
-            raise DataError(f"utterance {utt_id}: missing {stream} stream")
-    if params.mode == "video":
-        face, back = features["video_face"], features["video_back"]
-        if face.values.shape[0] != back.values.shape[0]:
-            raise ContractError(
-                f"utterance {utt_id}: video streams disagree on length "
-                f"({face.values.shape[0]} vs {back.values.shape[0]})")
-        h = T.concat_rows([bilstm_forward(params.lstms["face"], face),
-                           bilstm_forward(params.lstms["back"], back)])
-    else:
-        stream = MODE_STREAMS[params.mode][0]
-        h = bilstm_forward(params.lstms["main"], features[stream])
-    full = self_attention_stack(params.attention, h)
-    return full, T.mean_rows(full)
+        x, lengths = batch[stream]
+        rows.append(bilstm_forward(params.lstms[_STREAM_LSTM[stream]], x, lengths))
+        masks.append(np.arange(x.values.shape[1])[None, :] < lengths[:, None])
+    h = rows[0] if len(rows) == 1 else T.concat(rows, 1)
+    mask = masks[0] if len(masks) == 1 else np.concatenate(masks, axis=1)
+    return self_attention_stack(params.attention, h, mask), mask

@@ -83,12 +83,12 @@ class AlphaState:
 
 
 def adaptive_fuse(descriptors: dict, alphas: dict) -> T.Tensor:
-    """Interpolate and concatenate mode descriptors into one 1 x (|M| d) row.
+    """Interpolate and concatenate mode descriptors into B x (|M| d) rows.
 
-    ``descriptors`` maps mode -> 1 x d tensor; ``alphas`` maps ordered
-    mode pairs (m, mi) -> coefficient in [0, 1]. Gradients flow through
-    the descriptors; the coefficients are plain floats. Blocks follow
-    ``MODES`` order.
+    ``descriptors`` maps mode -> B x d tensor, one row per utterance of a
+    batch; ``alphas`` maps ordered mode pairs (m, mi) -> coefficient in
+    [0, 1]. Gradients flow through the descriptors; the coefficients are
+    plain floats. Blocks follow ``MODES`` order.
     """
     for m in MODES:
         if m not in descriptors:

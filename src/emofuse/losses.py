@@ -4,11 +4,16 @@ Two parts combine into the stage-1 loss: a noise-contrastive term that
 pulls a sample's descriptors from different modes together against
 uniformly sampled negatives, and a focal classification term over the
 per-mode class probabilities. Both are built from tape ops end to end so
-one backward pass reaches every parameter.
+one backward pass reaches every parameter, and both take a whole batch
+at once: the contrastive term is one cosine matrix over utterances x
+ordered mode pairs, the focal term one gathered column of true-class
+probabilities.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import tensor as T
 from .errors import ContractError
@@ -39,73 +44,104 @@ class LossConfig:
 
 
 def candidate_distribution(f_query: T.Tensor, candidates, tau: float) -> T.Tensor:
-    """Softmax over temperature-scaled cosine similarities, 1 x K."""
+    """Softmax over temperature-scaled cosine similarities, one row per query.
+
+    ``candidates`` is a list of 1 x d tensors shared by every query row,
+    or one N x K x d tensor holding each of the N query rows' own set.
+    """
     if tau <= 0.0:
         raise ContractError("candidate_distribution: tau must be positive")
-    if not candidates:
-        raise ContractError("candidate_distribution: empty candidate set")
-    row = T.cosine_rows(f_query, T.concat_rows(candidates))
+    if isinstance(candidates, list):
+        if not candidates:
+            raise ContractError("candidate_distribution: empty candidate set")
+        candidates = T.concat_rows(candidates)
+    row = T.cosine_rows(f_query, candidates)
     return T.softmax_rows(T.scale(row, 1.0 / tau))
 
 
 def nce_loss(f_query: T.Tensor, f_positive: T.Tensor, negatives, nu: float,
              tau: float, form: str = "printed") -> T.Tensor:
-    """Contrastive loss for one anchor pair against its negative set.
+    """Contrastive loss of anchor pairs against their negative sets, mean
+    over the N query rows.
 
-    The default form follows the ratio structure
+    ``f_query`` and ``f_positive`` are N x d; ``negatives`` is a list of
+    1 x d tensors (for N = 1) or an N x k x d array of constants. The
+    default form follows the ratio structure
     -log(P_pos/(P_pos+nu)) + sum_k log(P_k/(P_k+nu)) - 1; the
     "standard" form is the plain -log P_pos.
     """
-    negatives = list(negatives)
-    if not negatives:
+    listed = isinstance(negatives, (list, tuple))
+    if (len(negatives) if listed else negatives.shape[1]) == 0:
         raise ContractError("nce_loss: negatives must be nonempty")
     if nu <= 0.0:
         raise ContractError("nce_loss: nu must be positive")
-    dist = candidate_distribution(f_query, [f_positive] + negatives, tau)
-    if form == "standard":
-        return T.neg(T.log(T.pick(dist, 0, 0)))
-    if form != "printed":
+    if form not in NCE_FORMS:
         raise ContractError(f"nce_loss: unknown form {form!r}")
-    k = len(negatives) + 1
+    if listed:
+        candidates = [f_positive] + list(negatives)
+    else:
+        n, d = f_positive.values.shape
+        candidates = T.concat([T.reshape(f_positive, (n, 1, d)), T.Tensor(negatives)], 1)
+    dist = candidate_distribution(f_query, candidates, tau)
+    if form == "standard":
+        return T.neg(T.mean_all(T.log(T.slice_cols(dist, 0, 1))))
     ratios = T.log(T.div(dist, T.add_scalar(dist, nu)))
-    first = T.neg(T.pick(ratios, 0, 0))
-    rest = T.sum_all(T.slice_cols(ratios, 1, k))
-    return T.add_scalar(T.add(first, rest), -1.0)
+    signs = np.ones(dist.values.shape[1])
+    signs[0] = -1.0
+    per_row = T.sum_all(T.mul(ratios, T.Tensor(signs)))
+    return T.add_scalar(T.scale(per_row, 1.0 / dist.values.shape[0]), -1.0)
 
 
 def ace_loss(descriptors: dict, negatives: dict, pool_size: int, tau: float,
              form: str = "printed") -> T.Tensor:
     """Mean contrastive loss over utterances and ordered mode pairs.
 
-    ``descriptors``: utterance id -> {mode: 1 x d tensor} (on the tape).
-    ``negatives``: utterance id -> list of {mode: 1 x d tensor} sampled
-    from the rest of the training pool (treated as constants).
-    ``pool_size`` is the global pool size |N| entering nu = |N_j| / |N|.
+    Batch form: ``descriptors`` maps mode -> B x d tensor (one row per
+    utterance, on the tape) and ``negatives`` mode -> B x k x d array of
+    each utterance's negatives, sampled from the rest of the training
+    pool (constants). Per-utterance form: utterance id -> {mode: 1 x d
+    tensor} and utterance id -> list of {mode: 1 x d tensor}; every
+    utterance needs the same modes and negative count. ``pool_size`` is
+    the global pool size |N| entering nu = |N_j| / |N|.
     """
     if not descriptors:
         raise ContractError("ace_loss: empty batch")
     if pool_size < 1:
         raise ContractError("ace_loss: pool_size must be >= 1")
-    total = None
-    count = 0
-    for utt_id in sorted(descriptors):
-        modes = sorted(descriptors[utt_id])
-        if len(modes) < 2:
-            raise ContractError(f"ace_loss: utterance {utt_id} has fewer than 2 modes")
-        negs = negatives.get(utt_id, [])
+    if not all(isinstance(t, T.Tensor) for t in descriptors.values()):
+        descriptors, negatives = _stack_utterances(descriptors, negatives)
+    modes = sorted(descriptors)
+    if len(modes) < 2:
+        raise ContractError("ace_loss: need at least 2 modes")
+    pairs = [(m, mi) for m in modes for mi in modes if mi != m]
+    negs = np.concatenate([negatives[mi] for _, mi in pairs])
+    return nce_loss(T.concat_rows([descriptors[m] for m, _ in pairs]),
+                    T.concat_rows([descriptors[mi] for _, mi in pairs]),
+                    negs, negs.shape[1] / pool_size, tau, form)
+
+
+def _stack_utterances(descriptors: dict, negatives: dict):
+    """The per-utterance form of `ace_loss` arguments in the batch form."""
+    uids = sorted(descriptors)
+    modes = sorted(descriptors[uids[0]])
+    count = len(negatives.get(uids[0], []))
+    for uid in uids:
+        if sorted(descriptors[uid]) != modes:
+            raise ContractError(f"ace_loss: utterance {uid} has modes "
+                                f"{sorted(descriptors[uid])}, expected {modes}")
+        negs = negatives.get(uid, [])
         if not negs:
-            raise ContractError(f"ace_loss: no negatives for utterance {utt_id}")
-        nu = len(negs) / pool_size
-        for m in modes:
-            for mi in modes:
-                if mi == m:
-                    continue
-                neg_keys = [n[mi] for n in negs]
-                term = nce_loss(descriptors[utt_id][m], descriptors[utt_id][mi],
-                                neg_keys, nu, tau, form)
-                total = term if total is None else T.add(total, term)
-                count += 1
-    return T.scale(total, 1.0 / count)
+            raise ContractError(f"ace_loss: no negatives for utterance {uid}")
+        if len(negs) != count:
+            raise ContractError(f"ace_loss: utterance {uid} has {len(negs)} negatives, "
+                                f"expected {count}")
+
+    def rows(parts):
+        return parts[0] if len(parts) == 1 else T.concat_rows(parts)
+
+    return ({m: rows([descriptors[uid][m] for uid in uids]) for m in modes},
+            {m: np.stack([[n[m].values[0] for n in negatives[uid]] for uid in uids])
+             for m in modes})
 
 
 def focal_loss(p_c, gamma: float, form: str = "canonical") -> T.Tensor:
@@ -133,31 +169,42 @@ def focal_loss(p_c, gamma: float, form: str = "canonical") -> T.Tensor:
 
 
 def focal_mean(pairs: list, gamma: float, form: str = "canonical") -> T.Tensor:
-    """Mean focal term over a list of (probs 1 x C tensor, true label) pairs.
+    """Mean focal term over (probs R x C tensor, labels) pairs, ``labels``
+    holding one true class per row (a bare int when R is 1).
 
-    The true class probabilities are gathered into one column, so the
-    focal terms and their mean are a fixed number of ops for any count.
+    The true class probabilities are gathered into one column by a
+    one-hot mask, so the focal terms and their mean are a fixed number of
+    ops for any count.
     """
     if not pairs:
         raise ContractError("focal_mean: no terms")
-    for probs, label in pairs:
-        if not 0 <= label < probs.values.shape[1]:
-            raise ContractError(f"focal_mean: label {label} out of range for "
-                                f"{probs.values.shape[1]} classes")
-    column = T.concat_rows([T.slice_cols(probs, label, label + 1)
-                            for probs, label in pairs])
+    classes = []
+    for probs, labels in pairs:
+        labels = [labels] if isinstance(labels, (int, np.integer)) else list(labels)
+        if len(labels) != probs.values.shape[0]:
+            raise ContractError(f"focal_mean: {len(labels)} labels for "
+                                f"{probs.values.shape[0]} probability rows")
+        for label in labels:
+            if not 0 <= label < probs.values.shape[1]:
+                raise ContractError(f"focal_mean: label {label} out of range for "
+                                    f"{probs.values.shape[1]} classes")
+        classes.extend(labels)
+    probs = pairs[0][0] if len(pairs) == 1 else T.concat_rows([p for p, _ in pairs])
+    onehot = np.zeros(probs.values.shape)
+    onehot[np.arange(len(classes)), classes] = 1.0
+    column = T.sum_axis(T.mul(probs, T.Tensor(onehot)), 1)
     return T.mean_all(focal_loss(column, gamma, form))
 
 
 def averaged_focal(per_mode: dict, gamma: float, form: str = "canonical") -> T.Tensor:
     """Double mean of focal terms over modes and utterances.
 
-    ``per_mode``: mode -> list of (probs 1 x C tensor, true label int),
-    one entry per utterance, equal counts across modes.
+    ``per_mode``: mode -> list of (probs tensor, labels) pairs as
+    `focal_mean` takes them, the same utterance count for every mode.
     """
     if not per_mode:
         raise ContractError("averaged_focal: no modes")
-    counts = {m: len(v) for m, v in per_mode.items()}
+    counts = {m: sum(p.values.shape[0] for p, _ in v) for m, v in per_mode.items()}
     sizes = set(counts.values())
     if len(sizes) != 1 or 0 in sizes:
         raise ContractError(f"averaged_focal: unbalanced or empty mode lists {counts}")

@@ -8,10 +8,17 @@ scalar affine before the row softmax, and the injections are averaged
 over the full mode count. Heads share dense weights and differ only in
 their key/value/affine maps; head outputs are averaged, pooled over
 rows, and classified per mode.
+
+The network runs on a padded batch of utterances. Every mode's rows are
+padded to one length, so at each (mode, layer) the heads and
+peripherals fold into leading batch axes of a single masked
+``tensor.attend`` call, and each peripheral's keys and values for all
+heads come from one matmul over column-stacked maps.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +76,26 @@ class ModeManParams:
 
 @dataclass
 class CrossAttendedDescriptor:
-    f_ca: T.Tensor   # 1 x descriptor_dim
-    probs: T.Tensor  # 1 x num_classes
+    f_ca: T.Tensor   # B x descriptor_dim, one row per utterance
+    probs: T.Tensor  # B x num_classes
+
+
+class DescriptorRows(Sequence):
+    """Per-utterance view of a batch's descriptors: item i maps each mode
+    to a one-row CrossAttendedDescriptor, sliced from ``batch`` on access."""
+
+    def __init__(self, batch: dict):
+        self.batch = batch
+
+    def __len__(self):
+        return next(iter(self.batch.values())).f_ca.values.shape[0]
+
+    def __getitem__(self, i):
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        return {m: CrossAttendedDescriptor(T.slice_rows(d.f_ca, i, i + 1),
+                                           T.slice_rows(d.probs, i, i + 1))
+                for m, d in self.batch.items()}
 
 
 def init_man(config: ManConfig, encoder_dims: dict, rng: Rng) -> dict:
@@ -113,42 +138,77 @@ def init_man(config: ManConfig, encoder_dims: dict, rng: Rng) -> dict:
     return params
 
 
-def peripheral_kv(f_mi: T.Tensor, maps: CrossMaps):
-    """Bias-free key/value projections of one peripheral mode's encoder output."""
-    if f_mi.values.shape[1] != maps.wk.values.shape[0]:
+def peripheral_kv(f_mi: T.Tensor, maps):
+    """Bias-free key/value projections of one peripheral mode's encoder
+    output, from one matmul over the column-stacked maps.
+
+    ``maps`` is one CrossMaps, or a list of them, one per head; with a
+    list, K and V gain a leading head axis.
+    """
+    many = isinstance(maps, (list, tuple))
+    heads = list(maps) if many else [maps]
+    if f_mi.values.shape[-1] != heads[0].wk.values.shape[0]:
         raise ShapeError(
-            f"peripheral width {f_mi.values.shape[1]} does not match projection "
-            f"input width {maps.wk.values.shape[0]}")
-    return T.matmul(f_mi, maps.wk), T.matmul(f_mi, maps.wv)
+            f"peripheral width {f_mi.values.shape[-1]} does not match projection "
+            f"input width {heads[0].wk.values.shape[0]}")
+    kv = T.matmul(f_mi, T.concat_cols([w for m in heads for w in (m.wk, m.wv)]))
+    if many:
+        kv = T.split_cols(kv, len(heads))
+    d = heads[0].wk.values.shape[1]
+    return T.slice_cols(kv, 0, d), T.slice_cols(kv, d, 2 * d)
 
 
-def cross_attend_layer(g_prev: T.Tensor, kv_pairs, affines, num_modes: int) -> T.Tensor:
-    """Residual cross-modal injection for one layer of one head.
+def cross_attend_layer(g_prev: T.Tensor, kv_pairs, affines, num_modes: int,
+                       key_masks=None) -> T.Tensor:
+    """Residual cross-modal injection for one layer, all heads and
+    peripherals in one attention call.
 
-    ``kv_pairs`` is a list of (K, V) per peripheral mode, ``affines`` the
-    matching (scale, bias) scalar pairs. The summed injections are
-    averaged over the full mode count ``num_modes``.
+    ``kv_pairs`` is a list of (K, V) per peripheral mode, as
+    `peripheral_kv` makes them, all padded to one key length;
+    ``affines`` the matching (scale, bias) pairs, each a 1 x 1 tensor or
+    a list with one per head; ``key_masks`` one boolean array per
+    peripheral marking its real keys (None: all real). The summed
+    injections are averaged over the full mode count ``num_modes``.
     """
     if not kv_pairs:
         raise ContractError("cross_attend_layer: empty peripheral set")
     if len(kv_pairs) != len(affines):
         raise ContractError("cross_attend_layer: kv/affine count mismatch")
-    d_l = g_prev.values.shape[1]
-    inv = 1.0 / math.sqrt(d_l)
-    total = None
-    for (k, v), (sc, bi) in zip(kv_pairs, affines):
-        attended = T.attend(g_prev, k, v, inv, sc, bi)
-        total = attended if total is None else T.add(total, attended)
-    return T.add(g_prev, T.scale(total, 1.0 / num_modes))
+    if len({k.values.shape for k, _ in kv_pairs}) != 1:
+        raise ShapeError("cross_attend_layer: peripheral keys differ in shape "
+                         f"{[k.values.shape for k, _ in kv_pairs]}")
+    keys = T.stack([k for k, _ in kv_pairs])
+    values = T.stack([v for _, v in kv_pairs])
+    # one scale and bias per (peripheral, head), shaped to broadcast over
+    # the (peripheral, [head,] ..., query, key) scores
+    per_head = isinstance(affines[0][0], (list, tuple))
+    head_axes = (len(affines[0][0]),) if per_head else ()
+    shape = (len(kv_pairs),) + head_axes + \
+        (1,) * (keys.values.ndim - 1 - len(head_axes))
+
+    def stacked(j):
+        parts = [t for pair in affines for t in (pair[j] if per_head else [pair[j]])]
+        return T.reshape(T.concat_rows(parts), shape)
+
+    mask = None
+    if key_masks is not None:
+        m = np.stack(key_masks)[..., None, :]
+        mask = m.reshape(m.shape[:1] + (1,) * len(head_axes) + m.shape[1:])
+    inv = 1.0 / math.sqrt(g_prev.values.shape[-1])
+    attended = T.attend(g_prev, keys, values, inv, stacked(0), stacked(1), mask)
+    return T.add(g_prev, T.scale(T.sum_axis(attended, 0), 1.0 / num_modes))
 
 
-def man_forward(encoded: dict, params: dict, trace=None) -> dict:
+def man_forward(encoded: dict, params: dict, trace=None, masks=None) -> dict:
     """Run every mode's query network with cross-modal injections.
 
-    ``encoded`` maps mode name to that mode's full encoder output matrix.
-    Returns a dict of CrossAttendedDescriptor. When ``trace`` is a list,
-    (mode, layer, head, dense_out, after_injection) tuples are appended
-    for every cross-attention application.
+    ``encoded`` maps mode name to that mode's encoder rows for a batch,
+    B x L_m x d_m, with ``masks`` mode -> B x L_m boolean marking the real
+    rows (None: all real); one L_m x d_m matrix per mode is a batch of
+    one. Returns a dict of CrossAttendedDescriptor with one row per
+    utterance. When ``trace`` is a list, (mode, layer, head, dense_out,
+    after_injection) tuples are appended for every cross-attention
+    application, each tensor B x L x d over the padded rows.
     """
     modes = tuple(params)
     if len(modes) < 2:
@@ -157,35 +217,52 @@ def man_forward(encoded: dict, params: dict, trace=None) -> dict:
         if mode not in encoded:
             raise ContractError(f"man_forward: missing encoder output for mode {mode}")
 
+    # pad every mode to one length, so all of a query's peripherals stack
+    rows, real = {}, {}
+    for mode in modes:
+        x = encoded[mode]
+        if x.values.ndim == 2:
+            x = T.reshape(x, (1,) + x.values.shape)
+        rows[mode] = x
+        real[mode] = np.ones(x.values.shape[:2], dtype=bool) if masks is None else masks[mode]
+    length = max(x.values.shape[1] for x in rows.values())
+    for mode in modes:
+        size, n, width = rows[mode].values.shape
+        if n < length:
+            pad = (size, length - n)
+            rows[mode] = T.concat([rows[mode], T.Tensor(np.zeros(pad + (width,)))], 1)
+            real[mode] = np.concatenate([real[mode], np.zeros(pad, dtype=bool)], axis=1)
+
     num_modes = len(modes)
     out = {}
     for mode in modes:
         p = params[mode]
         n_layers = len(p.dense)
-        heads = []
         num_heads = max(h for (_, _, h) in p.cross) + 1 if p.cross else 1
-        for head in range(num_heads):
-            g = encoded[mode]
-            for layer, (w, b) in enumerate(p.dense):
-                g = T.add(T.matmul(g, w), b)
-                if layer < n_layers - 1:
-                    g = T.relu(g)
-                dense_out = g
-                kv_pairs = []
-                affines = []
-                for mi in p.peripherals:
-                    maps = p.cross[(layer, mi, head)]
-                    kv_pairs.append(peripheral_kv(encoded[mi], maps))
-                    affines.append((maps.score_scale, maps.score_bias))
-                g = cross_attend_layer(g, kv_pairs, affines, num_modes)
-                if trace is not None:
-                    trace.append((mode, layer, head, dense_out, g))
-            heads.append(g)
-        acc = heads[0]
-        for h in heads[1:]:
-            acc = T.add(acc, h)
-        avg = T.scale(acc, 1.0 / num_heads) if num_heads > 1 else acc
-        f_ca = T.mean_rows(avg)
-        probs = T.softmax_rows(T.add(T.matmul(f_ca, p.cls_w), p.cls_b))
+        g = rows[mode]
+        for layer, (w, b) in enumerate(p.dense):
+            g = T.affine(g, w, b)
+            if layer < n_layers - 1:
+                g = T.relu(g)
+            dense_out = g
+            slots = [[p.cross[(layer, mi, h)] for h in range(num_heads)]
+                     for mi in p.peripherals]
+            g = cross_attend_layer(
+                g, [peripheral_kv(rows[mi], maps) for mi, maps in zip(p.peripherals, slots)],
+                [([m.score_scale for m in maps], [m.score_bias for m in maps])
+                 for maps in slots],
+                num_modes, [real[mi] for mi in p.peripherals])
+            if trace is not None:
+                dense = np.broadcast_to(dense_out.values, g.values.shape)
+                for head in range(num_heads):
+                    trace.append((mode, layer, head, T.Tensor(dense[head]),
+                                  T.Tensor(g.values[head])))
+        # average the heads, then each utterance's real rows
+        avg = T.sum_axis(g, 0)
+        if num_heads > 1:
+            avg = T.scale(avg, 1.0 / num_heads)
+        weights = real[mode] / real[mode].sum(axis=1, keepdims=True)
+        f_ca = T.sum_axis(T.mul(avg, T.Tensor(weights[:, :, None])), 1)
+        probs = T.softmax_rows(T.affine(f_ca, p.cls_w, p.cls_b))
         out[mode] = CrossAttendedDescriptor(f_ca=f_ca, probs=probs)
     return out

@@ -3,8 +3,8 @@
 A Pipeline owns the per-mode sequence encoders, the cross-modal query
 networks, the interpolation coefficients, and the conversation-context
 classifier. Utterances flow encoder -> cross-modal network -> adaptive
-fusion; whole dialogues then flow through the dual recurrent context to
-per-utterance class probabilities.
+fusion a batch at a time; whole dialogues then flow through the dual
+recurrent context to per-utterance class probabilities.
 """
 from __future__ import annotations
 
@@ -19,11 +19,12 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig
 from .context import ContextParams, classify_dialogue, init_context
-from .encoders import MODES, encode_mode, init_encoders
+from .data import Utterance
+from .encoders import MODES, encode_mode, init_encoders, pad_streams
 from .errors import ConfigError, ContractError, DataError
 from .explain import Explanation, PerturbationConfig, explain_instance, mode_groups
 from .fusion import AlphaState, adaptive_fuse
-from .man import init_man, man_forward
+from .man import DescriptorRows, init_man, man_forward
 from .metrics import confusion, metrics_report
 from .rng import Rng
 
@@ -81,39 +82,45 @@ def pairwise_coefficients(pipeline: Pipeline) -> dict:
     return pipeline.alphas.pairwise()
 
 
-def utterance_descriptors(pipeline: Pipeline, utt) -> dict:
-    """Encoder plus cross-modal network for one utterance.
+def utterance_descriptors(pipeline: Pipeline, utts) -> dict:
+    """Encoders plus cross-modal network for a batch of utterances.
 
-    Returns mode -> CrossAttendedDescriptor (pooled descriptor and
-    per-mode class probabilities).
+    ``utts`` is a list of utterances, or one utterance (a batch of one).
+    Returns mode -> CrossAttendedDescriptor whose pooled descriptors and
+    per-mode class probabilities hold one row per utterance, in order.
     """
-    feats = utt.tensor_features()
-    encoded = {}
+    if isinstance(utts, Utterance):
+        utts = [utts]
+    if not utts:
+        raise ContractError("utterance_descriptors: empty batch")
+    batch = pad_streams([u.features for u in utts], [u.utterance_id for u in utts])
+    encoded, masks = {}, {}
     for mode in MODES:
-        full, _ = encode_mode(pipeline.encoders[mode], feats, utt.utterance_id)
-        encoded[mode] = full
-    return man_forward(encoded, pipeline.man)
+        encoded[mode], masks[mode] = encode_mode(pipeline.encoders[mode], batch)
+    return man_forward(encoded, pipeline.man, masks=masks)
+
+
+def fuse_utterances(pipeline: Pipeline, utts, pairwise=None):
+    """Fused descriptors for a batch of utterances: (B x 3d tensor,
+    mode -> CrossAttendedDescriptor of B rows)."""
+    if pairwise is None:
+        pairwise = pairwise_coefficients(pipeline)
+    descs = utterance_descriptors(pipeline, utts)
+    return adaptive_fuse({m: descs[m].f_ca for m in MODES}, pairwise), descs
 
 
 def fuse_dialogue(pipeline: Pipeline, dialogue, pairwise=None):
-    """Per-utterance fused descriptors for one dialogue.
+    """Fused descriptors for one dialogue, computed as one batch.
 
-    Returns (fused 1 x 3d tensors in utterance order, list of
-    per-utterance descriptor dicts).
+    Returns (n x 3d fused tensor in utterance order, per-utterance
+    descriptor dicts as a DescriptorRows view of the batch).
     """
-    if pairwise is None:
-        pairwise = pairwise_coefficients(pipeline)
-    fused = []
-    descs = []
-    for utt in dialogue.utterances:
-        d = utterance_descriptors(pipeline, utt)
-        descs.append(d)
-        fused.append(adaptive_fuse({m: d[m].f_ca for m in d}, pairwise))
-    return fused, descs
+    fused, descs = fuse_utterances(pipeline, dialogue.utterances, pairwise)
+    return fused, DescriptorRows(descs)
 
 
 def predict_dialogue(pipeline: Pipeline, dialogue, pairwise=None, eval_mode=None):
-    """Classify every utterance of a dialogue; returns EmotionPredictions."""
+    """Classify every utterance of a dialogue; returns DialoguePredictions."""
     fused, _ = fuse_dialogue(pipeline, dialogue, pairwise)
     return classify_dialogue(fused,
                              [u.speaker_id for u in dialogue.utterances],
@@ -129,10 +136,8 @@ def evaluate(pipeline: Pipeline, dialogues, subset=None) -> dict:
     golds = []
     preds = []
     for d in dialogues:
-        out = predict_dialogue(pipeline, d)
-        for utt, pred in zip(d.utterances, out):
-            golds.append(utt.label)
-            preds.append(pred.label)
+        golds.extend(u.label for u in d.utterances)
+        preds.extend(predict_dialogue(pipeline, d).labels)
     cm = confusion(golds, preds, pipeline.config.num_classes)
     return metrics_report(cm, subset=subset)
 
@@ -156,17 +161,17 @@ def explain_utterance(pipeline: Pipeline, dialogue, index: int,
     utt_ids = [u.utterance_id for u in dialogue.utterances]
     base = classify_dialogue(fused, speakers, utt_ids, pipeline.context,
                              pipeline.config.eval_mode)
-    target = base[index].label
+    target = base.labels[index]
     groups = mode_groups(MODES, pipeline.config.descriptor_dim)
 
     def predict_fn(x):
-        seq = list(fused)
-        seq[index] = T.Tensor(np.asarray(x, dtype=np.float64))
-        out = classify_dialogue(seq, speakers, utt_ids, pipeline.context,
+        rows = fused.values.copy()
+        rows[index] = np.asarray(x, dtype=np.float64).reshape(-1)
+        out = classify_dialogue(T.Tensor(rows), speakers, utt_ids, pipeline.context,
                                 pipeline.config.eval_mode)
-        return float(out[index].probs.values[0, target])
+        return float(out.probs.values[index, target])
 
-    return explain_instance(fused[index].values, predict_fn, groups, pcfg,
+    return explain_instance(fused.values[index:index + 1], predict_fn, groups, pcfg,
                             utterance_id=utt_ids[index], predicted_label=target)
 
 

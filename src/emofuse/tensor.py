@@ -15,10 +15,15 @@ points that the rest of the package relies on:
   across calls until ``zero_grad``,
 * the model's three hot blocks are fused ops: ``lstm_scan`` (one LSTM
   direction), ``attend`` (scaled dot-product attention with an optional
-  score affine) and ``cosine_rows`` (a query's cosine row against
-  stacked candidates). Each runs its forward pass in numpy and records
-  exactly one tape entry, whose pulls compute the hand-written adjoint
-  once and share it between the inputs.
+  score affine) and ``cosine_rows`` (query rows' cosines against
+  candidates). Each runs its forward pass in numpy and records exactly
+  one tape entry, whose pulls compute the hand-written adjoint once and
+  share it between the inputs,
+* the batch axis is leading: ``lstm_scan`` takes a B x L batch with
+  per-row lengths and ``attend`` any leading batch axes with a key mask,
+  so one record covers a whole padded batch. Padding never leaks: a padded
+  LSTM step carries its state through unchanged with a zero adjoint, and
+  a padded key gets exactly zero attention weight.
 """
 from __future__ import annotations
 
@@ -155,10 +160,27 @@ def _sum_to(g, shape):
 # binary ops
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a`` (..., n, k) times the k x m matrix ``b``; leading axes of
+    ``a`` are batch axes."""
     av, bv = a.values, b.values
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+    if av.ndim < 2 or bv.ndim != 2 or av.shape[-1] != bv.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {av.shape} x {bv.shape}")
-    return _result(av @ bv, ((a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)))
+    k, m = bv.shape
+    return _result(av @ bv, ((a, lambda g: g @ bv.T),
+                             (b, lambda g: av.reshape(-1, k).T @ g.reshape(-1, m))))
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x`` (..., n, k) times the k x m matrix ``w``, plus the bias ``b``
+    (1 x m), as one record: the values and adjoints of matmul then add."""
+    xv, wv, bv = x.values, w.values, b.values
+    if xv.ndim < 2 or wv.ndim != 2 or xv.shape[-1] != wv.shape[0] or \
+            bv.shape[-1] != wv.shape[1]:
+        raise ShapeError(f"affine: incompatible shapes {xv.shape} x {wv.shape} + {bv.shape}")
+    k, m = wv.shape
+    return _result(xv @ wv + bv, ((x, lambda g: g @ wv.T),
+                                  (w, lambda g: xv.reshape(-1, k).T @ g.reshape(-1, m)),
+                                  (b, lambda g: _sum_to(g, bv.shape))))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -238,14 +260,11 @@ def mean_all(a: Tensor) -> Tensor:
     return _result(np.asarray(av.mean()), ((a, lambda g: np.full_like(av, float(g) / n)),))
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over rows of an r x c matrix, keeping a 1 x c shape."""
+def sum_axis(a: Tensor, axis) -> Tensor:
+    """Sum over one axis or a tuple of axes, which are dropped."""
     av = a.values
-    if av.ndim != 2:
-        raise ShapeError(f"mean_rows expects a matrix, got shape {av.shape}")
-    r = av.shape[0]
-    return _result(av.mean(axis=0, keepdims=True),
-                   ((a, lambda g: np.broadcast_to(g / r, av.shape)),))
+    return _result(av.sum(axis=axis),
+                   ((a, lambda g: np.broadcast_to(np.expand_dims(g, axis), av.shape)),))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -273,30 +292,50 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _result(a.values.reshape(shape), ((a, lambda g: g.reshape(orig)),))
 
 
-def _concat(parts, axis):
+def concat(parts, axis: int) -> Tensor:
+    """Join tensors along one axis (negative counts from the end)."""
+    parts = list(parts)
     vs = [t.values for t in parts]
     out = np.concatenate(vs, axis=axis)
+    lead = (slice(None),) * (axis % out.ndim)
     pulls = []
     off = 0
     for t in parts:
         n = t.values.shape[axis]
-        if axis == 0:
-            pulls.append((t, lambda g, o=off, k=n: g[o:o + k]))
-        else:
-            pulls.append((t, lambda g, o=off, k=n: g[:, o:o + k]))
+        pulls.append((t, lambda g, s=lead + (slice(off, off + n),): g[s]))
         off += n
     return _result(out, tuple(pulls))
 
 
 def concat_rows(parts) -> Tensor:
-    return _concat(list(parts), axis=0)
+    return concat(parts, 0)
 
 
 def concat_cols(parts) -> Tensor:
-    return _concat(list(parts), axis=1)
+    """Join along the last axis."""
+    return concat(parts, -1)
+
+
+def stack(parts) -> Tensor:
+    """Stack equal-shaped tensors along a new leading axis."""
+    parts = list(parts)
+    return _result(np.stack([t.values for t in parts]),
+                   tuple((t, lambda g, i=i: g[i]) for i, t in enumerate(parts)))
+
+
+def split_cols(a: Tensor, n: int) -> Tensor:
+    """Move n equal column blocks onto a new leading axis:
+    (..., n * d) -> (n, ..., d)."""
+    av = a.values
+    if av.shape[-1] % n:
+        raise ShapeError(f"split_cols: {av.shape[-1]} columns do not split into {n} blocks")
+    blocks = av.reshape(av.shape[:-1] + (n, av.shape[-1] // n))
+    return _result(np.moveaxis(blocks, -2, 0),
+                   ((a, lambda g: np.moveaxis(g, 0, -2).reshape(av.shape)),))
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Slice along the leading axis."""
     av = a.values
 
     def pull(g):
@@ -308,14 +347,29 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
+    """Slice along the last axis."""
     av = a.values
 
     def pull(g):
         z = np.zeros_like(av)
-        z[:, start:stop] = g
+        z[..., start:stop] = g
         return z
 
-    return _result(av[:, start:stop], ((a, pull),))
+    return _result(av[..., start:stop], ((a, pull),))
+
+
+def take_rows(a: Tensor, index) -> Tensor:
+    """Rows ``index`` of ``a``, in that order; repeated rows add their
+    adjoints."""
+    av = a.values
+    index = np.asarray(index, dtype=np.intp)
+
+    def pull(g):
+        z = np.zeros_like(av)
+        np.add.at(z, index, g)
+        return z
+
+    return _result(av[index], ((a, pull),))
 
 
 def pick(a: Tensor, i: int, j: int) -> Tensor:
@@ -351,134 +405,186 @@ def _joint_pulls(inputs, adjoint):
     return tuple((t, pull_for(i)) for i, t in enumerate(inputs))
 
 
-def lstm_scan(xg: Tensor, wh: Tensor, order) -> Tensor:
+def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None) -> Tensor:
     """One LSTM direction over precomputed input projections.
 
-    ``xg`` is n x 4H (inputs already through their weight and bias),
-    ``wh`` the H x 4H recurrent weight, with gate blocks ordered input,
-    forget, candidate, output; ``order`` visits every timestep once.
-    The state starts at zero. Returns the n x H hidden states indexed by
-    timestep, not visit order. The pull runs backpropagation through
-    time into ``xg`` and ``wh``.
+    ``xg`` is n x 4H for one sequence, or B x L x 4H for a batch padded
+    to L, with ``lengths`` the rows' real lengths (default: all L).
+    ``wh`` is the H x 4H recurrent weight, with gate blocks ordered input,
+    forget, candidate, output; ``order`` visits every timestep once. The
+    state starts at zero. A padded step (t >= its row's length) carries
+    the state through unchanged, outputs zero and gets a zero adjoint, so
+    a reverse visit starts each row at its own last real step. Returns
+    the hidden states indexed by timestep, not visit order, in the shape
+    of ``xg`` with H columns. The pull runs backpropagation through time
+    into ``xg`` and ``wh``.
     """
     xv, whv = xg.values, wh.values
-    if xv.ndim != 2 or xv.shape[1] % 4 or whv.shape != (xv.shape[1] // 4, xv.shape[1]):
-        raise ShapeError(f"lstm_scan: need n x 4H and H x 4H, got {xv.shape} and {whv.shape}")
-    n, four_h = xv.shape
+    if xv.ndim not in (2, 3) or xv.shape[-1] % 4 or \
+            whv.shape != (xv.shape[-1] // 4, xv.shape[-1]):
+        raise ShapeError(f"lstm_scan: need n x 4H or B x L x 4H, and H x 4H, "
+                         f"got {xv.shape} and {whv.shape}")
+    batched = xv.ndim == 3
+    n, four_h = xv.shape[-2:]
     hid = four_h // 4
     steps = list(order)
+    real = None if lengths is None else \
+        np.arange(n)[:, None] < np.asarray(lengths)[None, :]  # n x B
+    partial = [real is not None and not real[t].all() for t in range(n)]
+    # steps run on (time, feature[, row]) arrays, so each gate block is one
+    # leading slice and a single sequence keeps plain vectors
+    rows = xv.shape[:1] if batched else ()
+    xt = np.ascontiguousarray(np.moveaxis(xv, 0, -1)) if batched else xv
     # sigmoid(z) = (1 + tanh(z / 2)) / 2, so one tanh gives all four gates
-    half = np.full(four_h, 0.5)
+    half = np.full((four_h,) + (1,) * len(rows), 0.5)
     half[2 * hid:3 * hid] = 1.0
     rest = 1.0 - half
     # the per-step caches feed only the pull, so an untaped scan skips them
     keep = _TAPE is not None and (xg.requires_grad or wh.requires_grad)
-    hs = np.empty((n, hid))
+    hs = np.zeros((n, hid) + rows)
     if keep:
-        gates = np.empty((n, four_h))
-        tanh_c = np.empty((n, hid))
-        c_prev = np.empty((n, hid))
-        h_prev = np.empty((n, hid))
-    h = np.zeros(hid)
-    c = np.zeros(hid)
+        gates = np.empty((n, four_h) + rows)
+        tanh_c = np.empty((n, hid) + rows)
+        c_prev = np.empty((n, hid) + rows)
+        h_prev = np.empty((n, hid) + rows)
+    wht = whv.T
+    h = np.zeros((hid,) + rows)
+    c = np.zeros((hid,) + rows)
     for t in steps:
-        a = np.tanh((xv[t] + h @ whv) * half) * half + rest
+        a = np.tanh((xt[t] + wht @ h) * half) * half + rest
         if keep:
             gates[t] = a
             c_prev[t] = c
             h_prev[t] = h
-        c = a[hid:2 * hid] * c + a[:hid] * a[2 * hid:3 * hid]
-        tc = np.tanh(c)
-        h = a[3 * hid:] * tc
-        hs[t] = h
+        c_new = a[hid:2 * hid] * c + a[:hid] * a[2 * hid:3 * hid]
+        tc = np.tanh(c_new)
+        h_new = a[3 * hid:] * tc
+        if partial[t]:
+            live = real[t]
+            c = np.where(live, c_new, c)
+            h = np.where(live, h_new, h)
+            hs[t] = np.where(live, h_new, 0.0)
+        else:
+            c, h = c_new, h_new
+            hs[t] = h
         if keep:
             tanh_c[t] = tc
+    out = np.moveaxis(hs, -1, 0) if batched else hs
     if not keep:
-        return _wrap(hs)
+        return _wrap(out)
+
+    def by_step(a):
+        """(time x row) x features, to sum over every real step."""
+        return np.moveaxis(a, -1, 1).reshape(-1, a.shape[1]) if batched else a
 
     def adjoint(g):
+        gt = np.moveaxis(g, 0, -1) if batched else g
         slope = gates * (1.0 - gates)
         slope[:, 2 * hid:3 * hid] = 1.0 - gates[:, 2 * hid:3 * hid] ** 2
-        dxg = np.empty((n, four_h))
-        da = np.empty(four_h)
-        dh = np.zeros(hid)
-        dc = np.zeros(hid)
+        dxg = np.zeros((n, four_h) + rows)
+        da = np.empty((four_h,) + rows)
+        dh = np.zeros((hid,) + rows)
+        dc = np.zeros((hid,) + rows)
         for t in reversed(steps):
             a, tc = gates[t], tanh_c[t]
-            dh = g[t] + dh
-            dc = dc + dh * a[3 * hid:] * (1.0 - tc * tc)
-            da[:hid] = dc * a[2 * hid:3 * hid]
-            da[hid:2 * hid] = dc * c_prev[t]
-            da[2 * hid:3 * hid] = dc * a[:hid]
-            da[3 * hid:] = dh * tc
+            dh_t = dh + gt[t]
+            dc_t = dc + dh_t * a[3 * hid:] * (1.0 - tc * tc)
+            da[:hid] = dc_t * a[2 * hid:3 * hid]
+            da[hid:2 * hid] = dc_t * c_prev[t]
+            da[2 * hid:3 * hid] = dc_t * a[:hid]
+            da[3 * hid:] = dh_t * tc
             dz = da * slope[t]
+            if partial[t]:
+                # a padded step passed its state on untouched
+                live = real[t]
+                dz = np.where(live, dz, 0.0)
+                dh = np.where(live, whv @ dz, dh)
+                dc = np.where(live, dc_t * a[hid:2 * hid], dc)
+            else:
+                dh = whv @ dz
+                dc = dc_t * a[hid:2 * hid]
             dxg[t] = dz
-            dc = dc * a[hid:2 * hid]
-            dh = whv @ dz
-        return dxg, h_prev.T @ dxg
+        return (np.moveaxis(dxg, -1, 0) if batched else dxg,
+                by_step(h_prev).T @ by_step(dxg))
 
-    return _result(hs, _joint_pulls((xg, wh), adjoint))
+    return _result(out, _joint_pulls((xg, wh), adjoint))
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, inv: float,
-           sc: Tensor = None, bi: Tensor = None) -> Tensor:
+           sc: Tensor = None, bi: Tensor = None, mask=None) -> Tensor:
     """Scaled dot-product attention softmax(sc * (q k^T * inv) + bi) v.
 
-    ``sc`` and ``bi`` are an optional 1 x 1 score scale and bias, given
-    together. Passing one tensor as several of q, k, v is how
-    self-attention is spelled; its adjoint contributions add up.
+    ``q`` is (..., Lq, d), ``k`` (..., Lk, d) and ``v`` (..., Lk, dv);
+    their leading batch axes broadcast against each other, and so do the
+    optional score scale ``sc`` and bias ``bi`` (given together) against
+    the (..., Lq, Lk) scores. ``mask``, a boolean array broadcastable to
+    the scores, marks the real keys: a padded key gets exactly zero
+    weight, and every query row needs at least one real key. Passing one
+    tensor as several of q, k, v is how self-attention is spelled; its
+    adjoint contributions add up.
     """
     qv, kv, vv = q.values, k.values, v.values
-    if qv.ndim != 2 or kv.ndim != 2 or vv.ndim != 2 or qv.shape[1] != kv.shape[1] \
-            or kv.shape[0] != vv.shape[0]:
+    if min(qv.ndim, kv.ndim, vv.ndim) < 2 or qv.shape[-1] != kv.shape[-1] \
+            or kv.shape[-2] != vv.shape[-2]:
         raise ShapeError(f"attend: incompatible shapes q {qv.shape}, k {kv.shape}, v {vv.shape}")
     if (sc is None) != (bi is None):
         raise ContractError("attend: score scale and bias go together")
-    raw = (qv @ kv.T) * inv
+    raw = (qv @ np.swapaxes(kv, -1, -2)) * inv
     scores = raw if sc is None else raw * sc.values + bi.values
     if not np.all(np.isfinite(scores)):
         raise ContractError("attend: scores must be finite")
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
+    if mask is None:
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    else:
+        top = np.where(mask, scores, -np.inf).max(axis=-1, keepdims=True)
+        if not np.all(np.isfinite(top)):
+            raise ContractError("attend: a query row has no real key")
+        e = np.exp(np.where(mask, scores - top, -np.inf))
+    p = e / e.sum(axis=-1, keepdims=True)
     inputs = (q, k, v) if sc is None else (q, k, v, sc, bi)
 
     def adjoint(g):
-        dp = g @ vv.T
-        ds = p * (dp - (dp * p).sum(axis=1, keepdims=True))
+        dp = g @ np.swapaxes(vv, -1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
         extra = ()
         if sc is not None:
-            extra = (np.full(sc.values.shape, (ds * raw).sum()),
-                     np.full(bi.values.shape, ds.sum()))
+            extra = (_sum_to(ds * raw, sc.values.shape), _sum_to(ds, bi.values.shape))
             ds = ds * sc.values
         ds = ds * inv
-        return (ds @ kv, ds.T @ qv, p.T @ g) + extra
+        return (_sum_to(ds @ kv, qv.shape), _sum_to(np.swapaxes(ds, -1, -2) @ qv, kv.shape),
+                _sum_to(np.swapaxes(p, -1, -2) @ g, vv.shape)) + extra
 
     return _result(p @ vv, _joint_pulls(inputs, adjoint))
 
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of a 1 x d query with each row of K x d ``b``, as 1 x K.
+    """Cosine similarity of each row of P x d ``a`` with its candidates, as P x K.
 
-    A zero vector has no direction: its similarity is defined as 0 and
-    passes no gradient.
+    ``b`` is K x d (one candidate set shared by every row) or P x K x d
+    (a set per row). A zero vector has no direction: its similarity is
+    defined as 0 and passes no gradient.
     """
     av, bv = a.values, b.values
-    if av.ndim != 2 or av.shape[0] != 1 or bv.ndim != 2 or bv.shape[1] != av.shape[1]:
-        raise ShapeError(f"cosine_rows: need 1 x d and K x d, got {av.shape} and {bv.shape}")
-    na = np.sqrt((av * av).sum())
-    nb = np.sqrt((bv * bv).sum(axis=1))
+    if av.ndim != 2 or bv.ndim not in (2, 3) or bv.shape[-1] != av.shape[1] or \
+            (bv.ndim == 3 and bv.shape[0] != av.shape[0]):
+        raise ShapeError(f"cosine_rows: need P x d and K x d or P x K x d, "
+                         f"got {av.shape} and {bv.shape}")
+    b3 = bv if bv.ndim == 3 else bv[None]
+    na = np.sqrt((av * av).sum(axis=1))[:, None]
+    nb = np.sqrt((b3 * b3).sum(axis=2))
     live = (nb > 0.0) & (na > 0.0)
     denom = np.where(live, na * nb, 1.0)
-    cos = np.where(live, (bv @ av[0]) / denom, 0.0)
+    cos = np.where(live, (b3 @ av[:, :, None])[..., 0] / denom, 0.0)
 
     def adjoint(g):
-        w = np.where(live, g[0] / denom, 0.0)
-        gc = g[0] * cos
-        da = w @ bv - (gc.sum() / (na * na if na > 0.0 else 1.0)) * av[0]
-        db = w[:, None] * av - (gc / np.where(live, nb * nb, 1.0))[:, None] * bv
-        return da[None, :], db
+        w = np.where(live, g / denom, 0.0)
+        gc = (g * cos).sum(axis=1, keepdims=True)
+        da = (w[:, :, None] * b3).sum(axis=1) - gc / np.where(na > 0.0, na * na, 1.0) * av
+        db = w[:, :, None] * av[:, None, :] - \
+            (g * cos / np.where(live, nb * nb, 1.0))[:, :, None] * b3
+        return da, _sum_to(db, bv.shape)
 
-    return _result(cos[None, :], _joint_pulls((a, b), adjoint))
+    return _result(cos, _joint_pulls((a, b), adjoint))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Stage 1 fits the encoders and cross-modal networks with the combined
 contrastive + focal objective, resampling a stop-gradient negative pool
-every epoch. Stage 2 freezes into fine-tuning: interpolation
+every epoch. Every forward pass covers a micro-batch of dialogues at
+once, and untaped passes over a whole corpus go in chunks of the same
+size, so memory stays bounded. Stage 2 freezes into fine-tuning: interpolation
 coefficients update from validation gradients on informative samples,
 while the context classifier trains with the focal loss and stage-1
 parameters move at a reduced rate. Every epoch ends with a checkpoint
@@ -28,9 +30,9 @@ from .fusion import (adaptive_fuse, estimate_alpha_pair,
 from .losses import (ace_loss, averaged_focal, combined_loss, focal_mean,
                      sample_negative_ids)
 from .model import (AdamState, LoadedCheckpoint, Pipeline, evaluate,
-                    fuse_dialogue, init_pipeline, named_parameters,
-                    pairwise_coefficients, save_checkpoint, stage1_parameters,
-                    utterance_descriptors)
+                    fuse_dialogue, fuse_utterances, init_pipeline,
+                    named_parameters, pairwise_coefficients, save_checkpoint,
+                    stage1_parameters, utterance_descriptors)
 from .rng import Rng
 
 _TRAIN_STREAM = 7
@@ -79,23 +81,31 @@ def _wrap_numeric(stage: int, batch_index: int, batch):
 # ---------------------------------------------------------------------------
 # stage 1
 
-def _negative_cache(pipeline: Pipeline, pool, k: int, rng: Rng):
-    """Frozen descriptor arrays for every pool utterance plus sampled ids."""
-    cache = {}
-    for utt in pool:
-        descs = utterance_descriptors(pipeline, utt)
-        cache[utt.utterance_id] = {m: descs[m].f_ca.values.copy() for m in MODES}
-    ids = [u.utterance_id for u in pool]
-    neg_ids = {uid: sample_negative_ids(ids, i, k, rng)
+def _negative_cache(pipeline: Pipeline, dialogues, k: int, rng: Rng, chunk: int):
+    """Frozen descriptor arrays for every pool utterance plus sampled negatives.
+
+    Returns (mode -> N x d array in pool order, utterance id -> pool
+    positions of its negatives). Descriptors are computed ``chunk``
+    dialogues at a time.
+    """
+    cache = {m: [] for m in MODES}
+    for part in _chunks(dialogues, chunk):
+        descs = utterance_descriptors(pipeline, all_utterances(part))
+        for m in MODES:
+            cache[m].append(descs[m].f_ca.values)
+    ids = [u.utterance_id for u in all_utterances(dialogues)]
+    position = {uid: i for i, uid in enumerate(ids)}
+    neg_pos = {uid: [position[n] for n in sample_negative_ids(ids, i, k, rng)]
                for i, uid in enumerate(ids)}
-    return cache, neg_ids
+    return {m: np.concatenate(cache[m]) for m in MODES}, neg_pos
 
 
 def _stage1_epoch(pipeline: Pipeline, adam: AdamState, rng: Rng,
                   train_dlgs, pool, config: RunConfig) -> dict:
     try:
-        cache, neg_ids = _negative_cache(pipeline, pool,
-                                         config.negatives_per_anchor, rng)
+        cache, neg_pos = _negative_cache(pipeline, train_dlgs,
+                                         config.negatives_per_anchor, rng,
+                                         config.batch_size)
     except ContractError as e:
         if "finite" in str(e):
             raise NumericError(f"non-finite value while building the stage 1 "
@@ -106,25 +116,18 @@ def _stage1_epoch(pipeline: Pipeline, adam: AdamState, rng: Rng,
     sums = {"l_ace": 0.0, "l_fl": 0.0, "total": 0.0}
     batches = 0
     for bi, batch in enumerate(_chunks(order, config.batch_size)):
+        utts = all_utterances(batch)
+        labels = [u.label for u in utts]
+        negs = [neg_pos[u.utterance_id] for u in utts]
         tape = T.Tape()
         try:
             with T.recording(tape):
-                desc_map = {}
-                neg_map = {}
-                per_mode = {m: [] for m in MODES}
-                for d in batch:
-                    for utt in d.utterances:
-                        descs = utterance_descriptors(pipeline, utt)
-                        uid = utt.utterance_id
-                        desc_map[uid] = {m: descs[m].f_ca for m in MODES}
-                        neg_map[uid] = [
-                            {m: T.Tensor(cache[nid][m]) for m in MODES}
-                            for nid in neg_ids[uid]]
-                        for m in MODES:
-                            per_mode[m].append((descs[m].probs, utt.label))
-                l_ace = ace_loss(desc_map, neg_map, len(pool), config.tau,
-                                 config.nce_form)
-                l_fl = averaged_focal(per_mode, config.gamma, config.focal_form)
+                descs = utterance_descriptors(pipeline, utts)
+                l_ace = ace_loss({m: descs[m].f_ca for m in MODES},
+                                 {m: cache[m][negs] for m in MODES},
+                                 len(pool), config.tau, config.nce_form)
+                l_fl = averaged_focal({m: [(descs[m].probs, labels)] for m in MODES},
+                                      config.gamma, config.focal_form)
                 report = combined_loss(l_ace, l_fl)
             if not math.isfinite(report.total.item()):
                 raise _wrap_numeric(1, bi, batch)
@@ -146,13 +149,13 @@ def per_mode_accuracy(pipeline: Pipeline, dialogues) -> dict:
     """Accuracy of each mode's own classification head, pre-fusion."""
     correct = {m: 0 for m in MODES}
     n = 0
-    for d in dialogues:
-        for utt in d.utterances:
-            descs = utterance_descriptors(pipeline, utt)
-            n += 1
-            for m in MODES:
-                if int(np.argmax(descs[m].probs.values[0])) == utt.label:
-                    correct[m] += 1
+    for part in _chunks(list(dialogues), pipeline.config.batch_size):
+        utts = all_utterances(part)
+        labels = np.array([u.label for u in utts])
+        descs = utterance_descriptors(pipeline, utts)
+        n += len(utts)
+        for m in MODES:
+            correct[m] += int((np.argmax(descs[m].probs.values, axis=1) == labels).sum())
     if n == 0:
         return {m: 0.0 for m in MODES}
     return {m: correct[m] / n for m in MODES}
@@ -165,8 +168,9 @@ def _alpha_estimates(pipeline: Pipeline, val_dlgs, config: RunConfig):
     """Per-validation-utterance coefficient estimates from loss gradients.
 
     Returns (estimates: uid -> (a1, a2), labels: uid -> class predicted
-    under the current coefficients, frozen per-dialogue descriptor cache
-    for cheap re-prediction under candidate coefficients).
+    under the current coefficients, cache: uid -> (its dialogue, that
+    dialogue's frozen mode -> n x d descriptors) for cheap re-prediction
+    under candidate coefficients).
     """
     estimates = {}
     labels = {}
@@ -181,54 +185,48 @@ def _alpha_estimates(pipeline: Pipeline, val_dlgs, config: RunConfig):
                 fused, [u.speaker_id for u in d.utterances],
                 [u.utterance_id for u in d.utterances],
                 pipeline.context, config.eval_mode)
-            loss = focal_mean([(pr.probs, utt.label)
-                               for utt, pr in zip(d.utterances, preds)],
+            loss = focal_mean([(preds.probs, [u.label for u in d.utterances])],
                               config.gamma, config.focal_form)
         T.backward(loss, tape)
-        for utt, dd, pr in zip(d.utterances, descs, preds):
-            ft = dd["text"].f_ca
-            fv = dd["video"].f_ca
-            fa = dd["audio"].f_ca
-            gv = fv.grad if fv.grad is not None else np.zeros_like(fv.values)
-            ga = fa.grad if fa.grad is not None else np.zeros_like(fa.values)
-            a1 = estimate_alpha_pair(ft.values, fv.values, gv, eps)
+        f = {m: descs.batch[m].f_ca for m in MODES}
+        grads = {m: f[m].grad if f[m].grad is not None else np.zeros_like(f[m].values)
+                 for m in MODES}
+        frozen = {m: f[m].values.copy() for m in MODES}
+        for i, utt in enumerate(d.utterances):
+            ft, fv, fa = (frozen[m][i] for m in ("text", "video", "audio"))
+            a1 = estimate_alpha_pair(ft, fv, grads["video"][i], eps)
             # the second scalar weighs the text/video mixture against audio
-            mix = cur_a1 * ft.values + (1.0 - cur_a1) * fv.values
-            a2 = estimate_alpha_pair(mix, fa.values, ga, eps)
+            mix = cur_a1 * ft + (1.0 - cur_a1) * fv
+            a2 = estimate_alpha_pair(mix, fa, grads["audio"][i], eps)
             estimates[utt.utterance_id] = (a1, a2)
-            labels[utt.utterance_id] = pr.label
-            cache[utt.utterance_id] = (d, {m: dd[m].f_ca.values.copy()
-                                           for m in MODES})
+            labels[utt.utterance_id] = preds.labels[i]
+            cache[utt.utterance_id] = (d, frozen)
         T.zero_grad(named_parameters(pipeline).values())
     return estimates, labels, cache
 
 
 def _reclassify(pipeline: Pipeline, dialogue, frozen, alphas, config, uid):
-    """Predict one utterance from frozen descriptors under given coefficients."""
-    pairwise = alphas.pairwise()
-    fused = []
-    for utt in dialogue.utterances:
-        descs = {m: T.Tensor(frozen[utt.utterance_id][m]) for m in MODES}
-        fused.append(adaptive_fuse(descs, pairwise))
+    """Predict one utterance from its dialogue's frozen descriptors under
+    given coefficients."""
+    fused = adaptive_fuse({m: T.Tensor(frozen[m]) for m in MODES}, alphas.pairwise())
     preds = classify_dialogue(fused, [u.speaker_id for u in dialogue.utterances],
                               [u.utterance_id for u in dialogue.utterances],
                               pipeline.context, config.eval_mode)
-    for utt, pr in zip(dialogue.utterances, preds):
+    for utt, label in zip(dialogue.utterances, preds.labels):
         if utt.utterance_id == uid:
-            return pr.label
+            return label
     raise ContractError(f"utterance {uid} not present in its own dialogue")
 
 
 def _update_alphas_from_val(pipeline: Pipeline, val_dlgs, config: RunConfig) -> dict:
     estimates, labels, cache = _alpha_estimates(pipeline, val_dlgs, config)
-    frozen = {uid: arrs for uid, (_, arrs) in cache.items()}
     current = pipeline.alphas
 
     def predict(uid, alpha_state):
         if alpha_state == current:
             # the estimate pass already classified under these coefficients
             return labels[uid]
-        dialogue = cache[uid][0]
+        dialogue, frozen = cache[uid]
         return _reclassify(pipeline, dialogue, frozen, alpha_state, config, uid)
 
     chosen = select_informative_samples(
@@ -259,15 +257,18 @@ def _stage2_epoch(pipeline: Pipeline, adam: AdamState, rng: Rng,
         tape = T.Tape()
         try:
             with T.recording(tape):
+                fused, _ = fuse_utterances(pipeline, all_utterances(batch), pairwise)
                 pairs = []
+                start = 0
                 for d in batch:
-                    fused, _ = fuse_dialogue(pipeline, d, pairwise)
+                    stop = start + len(d.utterances)
                     preds = classify_dialogue(
-                        fused, [u.speaker_id for u in d.utterances],
+                        T.slice_rows(fused, start, stop),
+                        [u.speaker_id for u in d.utterances],
                         [u.utterance_id for u in d.utterances],
                         pipeline.context, config.eval_mode)
-                    pairs.extend((pr.probs, utt.label)
-                                 for utt, pr in zip(d.utterances, preds))
+                    pairs.append((preds.probs, [u.label for u in d.utterances]))
+                    start = stop
                 loss = focal_mean(pairs, config.gamma, config.focal_form)
             if not math.isfinite(loss.item()):
                 raise _wrap_numeric(2, bi, batch)
@@ -296,11 +297,16 @@ def _truncate_log(path, stage: int, epoch: int) -> None:
     kept = []
     if os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, start=1):
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError:
                     break  # a line cut short by the interruption
+                if not isinstance(rec, dict) or not all(
+                        isinstance(rec.get(k), int) and not isinstance(rec[k], bool)
+                        for k in ("stage", "epoch")):
+                    raise DataError(f"{path} line {line_no}: expected a log record "
+                                    f"with integer stage and epoch, got {line.strip():.60}")
                 if (rec["stage"], rec["epoch"]) > (stage, epoch):
                     break
                 kept.append(line)

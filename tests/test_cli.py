@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: artifacts, determinism, exit codes."""
+import dataclasses
 import json
 import os
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from emofuse.cli import ALPHA_SETTINGS, main, run_ablation
 from emofuse.config import RunConfig
-from emofuse.data import load_dataset
+from emofuse.data import SynthSpec, load_dataset
 from emofuse.errors import ConfigError
 from emofuse.model import encode_array
 
@@ -206,6 +207,41 @@ def test_malformed_dataset_is_data_error(tmp_path, capsys, record, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("line", ['{"x": 1}', "5"], ids=["no-stage", "bare-number"])
+def test_malformed_log_line_on_resume_is_data_error(workdir, tmp_path, capsys, line):
+    out = tmp_path / "r"
+    out.mkdir()
+    ck = out / "checkpoint.json"
+    ck.write_bytes((workdir["run"] / "checkpoint.json").read_bytes())
+    log = (workdir["run"] / "train_log.jsonl").read_text().splitlines(keepends=True)
+    (out / "train_log.jsonl").write_text(log[0] + line + "\n" + "".join(log[1:]))
+    rc = main(["train", "--data", workdir["data"], "--resume", str(ck),
+               "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "train_log.jsonl line 2: expected a log record" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, config, message", [
+    ({"num_classes": "a"}, None, "num_classes must be an integer, got 'a'"),
+    ({"text_len": 5}, None, "text_len must be a list of two integers"),
+    ({"num_dialogues": 2.5}, None, "num_dialogues must be an integer, got 2.5"),
+    (None, {"encoder_out": 2.5}, "encoder_out must be an integer, got 2.5"),
+], ids=["string-classes", "scalar-range", "float-dialogues", "float-encoder-out"])
+def test_mistyped_spec_or_config_is_usage_error(workdir, tmp_path, capsys, spec, config,
+                                                message):
+    if spec is not None:
+        argv = ["synth", "--spec", write_json(tmp_path / "spec.json", spec)]
+    else:
+        argv = ["train", "--data", workdir["data"],
+                "--config", write_json(tmp_path / "config.json", config)]
+    rc = main(argv + ["--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err and "Traceback" not in err
+
+
 def _with_param(blob, name, value):
     blob["params"][name] = value
     return blob
@@ -320,6 +356,46 @@ def test_mutated_checkpoint_never_escapes(workdir, data):
     assert rc in (0, 2, 3, 4)
 
 
+_SPEC = {"num_classes": 3, "num_dialogues": 3, "utterances_per_dialogue": [1, 3],
+         "text_len": [1, 3], "video_len": [1, 2], "audio_len": [1, 3],
+         "separation": 4.0, "informativeness": [1.0, 1.0, 1.0], "seed": 3}
+# small replacement values, so that no mutated spec synthesises a large
+# corpus, led by one of each JSON type a field may wrongly get
+_SMALL = st.sampled_from([None, True, 0, -1, 2.5, "a", [], [1, 2], [2.5, 3], {"a": 1}]) | \
+    st.integers(-10, 10) | st.floats(-10.0, 10.0, allow_nan=False) | st.text(max_size=3) | \
+    st.lists(st.integers(-10, 10) | st.floats(-10.0, 10.0, allow_nan=False), max_size=4)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_mutated_config_and_spec_never_escape(workdir, data):
+    """One deleted or replaced key of a spec (through synth) or a config
+    (through eval against the tiny run): a clean exit code, never a crash."""
+    fuzz = workdir["root"] / "fuzz-config"
+    fuzz.mkdir(exist_ok=True)
+    is_spec = data.draw(st.booleans())
+    doc = dict(_SPEC if is_spec else TINY)
+    key = data.draw(st.sampled_from(
+        [f.name for f in dataclasses.fields(SynthSpec if is_spec else RunConfig)]))
+    if key in doc and data.draw(st.booleans()):
+        del doc[key]
+    else:
+        doc[key] = data.draw(_SMALL)
+    path = write_json(fuzz / "doc.json", doc)
+    if is_spec:
+        runs = [["synth", "--spec", path]]
+    else:
+        # eval stops at the config hash check, so the config also builds a
+        # pipeline through train, with no epochs unless those were mutated
+        epochs = {k: 0 for k in ("stage1_epochs", "stage2_epochs") if k != key}
+        runs = [["eval", "--checkpoint", str(workdir["run"] / "checkpoint.json"),
+                 "--data", workdir["data"], "--config", path],
+                ["train", "--data", workdir["data"],
+                 "--config", write_json(fuzz / "train.json", dict(doc, **epochs))]]
+    for argv in runs:
+        assert main(argv + ["--out", str(fuzz / "out"), "--quiet"]) in (0, 2, 3, 4)
+
+
 # ---------------------------------------------------------------------------
 # explain / ablate
 
@@ -333,6 +409,17 @@ def test_explain_single_utterance(workdir, tmp_path):
     assert "index.json" in names
     assert any(n.endswith(".svg") for n in names)
     assert any(n.endswith(".json") and n != "index.json" for n in names)
+
+
+@pytest.mark.parametrize("samples", [0, 3])
+def test_explain_too_few_samples_is_usage_error(workdir, tmp_path, capsys, samples):
+    # below 2, or below the 3 mode groups + 1, no surrogate can be fitted
+    ck = str(workdir["run"] / "checkpoint.json")
+    rc = main(["explain", "--checkpoint", ck, "--input", workdir["data"],
+               "--samples", str(samples), "--out", str(tmp_path), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"--samples must be at least 4 (mode groups + 1), got {samples}" in err
 
 
 def test_explain_missing_utterance_is_data_error(workdir, tmp_path):

@@ -15,7 +15,7 @@ from emofuse.rng import Rng
 
 
 def fused(rng, n, d=4):
-    return [T.Tensor(rng.uniform_array((1, d), -1.0, 1.0)) for _ in range(n)]
+    return T.Tensor(rng.uniform_array((n, d), -1.0, 1.0))
 
 
 def params(d=4, seed=1, c=3, state=3):
@@ -30,7 +30,7 @@ def test_single_speaker_subsequence_is_whole_dialogue():
     seq = fused(Rng(2), 3)
     index_map, rows = speaker_subsequence(seq, ["s1", "s1", "s1"], "s1")
     assert index_map == [0, 1, 2]
-    assert [id(t) for t in rows] == [id(t) for t in seq]
+    assert np.array_equal(rows.values, seq.values)
 
 
 def test_absent_speaker_lists_known():
@@ -43,7 +43,7 @@ def test_alternating_speakers_indices():
     seq = fused(Rng(4), 4)
     index_map, rows = speaker_subsequence(seq, ["a", "b", "a", "b"], "a")
     assert index_map == [0, 2]
-    assert len(rows) == 2
+    assert np.array_equal(rows.values, seq.values[[0, 2]])
 
 
 # ---------------------------------------------------------------------------
@@ -54,12 +54,12 @@ def joined_states(monkeypatch, seq, speakers, p):
     seen = []
     head = context.predict_emotion
 
-    def spy(e_l, params, utterance_id="?"):
-        seen.append(e_l)
-        return head(e_l, params, utterance_id)
+    def spy(e, params, utterance_ids=None):
+        seen.extend(T.Tensor(row[None]) for row in e.values)
+        return head(e, params, utterance_ids)
 
     monkeypatch.setattr(context, "predict_emotion", spy)
-    classify_dialogue(seq, speakers, [f"u{i}" for i in range(len(seq))], p)
+    classify_dialogue(seq, speakers, [f"u{i}" for i in range(seq.shape[0])], p)
     return seen
 
 
@@ -87,10 +87,9 @@ def test_matches_composed_lstm_oracle(monkeypatch):
     seq = fused(Rng(8), 4)
     states = joined_states(monkeypatch, seq, ["a", "b", "a", "a"], p)
 
-    d_states = bilstm_forward(p.dialogue_lstm, T.concat_rows(seq)).values
+    d_states = bilstm_forward(p.dialogue_lstm, seq).values
     for turns in ([0, 2, 3], [1]):
-        s_states = bilstm_forward(p.speaker_lstm,
-                                  T.concat_rows([seq[i] for i in turns])).values
+        s_states = bilstm_forward(p.speaker_lstm, T.Tensor(seq.values[turns])).values
         for l, i in enumerate(turns):
             want = np.hstack([s_states[l:l + 1], d_states[i:i + 1]])
             assert np.allclose(states[i].values, want, atol=1e-10)
@@ -104,7 +103,7 @@ def test_width_is_sum_of_branch_widths(monkeypatch):
 
 def test_empty_sequences_rejected():
     with pytest.raises(ContractError):
-        classify_dialogue([], [], [], params())
+        classify_dialogue(T.Tensor(np.zeros((0, 4))), [], [], params())
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +114,7 @@ def test_zero_head_uniform_distribution():
     p.head_w.values[:] = 0.0
     p.head_b.values[:] = 0.0
     e = T.Tensor(Rng(10).uniform_array((1, 6), -1.0, 1.0))
-    pred = predict_emotion(e, p)
+    pred = predict_emotion(e, p)[0]
     assert np.allclose(pred.probs.values, 0.25, atol=1e-12)
     assert pred.label == 0  # tie broken toward lowest index
 
@@ -126,7 +125,7 @@ def test_known_logits_probabilities():
     p.head_w.values[:] = np.array([[math.log(3.0), 0.0], [0.0, 0.0]])
     p.head_b.values[:] = 0.0
     e = T.Tensor([[1.0, 0.0]])
-    pred = predict_emotion(e, p)
+    pred = predict_emotion(e, p)[0]
     assert np.allclose(pred.probs.values[0], [0.75, 0.25], atol=1e-12)
     assert pred.label == 0
 
@@ -134,9 +133,9 @@ def test_known_logits_probabilities():
 def test_argmax_invariant_to_logit_shift():
     p = params(c=3)
     e = T.Tensor(Rng(11).uniform_array((1, 6), -1.0, 1.0))
-    base = predict_emotion(e, p).label
+    base = predict_emotion(e, p).labels
     p.head_b.values[:] += 5.0
-    assert predict_emotion(e, p).label == base
+    assert predict_emotion(e, p).labels == base
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +182,11 @@ def test_classify_validates():
 def test_gradient_through_context_classifier():
     p = params(seed=19, state=2)
     seq = fused(Rng(20), 2)
-    x = T.Tensor(seq[0].values.copy(), requires_grad=True)
+    x = T.Tensor(seq.values[:1].copy(), requires_grad=True)
 
     def f(t):
-        preds = classify_dialogue([t, seq[1]], ["a", "b"], ["u0", "u1"], p)
+        preds = classify_dialogue(T.concat_rows([t, T.slice_rows(seq, 1, 2)]),
+                                  ["a", "b"], ["u0", "u1"], p)
         return T.pick(preds[0].probs, 0, 1)
 
     assert T.finite_diff_check(f, x, step=1e-5) < 1e-4

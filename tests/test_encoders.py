@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from emofuse import tensor as T
 from emofuse.encoders import (AttentionStackParams, EncoderConfig, MODES,
                               bilstm_forward, encode_mode, init_bilstm,
-                              init_encoders, self_attention_stack)
+                              init_encoders, pad_streams, self_attention_stack)
 from emofuse.errors import ContractError, DataError, ShapeError
 from emofuse.rng import Rng
 
@@ -127,80 +127,103 @@ def cfg():
 
 def feats(rng, p=4, n=2, e=3):
     return {
-        "text": seq_t(rng, p, 5),
-        "video_face": seq_t(rng, n, 4),
-        "video_back": seq_t(rng, n, 4),
-        "audio": seq_t(rng, e, 3),
+        "text": rng.uniform_array((p, 5), -1.0, 1.0),
+        "video_face": rng.uniform_array((n, 4), -1.0, 1.0),
+        "video_back": rng.uniform_array((n, 4), -1.0, 1.0),
+        "audio": rng.uniform_array((e, 3), -1.0, 1.0),
     }
+
+
+def batch_of(*utts):
+    return pad_streams(list(utts), [f"u{i}" for i in range(len(utts))])
+
+
+def pooled(full, mask):
+    """Mean over each utterance's real rows."""
+    w = mask / mask.sum(axis=1, keepdims=True)
+    return (full.values * w[:, :, None]).sum(axis=1)
 
 
 def test_video_attention_spans_both_streams():
     enc = init_encoders(cfg(), Rng(15))
-    full, pooled = encode_mode(enc["video"], feats(Rng(16), n=1))
-    assert full.shape == (2, 6)
-    assert pooled.shape == (1, 6)
+    full, mask = encode_mode(enc["video"], batch_of(feats(Rng(16), n=1)))
+    assert full.shape == (1, 2, 6)
+    assert mask.tolist() == [[True, True]]
 
 
 def test_zero_params_zero_pooled():
     enc = init_encoders(cfg(), Rng(17))
     for mode in MODES:
         zero_params(enc[mode])
-        _, pooled = encode_mode(enc[mode], feats(Rng(18)))
-        assert np.all(pooled.values == 0.0)
+        assert np.all(pooled(*encode_mode(enc[mode], batch_of(feats(Rng(18))))) == 0.0)
 
 
 def test_pooled_equals_column_means():
+    # padding never leaks: in a ragged batch each utterance's real rows are
+    # the rows it gets alone, so its pooled row is their column means
     enc = init_encoders(cfg(), Rng(19))
+    utts = [feats(Rng(20), p=4, n=2, e=3), feats(Rng(21), p=1, n=3, e=5),
+            feats(Rng(22), p=6, n=1, e=1)]
     for mode in MODES:
-        full, pooled = encode_mode(enc[mode], feats(Rng(20)))
-        assert np.allclose(pooled.values[0], full.values.mean(axis=0), atol=1e-12)
+        full, mask = encode_mode(enc[mode], batch_of(*utts))
+        rows = pooled(full, mask)
+        for b, u in enumerate(utts):
+            alone, _ = encode_mode(enc[mode], batch_of(u))
+            assert np.allclose(full.values[b][mask[b]], alone.values[0], atol=1e-12)
+            assert np.allclose(rows[b], alone.values[0].mean(axis=0), atol=1e-12)
 
 
 def test_missing_stream_names_utterance():
-    enc = init_encoders(cfg(), Rng(21))
     f = feats(Rng(22))
     del f["video_back"]
     with pytest.raises(DataError, match="utt7.*video_back"):
-        encode_mode(enc["video"], f, utt_id="utt7")
+        pad_streams([f], ["utt7"])
 
 
 def test_video_stream_length_mismatch():
-    enc = init_encoders(cfg(), Rng(23))
     f = feats(Rng(24))
-    f["video_back"] = seq_t(Rng(25), 3, 4)
+    f["video_back"] = Rng(25).uniform_array((3, 4), -1.0, 1.0)
     with pytest.raises(ContractError):
-        encode_mode(enc["video"], f)
+        batch_of(f)
 
 
 @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=10 ** 6))
 @settings(max_examples=25, deadline=None)
 def test_output_dims_for_random_lengths(n, seed):
     enc = init_encoders(cfg(), Rng(26))
-    f = feats(Rng(seed), p=n, n=n, e=n)
+    batch = batch_of(feats(Rng(seed), p=n, n=n, e=n), feats(Rng(seed + 1), p=1, n=1, e=1))
     for mode, rows in (("text", n), ("video", 2 * n), ("audio", n)):
-        full, pooled = encode_mode(enc[mode], f)
-        assert full.shape == (rows, 6)
-        assert pooled.shape == (1, 6)
+        full, mask = encode_mode(enc[mode], batch)
+        assert full.shape == (2, rows, 6)
+        assert mask.sum(axis=1).tolist() == [rows, rows // n]
 
 
 def test_encoder_gradients_pass_finite_diff():
     config = EncoderConfig(text_in=3, video_in=3, audio_in=3,
                            out=4, lstm_hidden=2, attention_layers=1)
     enc = init_encoders(config, Rng(27))
-    x = T.Tensor(Rng(28).uniform_array((3, 3), -1.0, 1.0), requires_grad=True)
-    probe = T.Tensor(Rng(29).uniform_array((1, 4), -1.0, 1.0))
+    # two utterances of lengths 3 and 1, the second padded
+    x = T.Tensor(Rng(28).uniform_array((2, 3, 3), -1.0, 1.0), requires_grad=True)
+    lengths = np.array([3, 1])
+    probe = T.Tensor(Rng(29).uniform_array((2, 3, 4), -1.0, 1.0))
 
     def head(t):
-        _, pooled = encode_mode(enc["text"], {"text": t})
-        return T.sum_all(T.mul(pooled, probe))
+        full, mask = encode_mode(enc["text"], {"text": (t, lengths)})
+        return T.sum_all(T.mul(T.mul(full, T.Tensor(mask[:, :, None] * 1.0)), probe))
 
     assert T.finite_diff_check(head, x, step=1e-5) < 1e-4
+    # padded input rows get exactly zero gradient
+    tape = T.Tape()
+    with T.recording(tape):
+        loss = head(x)
+    T.backward(loss, tape)
+    assert np.all(x.grad[1, 1:] == 0.0) and np.any(x.grad[0] != 0.0)
 
     # and through a parameter
     w = enc["text"].lstms["main"].wx_f
 
     def head_w(t):
-        _, pooled = encode_mode(enc["text"], {"text": x})
-        return T.sum_all(T.mul(pooled, probe))
+        full, mask = encode_mode(enc["text"], {"text": (x, lengths)})
+        return T.sum_all(T.mul(T.mul(full, T.Tensor(mask[:, :, None] * 1.0)), probe))
 
     assert T.finite_diff_check(head_w, w, step=1e-5) < 1e-4

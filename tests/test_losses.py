@@ -262,19 +262,25 @@ def test_focal_mean_is_one_column_of_terms():
     pairs = [(probs_for(i % 3, p=rng.uniform(0.2, 0.9)), i % 3) for i in range(5)]
     want = sum(focal_term(pr.values[0, lab], 0.5) for pr, lab in pairs) / 5
     sizes = []
-    for n in (1, 5):
-        # the tape grows by one gather per term and a fixed count for the rest
+    for n in (2, 5):
+        # a one-hot gather: the tape holds a fixed count whatever the term count
         probs = [T.Tensor(pr.values, requires_grad=True) for pr, _ in pairs[:n]]
         tape = T.Tape()
         with T.recording(tape):
             got = focal_mean([(pr, lab) for pr, (_, lab) in zip(probs, pairs)], 0.5)
-        sizes.append(len(tape) - n)
+        sizes.append(len(tape))
     assert got.item() == pytest.approx(want, abs=1e-12)
     assert sizes[0] == sizes[1]
+    # one block of rows with a label per row is the same column of terms
+    block = T.Tensor(np.vstack([pr.values for pr, _ in pairs]))
+    assert focal_mean([(block, [lab for _, lab in pairs])], 0.5).item() == \
+        pytest.approx(want, abs=1e-12)
     with pytest.raises(ContractError):
         focal_mean([], 1.0)
     with pytest.raises(ContractError):
         focal_mean([(probs_for(0), 3)], 1.0)
+    with pytest.raises(ContractError):
+        focal_mean([(block, [0, 1])], 1.0)
 
 
 def test_averaged_rejects_unbalanced():

@@ -11,9 +11,11 @@ from emofuse.encoders import MODES
 from emofuse.errors import ConfigError, DataError
 from emofuse.explain import PerturbationConfig
 from emofuse.fusion import AlphaState
+from emofuse.rng import Rng
 from emofuse.losses import ace_loss, averaged_focal, combined_loss
 from emofuse.model import (encode_array, evaluate, explain_utterance,
-                           fuse_dialogue, init_pipeline, load_checkpoint,
+                           fuse_dialogue, fuse_utterances, init_pipeline,
+                           load_checkpoint,
                            named_parameters, pairwise_coefficients,
                            predict_dialogue, require_same_config,
                            save_checkpoint, stage1_parameters,
@@ -104,8 +106,10 @@ def test_utterance_descriptor_shapes(pipeline, corpus):
 def test_fused_width_and_prediction_count(pipeline, corpus):
     d = corpus[1]
     fused, descs = fuse_dialogue(pipeline, d)
-    assert len(fused) == len(d.utterances) == len(descs)
-    assert all(f.shape == (1, 3 * pipeline.config.descriptor_dim) for f in fused)
+    assert len(d.utterances) == len(descs)
+    assert fused.shape == (len(d.utterances), 3 * pipeline.config.descriptor_dim)
+    assert all(dd[m].f_ca.shape == (1, pipeline.config.descriptor_dim)
+               for dd in descs for m in MODES)
     preds = predict_dialogue(pipeline, d)
     assert [p.utterance_id for p in preds] == \
         [u.utterance_id for u in d.utterances]
@@ -241,3 +245,54 @@ def test_tape_records_per_training_utterance(corpus, pipeline):
                               cfg.gamma, cfg.focal_form)
         combined_loss(l_ace, l_fl)
     assert len(tape) <= 227
+
+
+def test_batch_equals_its_members_as_batches_of_one(corpus, pipeline):
+    # padding never leaks into a real row: descriptors, fused rows and both
+    # losses of a ragged batch match each utterance run alone
+    cfg = pipeline.config
+    utts = [u for d in corpus for u in d.utterances][:7]
+    batch = utterance_descriptors(pipeline, utts)
+    singles = [utterance_descriptors(pipeline, u) for u in utts]
+    for m in MODES:
+        for field in ("f_ca", "probs"):
+            want = np.vstack([getattr(s[m], field).values for s in singles])
+            assert np.allclose(getattr(batch[m], field).values, want, atol=1e-12, rtol=0)
+    pairwise = pairwise_coefficients(pipeline)
+    fused, _ = fuse_utterances(pipeline, utts, pairwise)
+    for i, u in enumerate(utts):
+        alone, _ = fuse_utterances(pipeline, [u], pairwise)
+        assert np.allclose(fused.values[i], alone.values[0], atol=1e-12, rtol=0)
+    negs = {m: Rng(3).uniform_array((len(utts), 2, cfg.descriptor_dim), -1.0, 1.0)
+            for m in MODES}
+    l_ace = ace_loss({m: batch[m].f_ca for m in MODES}, negs, 20, cfg.tau)
+    per_utt = {u.utterance_id: {m: s[m].f_ca for m in MODES}
+               for u, s in zip(utts, singles)}
+    per_utt_negs = {u.utterance_id: [{m: T.Tensor(negs[m][i, j:j + 1]) for m in MODES}
+                                     for j in range(2)] for i, u in enumerate(utts)}
+    assert abs(l_ace.item() - ace_loss(per_utt, per_utt_negs, 20, cfg.tau).item()) <= 1e-12
+    labels = [u.label for u in utts]
+    l_fl = averaged_focal({m: [(batch[m].probs, labels)] for m in MODES}, cfg.gamma)
+    per_one = averaged_focal({m: [(s[m].probs, u.label) for u, s in zip(utts, singles)]
+                              for m in MODES}, cfg.gamma)
+    assert abs(l_fl.item() - per_one.item()) <= 1e-12
+
+
+def test_stage1_tape_per_micro_batch_is_bounded():
+    # one default-config micro-batch of 8 dialogues: the forward and both
+    # losses hold a fixed record count, at most 40 per utterance
+    cfg = RunConfig(seed=4)
+    pipeline = init_pipeline(cfg)
+    dialogues = synth_generate(SynthSpec(num_dialogues=cfg.batch_size, seed=5))
+    utts = [u for d in dialogues for u in d.utterances]
+    negs = {m: np.ones((len(utts), cfg.negatives_per_anchor, cfg.descriptor_dim))
+            for m in MODES}
+    tape = T.Tape()
+    with T.recording(tape):
+        descs = utterance_descriptors(pipeline, utts)
+        l_ace = ace_loss({m: descs[m].f_ca for m in MODES}, negs, len(utts), cfg.tau,
+                         cfg.nce_form)
+        l_fl = averaged_focal({m: [(descs[m].probs, [u.label for u in utts])]
+                               for m in MODES}, cfg.gamma, cfg.focal_form)
+        combined_loss(l_ace, l_fl)
+    assert len(tape) <= 40 * len(utts)

@@ -183,9 +183,8 @@ def test_grad_powf_zero_base_is_zero():
 
 
 def test_grad_reductions():
-    for fn in (T.sum_all, T.mean_all, lambda t: T.sum_all(T.mean_rows(t))):
-        worst = fd_cases(lambda rng, shape: (lambda t: fn(t) if fn is not T.mean_rows else fn(t)),
-                         SHAPES5, 41)
+    for fn in (T.sum_all, T.mean_all, lambda t: T.sum_all(T.sum_axis(t, 0))):
+        worst = fd_cases(lambda rng, shape: fn, SHAPES5, 41)
         assert worst < TOL
 
 
@@ -281,6 +280,34 @@ def test_lstm_scan_is_one_record_and_untracked_off_tape():
         T.lstm_scan(xg, rand_t(rng, (3, 8)), range(5))
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_grad_lstm_scan_batched_ragged(reverse):
+    # three rows padded to 4 steps, one of them a single real step
+    rng = Rng(55)
+    hid, n = 2, 4
+    lengths = [4, 1, 3]
+    xg = rand_t(rng, (3, n, 4 * hid), -1.5, 1.5)
+    wh = rand_t(rng, (hid, 4 * hid), -0.8, 0.8)
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    r = readout(rng, (3, n, hid))
+    assert T.finite_diff_check(lambda t: r(T.lstm_scan(t, wh, order, lengths)), xg) < TOL
+    assert T.finite_diff_check(lambda t: r(T.lstm_scan(xg, t, order, lengths)), wh) < TOL
+    tape = T.Tape()
+    with T.recording(tape):
+        out = T.lstm_scan(xg, wh, order, lengths)
+        loss = r(out)
+    assert len(tape) == 3  # the scan is one record however many rows
+    T.backward(loss, tape)
+    for b, m in enumerate(lengths):
+        # padded steps output zero and pass no gradient back
+        assert np.all(out.values[b, m:] == 0.0)
+        assert np.all(xg.grad[b, m:] == 0.0)
+        # every real row is the scan of that sequence alone
+        alone = T.lstm_scan(T.Tensor(xg.values[b, :m]), wh,
+                            range(m - 1, -1, -1) if reverse else range(m))
+        assert np.allclose(out.values[b, :m], alone.values, atol=1e-12)
+
+
 def test_grad_attend_self_attention_form():
     rng = Rng(48)
     x = rand_t(rng, (4, 3))
@@ -315,6 +342,80 @@ def test_grad_attend_score_affine_form():
     assert abs(bi.grad[0, 0]) <= 1e-12
     with pytest.raises(ContractError):
         T.attend(q, k, v, 0.5, sc)
+
+
+def test_grad_attend_batched_self_attention_with_padded_row():
+    rng = Rng(56)
+    x = rand_t(rng, (2, 3, 4))
+    mask = np.array([[True, True, True], [True, True, False]])[:, None, :]
+    r = readout(rng, (2, 3, 4))
+    inv = 0.5
+    assert T.finite_diff_check(lambda t: r(T.attend(t, t, t, inv, mask=mask)), x) < TOL
+    # the padded key gets exactly zero weight: row 1 equals its real part alone
+    out = T.attend(x, x, x, inv, mask=mask).values
+    alone = T.attend(T.Tensor(x.values[1, :2]), T.Tensor(x.values[1, :2]),
+                     T.Tensor(x.values[1, :2]), inv).values
+    assert np.allclose(out[1, :2], alone, atol=1e-12)
+    with pytest.raises(ContractError, match="no real key"):
+        T.attend(x, x, x, inv, mask=np.zeros((2, 1, 3), dtype=bool))
+
+
+def test_grad_attend_batched_score_affine_with_padded_row():
+    # the cross-attention layout: (peripheral, batch) leading axes, a query
+    # broadcast over peripherals, one score affine per peripheral
+    rng = Rng(57)
+    q = rand_t(rng, (2, 3, 4))
+    k, v = rand_t(rng, (2, 2, 3, 4)), rand_t(rng, (2, 2, 3, 2))
+    sc = T.Tensor([[[[1.3]]], [[[0.7]]]], requires_grad=True)
+    bi = T.Tensor([[[[0.2]]], [[[-0.1]]]], requires_grad=True)
+    mask = np.array([[True, True, True], [True, False, False]])[None, :, None, :]
+    r = readout(rng, (2, 2, 3, 2))
+
+    def f(_):
+        return r(T.attend(q, k, v, 0.5, sc, bi, mask))
+
+    for x in (q, k, v, sc):
+        assert T.finite_diff_check(f, x) < TOL
+    tape = T.Tape()
+    with T.recording(tape):
+        loss = f(None)
+    T.backward(loss, tape)
+    assert np.all(np.abs(bi.grad) <= 1e-12)
+    assert np.all(k.grad[:, 1, 1:] == 0.0) and np.all(v.grad[:, 1, 1:] == 0.0)
+
+
+@pytest.mark.parametrize("op", ["affine", "sum_axis", "stack", "split_cols",
+                                "take_rows", "concat_mid"])
+def test_grad_batch_layout_ops(op):
+    rng = Rng(58)
+    x = rand_t(rng, (2, 3, 4))
+    w, b = T.Tensor(rng.uniform_array((4, 2), -1.0, 1.0)), rand_t(rng, (1, 2))
+    other = T.Tensor(rng.uniform_array((2, 3, 4), -1.0, 1.0))
+    f = {"affine": lambda t: T.affine(t, w, b),
+         "sum_axis": lambda t: T.sum_axis(t, (0, 2)),
+         "stack": lambda t: T.stack([t, other, t]),
+         "split_cols": lambda t: T.split_cols(t, 2),
+         "take_rows": lambda t: T.take_rows(t, [1, 0, 1]),
+         "concat_mid": lambda t: T.concat([t, other], 1)}[op]
+    r = readout(rng, f(x).shape)
+    assert T.finite_diff_check(lambda t: r(f(t)), x) < TOL
+    if op == "affine":
+        assert T.finite_diff_check(lambda t: r(T.affine(x, w, t)), b) < TOL
+        assert np.array_equal(T.affine(x, w, b).values, x.values @ w.values + b.values)
+
+
+def test_grad_cosine_rows_per_row_candidates():
+    # P query rows, each against its own K candidates
+    rng = Rng(59)
+    a = rand_t(rng, (3, 4))
+    b = rand_t(rng, (3, 2, 4))
+    r = readout(rng, (3, 2))
+    assert T.finite_diff_check(lambda t: r(T.cosine_rows(t, b)), a) < TOL
+    assert T.finite_diff_check(lambda t: r(T.cosine_rows(a, t)), b) < TOL
+    got = T.cosine_rows(a, b).values
+    for p in range(3):
+        want = T.cosine_rows(T.Tensor(a.values[p:p + 1]), T.Tensor(b.values[p])).values[0]
+        assert np.allclose(got[p], want, atol=1e-15)
 
 
 def test_grad_cosine_rows():
@@ -417,7 +518,7 @@ def test_shared_subexpression_grad():
 
 
 def test_first_gradient_contribution_is_copied():
-    # add() pulls return g itself and mean_rows() a read-only broadcast view;
+    # add() pulls return g itself and sum_axis() a read-only broadcast view;
     # a later contribution to one input must not leak into its sibling
     x = T.Tensor([[1.0, -2.0]], requires_grad=True)
     tape = T.Tape()
@@ -434,9 +535,9 @@ def test_first_gradient_contribution_is_copied():
     tape = T.Tape()
     with T.recording(tape):
         u = T.mul(a, k)            # recorded first, so pulled last
-        w = T.mul(m, T.Tensor([[1.0, 1.0], [1.0, 1.0]]))  # pulled after mean_rows
+        w = T.mul(m, T.Tensor([[1.0, 1.0], [1.0, 1.0]]))  # pulled after sum_axis
         s = T.add(T.add(a, b), u)
-        loss = T.sum_all(T.mul(T.add(s, T.mean_rows(m)), c))
+        loss = T.sum_all(T.mul(T.add(s, T.scale(T.sum_axis(m, 0), 0.5)), c))
         loss = T.add(loss, T.sum_all(w))
     T.backward(loss, tape)
     assert np.array_equal(b.grad, c.values)
