@@ -1,0 +1,110 @@
+"""Check that the working tree writes the same output bytes as a parent commit.
+
+    python3 scripts/same_outputs.py [--parent HEAD]
+
+The parent ref is checked out with ``git worktree add --detach`` into a
+temporary directory. Both trees then run the same CLI commands, each in
+its own output directory:
+
+- ``synth --seed 3``;
+- ``train --seed 3`` for 2 + 2 epochs, then ``eval`` and ``explain
+  --utterance d0000_u00 --samples 40`` on its checkpoint;
+- ``train --seed 5 --split 0.5,0.4,0.1`` for 1 + 2 epochs with batch
+  size 3 and 2 cross-modal heads. Its alphas are learned on a
+  validation split, so the alpha probe and the informative-sample
+  selection run.
+
+Every output file is compared byte for byte and reported on one line.
+The exit status is 1 if any file differs or exists on one side only.
+The worktree is removed at the end. Standard library only.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNS = (
+    ("run1", {"stage1_epochs": 2, "stage2_epochs": 2}, ["--seed", "3"]),
+    ("run2", {"stage1_epochs": 1, "stage2_epochs": 2, "batch_size": 3, "man_heads": 2},
+     ["--seed", "5", "--split", "0.5,0.4,0.1"]),
+)
+
+
+def cli(tree: Path, *args) -> None:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-m", "emofuse.cli", "--quiet", *args],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"emofuse {' '.join(args)} failed in {tree} "
+                         f"(exit {proc.returncode}): {proc.stderr[-500:]}")
+
+
+def produce(tree: Path, out: Path, configs: Path) -> None:
+    """Run every command with the code of ``tree``, writing under ``out``."""
+    data = out / "data" / "dataset.jsonl"
+    cli(tree, "synth", "--seed", "3", "--out", str(out / "data"))
+    for name, _, flags in RUNS:
+        cli(tree, "train", *flags, "--config", str(configs / f"{name}.json"),
+            "--data", str(data), "--out", str(out / name))
+    checkpoint = str(out / "run1" / "checkpoint.json")
+    cli(tree, "eval", "--checkpoint", checkpoint, "--data", str(data),
+        "--out", str(out / "eval"))
+    cli(tree, "explain", "--checkpoint", checkpoint, "--input", str(data),
+        "--utterance", "d0000_u00", "--samples", "40", "--out", str(out / "explain"))
+
+
+def files(top: Path) -> set:
+    return {p.relative_to(top) for p in top.rglob("*") if p.is_file()}
+
+
+def compare(parent: Path, change: Path) -> int:
+    """Print one line per output file; the number that differ."""
+    bad = 0
+    for rel in sorted(files(parent) | files(change)):
+        a, b = parent / rel, change / rel
+        if not (a.exists() and b.exists()):
+            verdict = "only in " + ("parent" if a.exists() else "change")
+        elif a.read_bytes() == b.read_bytes():
+            verdict = "identical"
+        else:
+            verdict = "DIFFERS"
+        bad += verdict != "identical"
+        print(f"{verdict:>14}  {rel}")
+    return bad
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="git ref to compare against")
+    args = parser.parse_args(argv)
+
+    tmp = Path(tempfile.mkdtemp(prefix="same-outputs-"))
+    parent = tmp / "parent"
+    subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", str(parent),
+                    args.parent], check=True, capture_output=True)
+    configs = tmp / "configs"
+    try:
+        configs.mkdir()
+        for name, config, _ in RUNS:
+            (configs / f"{name}.json").write_text(json.dumps(config))
+        produce(parent, tmp / "out-parent", configs)
+        produce(ROOT, tmp / "out-change", configs)
+        bad = compare(tmp / "out-parent", tmp / "out-change")
+    finally:
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(parent)],
+                       capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+    print(f"{bad} file(s) differ from {args.parent}" if bad
+          else f"every output file is identical to {args.parent}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -59,15 +60,24 @@ def _parse_split(text: str):
                           f"got {text!r}") from None
     if len(parts) != 3:
         raise ConfigError("--split needs exactly three fractions")
+    if not all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in parts):
+        raise ConfigError(f"--split fractions must be finite and lie in [0, 1], "
+                          f"got {text!r}")
+    if abs(sum(parts) - 1.0) > 1e-9:
+        raise ConfigError(f"--split fractions must sum to 1, got {text!r}")
     return parts
 
 
-def _parse_subset(text: str):
+def _parse_subset(text: str, num_classes: int):
     try:
-        return [int(p) for p in text.split(",")]
+        classes = [int(p) for p in text.split(",")]
     except ValueError:
         raise ConfigError(f"--subset must be comma-separated class indices, "
                           f"got {text!r}") from None
+    for c in classes:
+        if not 0 <= c < num_classes:
+            raise ConfigError(f"--subset class {c} outside [0, {num_classes})")
+    return classes
 
 
 def check_data_matches(config: RunConfig, dialogues) -> None:
@@ -214,7 +224,8 @@ def cmd_eval(args) -> int:
         require_same_config(ck.pipeline.config, load_config(args.config))
     dialogues = load_dataset(args.data)
     check_data_matches(ck.pipeline.config, dialogues)
-    subset = _parse_subset(args.subset) if args.subset else None
+    subset = _parse_subset(args.subset, ck.pipeline.config.num_classes) \
+        if args.subset else None
     report = evaluate(ck.pipeline, dialogues, subset=subset)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "metrics.json")
@@ -360,6 +371,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        if args.seed is not None and not 0 <= args.seed < 2 ** 64:
+            raise ConfigError(f"--seed must be a u64, got {args.seed}")
         return args.func(args)
     except ConfigError as e:
         print(f"emofuse: configuration error: {e}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 A RunConfig mirrors the knobs of the encoders, cross-modal network,
 fusion, losses, context classifier, and trainer. It loads from a flat
-JSON object, validates by constructing each module's own config, and
-hashes canonically so checkpoints can reject incompatible evaluation.
+JSON object, validates every knob (module sizes by constructing each
+module's own config), and hashes canonically so checkpoints can reject
+incompatible evaluation.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from .context import ContextConfig
 from .encoders import EncoderConfig
 from .errors import ConfigError
-from .losses import LossConfig
+from .losses import FOCAL_FORMS, NCE_FORMS
 from .man import ManConfig
 
 ALPHA_MODES = ("learned", "fixed", "random")
@@ -82,13 +83,25 @@ class RunConfig:
         try:
             self.encoder_config()
             self.man_config()
-            self.loss_config()
             self.context_config()
         except Exception as e:
             raise ConfigError(f"invalid configuration: {e}") from None
         if self.alpha_mode not in ALPHA_MODES:
             raise ConfigError(f"alpha_mode must be one of {ALPHA_MODES}, "
                               f"got {self.alpha_mode!r}")
+        if self.gamma < 0.0:
+            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
+        if self.tau <= 0.0:
+            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if self.negatives_per_anchor < 1:
+            raise ConfigError(f"negatives_per_anchor must be >= 1, "
+                              f"got {self.negatives_per_anchor}")
+        if self.focal_form not in FOCAL_FORMS:
+            raise ConfigError(f"focal_form must be one of {FOCAL_FORMS}, "
+                              f"got {self.focal_form!r}")
+        if self.nce_form not in NCE_FORMS:
+            raise ConfigError(f"nce_form must be one of {NCE_FORMS}, "
+                              f"got {self.nce_form!r}")
         if self.eval_mode not in ("own", "dialogue"):
             raise ConfigError(f"eval_mode must be 'own' or 'dialogue', "
                               f"got {self.eval_mode!r}")
@@ -129,11 +142,6 @@ class RunConfig:
     def man_config(self) -> ManConfig:
         return ManConfig(num_classes=self.num_classes, layers=self.man_layers,
                          heads=self.man_heads, descriptor_dim=self.descriptor_dim)
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(gamma=self.gamma, tau=self.tau,
-                          negatives_per_anchor=self.negatives_per_anchor,
-                          focal_form=self.focal_form, nce_form=self.nce_form)
 
     def context_config(self) -> ContextConfig:
         return ContextConfig(input_dim=3 * self.descriptor_dim,

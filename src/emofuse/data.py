@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ContractError, DataError
 from .rng import Rng
 
@@ -28,9 +27,6 @@ class Utterance:
     speaker_id: str
     label: int
     features: dict  # stream name -> float64 matrix
-
-    def tensor_features(self) -> dict:
-        return {s: T.Tensor(m) for s, m in self.features.items()}
 
 
 @dataclass

@@ -22,27 +22,6 @@ FOCAL_FORMS = ("canonical", "printed")
 NCE_FORMS = ("printed", "standard")
 
 
-@dataclass
-class LossConfig:
-    gamma: float = 1.0
-    tau: float = 0.1
-    negatives_per_anchor: int = 16
-    focal_form: str = "canonical"
-    nce_form: str = "printed"
-
-    def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ContractError("LossConfig.gamma must be >= 0")
-        if self.tau <= 0.0:
-            raise ContractError("LossConfig.tau must be positive")
-        if self.negatives_per_anchor < 1:
-            raise ContractError("LossConfig.negatives_per_anchor must be >= 1")
-        if self.focal_form not in FOCAL_FORMS:
-            raise ContractError(f"LossConfig.focal_form must be one of {FOCAL_FORMS}")
-        if self.nce_form not in NCE_FORMS:
-            raise ContractError(f"LossConfig.nce_form must be one of {NCE_FORMS}")
-
-
 def candidate_distribution(f_query: T.Tensor, candidates, tau: float) -> T.Tensor:
     """Softmax over temperature-scaled cosine similarities, one row per query.
 

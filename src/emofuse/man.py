@@ -18,7 +18,6 @@ heads come from one matmul over column-stacked maps.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,24 +77,6 @@ class ModeManParams:
 class CrossAttendedDescriptor:
     f_ca: T.Tensor   # B x descriptor_dim, one row per utterance
     probs: T.Tensor  # B x num_classes
-
-
-class DescriptorRows(Sequence):
-    """Per-utterance view of a batch's descriptors: item i maps each mode
-    to a one-row CrossAttendedDescriptor, sliced from ``batch`` on access."""
-
-    def __init__(self, batch: dict):
-        self.batch = batch
-
-    def __len__(self):
-        return next(iter(self.batch.values())).f_ca.values.shape[0]
-
-    def __getitem__(self, i):
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return {m: CrossAttendedDescriptor(T.slice_rows(d.f_ca, i, i + 1),
-                                           T.slice_rows(d.probs, i, i + 1))
-                for m, d in self.batch.items()}
 
 
 def init_man(config: ManConfig, encoder_dims: dict, rng: Rng) -> dict:

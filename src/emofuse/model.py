@@ -24,7 +24,7 @@ from .encoders import MODES, encode_mode, init_encoders, pad_streams
 from .errors import ConfigError, ContractError, DataError
 from .explain import Explanation, PerturbationConfig, explain_instance, mode_groups
 from .fusion import AlphaState, adaptive_fuse
-from .man import DescriptorRows, init_man, man_forward
+from .man import CrossAttendedDescriptor, init_man, man_forward
 from .metrics import confusion, metrics_report
 from .rng import Rng
 
@@ -110,23 +110,35 @@ def fuse_utterances(pipeline: Pipeline, utts, pairwise=None):
 
 
 def fuse_dialogue(pipeline: Pipeline, dialogue, pairwise=None):
-    """Fused descriptors for one dialogue, computed as one batch.
-
-    Returns (n x 3d fused tensor in utterance order, per-utterance
-    descriptor dicts as a DescriptorRows view of the batch).
-    """
+    """`fuse_utterances` over one dialogue, its descriptors split into one
+    dict per utterance of mode -> one-row CrossAttendedDescriptor."""
     fused, descs = fuse_utterances(pipeline, dialogue.utterances, pairwise)
-    return fused, DescriptorRows(descs)
+    return fused, [{m: CrossAttendedDescriptor(T.slice_rows(d.f_ca, i, i + 1),
+                                               T.slice_rows(d.probs, i, i + 1))
+                    for m, d in descs.items()} for i in range(fused.shape[0])]
 
 
-def predict_dialogue(pipeline: Pipeline, dialogue, pairwise=None, eval_mode=None):
+def classify_dialogues(pipeline: Pipeline, dialogues, fused: T.Tensor,
+                       eval_mode=None) -> list:
+    """One DialoguePredictions per dialogue, each classified on its own
+    rows of ``fused`` (consecutive dialogues; a lone one owns every row)."""
+    out = []
+    start = 0
+    for d in dialogues:
+        stop = start + len(d.utterances)
+        rows = fused if len(dialogues) == 1 else T.slice_rows(fused, start, stop)
+        out.append(classify_dialogue(rows, [u.speaker_id for u in d.utterances],
+                                     [u.utterance_id for u in d.utterances],
+                                     pipeline.context,
+                                     eval_mode or pipeline.config.eval_mode))
+        start = stop
+    return out
+
+
+def predict_dialogue(pipeline: Pipeline, dialogue):
     """Classify every utterance of a dialogue; returns DialoguePredictions."""
-    fused, _ = fuse_dialogue(pipeline, dialogue, pairwise)
-    return classify_dialogue(fused,
-                             [u.speaker_id for u in dialogue.utterances],
-                             [u.utterance_id for u in dialogue.utterances],
-                             pipeline.context,
-                             eval_mode or pipeline.config.eval_mode)
+    fused, _ = fuse_utterances(pipeline, dialogue.utterances)
+    return classify_dialogues(pipeline, [dialogue], fused)[0]
 
 
 def evaluate(pipeline: Pipeline, dialogues, subset=None) -> dict:
@@ -156,23 +168,19 @@ def explain_utterance(pipeline: Pipeline, dialogue, index: int,
     if not 0 <= index < len(dialogue.utterances):
         raise DataError(f"dialogue {dialogue.dialogue_id} has no utterance "
                         f"index {index}")
-    fused, _ = fuse_dialogue(pipeline, dialogue)
-    speakers = [u.speaker_id for u in dialogue.utterances]
-    utt_ids = [u.utterance_id for u in dialogue.utterances]
-    base = classify_dialogue(fused, speakers, utt_ids, pipeline.context,
-                             pipeline.config.eval_mode)
-    target = base.labels[index]
+    fused, _ = fuse_utterances(pipeline, dialogue.utterances)
+    target = classify_dialogues(pipeline, [dialogue], fused)[0].labels[index]
     groups = mode_groups(MODES, pipeline.config.descriptor_dim)
 
     def predict_fn(x):
         rows = fused.values.copy()
         rows[index] = np.asarray(x, dtype=np.float64).reshape(-1)
-        out = classify_dialogue(T.Tensor(rows), speakers, utt_ids, pipeline.context,
-                                pipeline.config.eval_mode)
+        out = classify_dialogues(pipeline, [dialogue], T.Tensor(rows))[0]
         return float(out.probs.values[index, target])
 
     return explain_instance(fused.values[index:index + 1], predict_fn, groups, pcfg,
-                            utterance_id=utt_ids[index], predicted_label=target)
+                            utterance_id=dialogue.utterances[index].utterance_id,
+                            predicted_label=target)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .context import classify_dialogue
 from .data import all_utterances
 from .encoders import MODES
 from .errors import ContractError, DataError, NumericError
@@ -29,10 +29,10 @@ from .fusion import (adaptive_fuse, estimate_alpha_pair,
                      select_informative_samples, update_alphas)
 from .losses import (ace_loss, averaged_focal, combined_loss, focal_mean,
                      sample_negative_ids)
-from .model import (AdamState, LoadedCheckpoint, Pipeline, evaluate,
-                    fuse_dialogue, fuse_utterances, init_pipeline,
-                    named_parameters, pairwise_coefficients, save_checkpoint,
-                    stage1_parameters, utterance_descriptors)
+from .model import (AdamState, LoadedCheckpoint, Pipeline, classify_dialogues,
+                    evaluate, fuse_utterances, init_pipeline, named_parameters,
+                    pairwise_coefficients, save_checkpoint, stage1_parameters,
+                    utterance_descriptors)
 from .rng import Rng
 
 _TRAIN_STREAM = 7
@@ -71,11 +71,49 @@ def _chunks(seq, size):
         yield seq[i:i + size]
 
 
-def _wrap_numeric(stage: int, batch_index: int, batch):
-    names = [d.dialogue_id for d in batch]
-    return NumericError(
-        f"non-finite value while training stage {stage} batch {batch_index} "
-        f"(dialogues {names})")
+@contextmanager
+def _numeric_guard(where: str):
+    """Turn a non-finite ContractError raised in the block into a
+    NumericError that names ``where``."""
+    try:
+        yield
+    except ContractError as e:
+        if "finite" in str(e):
+            raise NumericError(f"non-finite value while {where}: {e}") from None
+        raise
+
+
+def _taped(where: str, build):
+    """Record ``build()`` on a fresh tape, check that its loss (the first
+    item it returns) is finite, and run backward from it. Returns what
+    ``build`` returned; any non-finite value names ``where``."""
+    tape = T.Tape()
+    with _numeric_guard(where):
+        with T.recording(tape):
+            out = build()
+        if not math.isfinite(out[0].item()):
+            raise NumericError(f"non-finite loss while {where}")
+        T.backward(out[0], tape)
+    return out
+
+
+def _train_epoch(stage: int, order, build, params: dict, adam: AdamState,
+                 config: RunConfig, scale: dict = None) -> dict:
+    """One pass over ``order`` in micro-batches of ``batch_size`` dialogues.
+
+    ``build(batch)`` returns (loss, name -> scalar tensor to log); each
+    batch is one `_taped` pass and one Adam step on ``params``. Returns
+    the epoch mean of every logged scalar.
+    """
+    sums = {}
+    for bi, batch in enumerate(_chunks(order, config.batch_size)):
+        _, logged = _taped(f"training stage {stage} batch {bi} "
+                           f"(dialogues {[d.dialogue_id for d in batch]})",
+                           lambda: build(batch))
+        adam_step(params, adam, config.lr, scale)
+        for k, t in logged.items():
+            sums[k] = sums.get(k, 0.0) + t.item()
+    return {k: v / (bi + 1) for k, v in sums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -102,47 +140,27 @@ def _negative_cache(pipeline: Pipeline, dialogues, k: int, rng: Rng, chunk: int)
 
 def _stage1_epoch(pipeline: Pipeline, adam: AdamState, rng: Rng,
                   train_dlgs, pool, config: RunConfig) -> dict:
-    try:
+    with _numeric_guard("building the stage 1 negative cache"):
         cache, neg_pos = _negative_cache(pipeline, train_dlgs,
                                          config.negatives_per_anchor, rng,
                                          config.batch_size)
-    except ContractError as e:
-        if "finite" in str(e):
-            raise NumericError(f"non-finite value while building the stage 1 "
-                               f"negative cache: {e}") from None
-        raise
     order = list(train_dlgs)
     rng.shuffle(order)
-    sums = {"l_ace": 0.0, "l_fl": 0.0, "total": 0.0}
-    batches = 0
-    for bi, batch in enumerate(_chunks(order, config.batch_size)):
+
+    def build(batch):
         utts = all_utterances(batch)
-        labels = [u.label for u in utts]
         negs = [neg_pos[u.utterance_id] for u in utts]
-        tape = T.Tape()
-        try:
-            with T.recording(tape):
-                descs = utterance_descriptors(pipeline, utts)
-                l_ace = ace_loss({m: descs[m].f_ca for m in MODES},
-                                 {m: cache[m][negs] for m in MODES},
-                                 len(pool), config.tau, config.nce_form)
-                l_fl = averaged_focal({m: [(descs[m].probs, labels)] for m in MODES},
-                                      config.gamma, config.focal_form)
-                report = combined_loss(l_ace, l_fl)
-            if not math.isfinite(report.total.item()):
-                raise _wrap_numeric(1, bi, batch)
-            T.backward(report.total, tape)
-        except ContractError as e:
-            if "finite" in str(e):
-                raise _wrap_numeric(1, bi, batch) from None
-            raise
-        adam_step(stage1_parameters(pipeline), adam, config.lr)
-        T.zero_grad(named_parameters(pipeline).values())
-        sums["l_ace"] += report.l_ace.item()
-        sums["l_fl"] += report.l_fl.item()
-        sums["total"] += report.total.item()
-        batches += 1
-    return {k: v / batches for k, v in sums.items()}
+        descs = utterance_descriptors(pipeline, utts)
+        l_ace = ace_loss({m: descs[m].f_ca for m in MODES},
+                         {m: cache[m][negs] for m in MODES},
+                         len(pool), config.tau, config.nce_form)
+        l_fl = averaged_focal({m: [(descs[m].probs, [u.label for u in utts])]
+                               for m in MODES}, config.gamma, config.focal_form)
+        report = combined_loss(l_ace, l_fl)
+        return report.total, {"l_ace": report.l_ace, "l_fl": report.l_fl,
+                              "total": report.total}
+
+    return _train_epoch(1, order, build, stage1_parameters(pipeline), adam, config)
 
 
 def per_mode_accuracy(pipeline: Pipeline, dialogues) -> dict:
@@ -164,31 +182,35 @@ def per_mode_accuracy(pipeline: Pipeline, dialogues) -> dict:
 # ---------------------------------------------------------------------------
 # stage 2
 
+def _stage2_loss(pipeline: Pipeline, dialogues, pairwise: dict, config: RunConfig):
+    """The focal loss of the context classifier over consecutive dialogues,
+    one batch: (loss, mode -> CrossAttendedDescriptor of every utterance,
+    one DialoguePredictions per dialogue)."""
+    fused, descs = fuse_utterances(pipeline, all_utterances(dialogues), pairwise)
+    preds = classify_dialogues(pipeline, dialogues, fused, config.eval_mode)
+    loss = focal_mean([(p.probs, [u.label for u in d.utterances])
+                       for d, p in zip(dialogues, preds)],
+                      config.gamma, config.focal_form)
+    return loss, descs, preds
+
+
 def _alpha_estimates(pipeline: Pipeline, val_dlgs, config: RunConfig):
     """Per-validation-utterance coefficient estimates from loss gradients.
 
     Returns (estimates: uid -> (a1, a2), labels: uid -> class predicted
     under the current coefficients, cache: uid -> (its dialogue, that
-    dialogue's frozen mode -> n x d descriptors) for cheap re-prediction
-    under candidate coefficients).
+    dialogue's frozen mode -> n x d descriptors, its index there) for
+    cheap re-prediction under candidate coefficients).
     """
-    estimates = {}
-    labels = {}
-    cache = {}
+    estimates, labels, cache = {}, {}, {}
     eps = pipeline.alphas.epsilon
     cur_a1 = pipeline.alphas.alpha_prime_1
+    pairwise = pipeline.alphas.pairwise()
     for d in val_dlgs:
-        tape = T.Tape()
-        with T.recording(tape):
-            fused, descs = fuse_dialogue(pipeline, d, pipeline.alphas.pairwise())
-            preds = classify_dialogue(
-                fused, [u.speaker_id for u in d.utterances],
-                [u.utterance_id for u in d.utterances],
-                pipeline.context, config.eval_mode)
-            loss = focal_mean([(preds.probs, [u.label for u in d.utterances])],
-                              config.gamma, config.focal_form)
-        T.backward(loss, tape)
-        f = {m: descs.batch[m].f_ca for m in MODES}
+        _, descs, (preds,) = _taped(
+            f"running the alpha probe on validation dialogue {d.dialogue_id}",
+            lambda: _stage2_loss(pipeline, [d], pairwise, config))
+        f = {m: descs[m].f_ca for m in MODES}
         grads = {m: f[m].grad if f[m].grad is not None else np.zeros_like(f[m].values)
                  for m in MODES}
         frozen = {m: f[m].values.copy() for m in MODES}
@@ -200,22 +222,10 @@ def _alpha_estimates(pipeline: Pipeline, val_dlgs, config: RunConfig):
             a2 = estimate_alpha_pair(mix, fa, grads["audio"][i], eps)
             estimates[utt.utterance_id] = (a1, a2)
             labels[utt.utterance_id] = preds.labels[i]
-            cache[utt.utterance_id] = (d, frozen)
-        T.zero_grad(named_parameters(pipeline).values())
+            cache[utt.utterance_id] = (d, frozen, i)
+    # the probe steps nothing; its parameter gradients must not reach Adam
+    T.zero_grad(named_parameters(pipeline).values())
     return estimates, labels, cache
-
-
-def _reclassify(pipeline: Pipeline, dialogue, frozen, alphas, config, uid):
-    """Predict one utterance from its dialogue's frozen descriptors under
-    given coefficients."""
-    fused = adaptive_fuse({m: T.Tensor(frozen[m]) for m in MODES}, alphas.pairwise())
-    preds = classify_dialogue(fused, [u.speaker_id for u in dialogue.utterances],
-                              [u.utterance_id for u in dialogue.utterances],
-                              pipeline.context, config.eval_mode)
-    for utt, label in zip(dialogue.utterances, preds.labels):
-        if utt.utterance_id == uid:
-            return label
-    raise ContractError(f"utterance {uid} not present in its own dialogue")
 
 
 def _update_alphas_from_val(pipeline: Pipeline, val_dlgs, config: RunConfig) -> dict:
@@ -226,8 +236,12 @@ def _update_alphas_from_val(pipeline: Pipeline, val_dlgs, config: RunConfig) -> 
         if alpha_state == current:
             # the estimate pass already classified under these coefficients
             return labels[uid]
-        dialogue, frozen = cache[uid]
-        return _reclassify(pipeline, dialogue, frozen, alpha_state, config, uid)
+        # re-predict from the dialogue's frozen descriptors
+        dialogue, frozen, index = cache[uid]
+        fused = adaptive_fuse({m: T.Tensor(frozen[m]) for m in MODES},
+                              alpha_state.pairwise())
+        return classify_dialogues(pipeline, [dialogue], fused,
+                                  config.eval_mode)[0].labels[index]
 
     chosen = select_informative_samples(
         list(estimates), predict, lambda uid: estimates[uid],
@@ -248,40 +262,15 @@ def _stage2_epoch(pipeline: Pipeline, adam: AdamState, rng: Rng,
     pairwise = pairwise_coefficients(pipeline)
     order = list(train_dlgs)
     rng.shuffle(order)
-    total = 0.0
-    batches = 0
     params = named_parameters(pipeline)
     scale = {name: (1.0 if name.startswith("ctx.") else config.fine_tune_scale)
              for name in params}
-    for bi, batch in enumerate(_chunks(order, config.batch_size)):
-        tape = T.Tape()
-        try:
-            with T.recording(tape):
-                fused, _ = fuse_utterances(pipeline, all_utterances(batch), pairwise)
-                pairs = []
-                start = 0
-                for d in batch:
-                    stop = start + len(d.utterances)
-                    preds = classify_dialogue(
-                        T.slice_rows(fused, start, stop),
-                        [u.speaker_id for u in d.utterances],
-                        [u.utterance_id for u in d.utterances],
-                        pipeline.context, config.eval_mode)
-                    pairs.append((preds.probs, [u.label for u in d.utterances]))
-                    start = stop
-                loss = focal_mean(pairs, config.gamma, config.focal_form)
-            if not math.isfinite(loss.item()):
-                raise _wrap_numeric(2, bi, batch)
-            T.backward(loss, tape)
-        except ContractError as e:
-            if "finite" in str(e):
-                raise _wrap_numeric(2, bi, batch) from None
-            raise
-        adam_step(params, adam, config.lr, scale)
-        T.zero_grad(params.values())
-        total += loss.item()
-        batches += 1
-    rec["focal"] = total / batches
+
+    def build(batch):
+        loss = _stage2_loss(pipeline, batch, pairwise, config)[0]
+        return loss, {"focal": loss}
+
+    rec.update(_train_epoch(2, order, build, params, adam, config, scale))
     return rec
 
 

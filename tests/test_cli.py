@@ -66,6 +66,31 @@ def test_bad_split_is_usage_error(workdir, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--split", "nan,0,0"], "--split fractions must be finite"),
+    (["train", "--split", "inf,-inf,1"], "--split fractions must be finite"),
+    (["train", "--split", "0.5,0.5,0.5"], "--split fractions must sum to 1"),
+    (["train", "--split=-0.5,0.5,1.0"], "--split fractions must be finite and lie in [0, 1]"),
+    (["eval", "--subset", "9"], "--subset class 9 outside [0, 4)"),
+    (["eval", "--subset", "0,-1"], "--subset class -1 outside [0, 4)"),
+    (["synth", "--seed", "-1"], "--seed must be a u64, got -1"),
+    (["synth", "--seed", str(2 ** 64)], f"--seed must be a u64, got {2 ** 64}"),
+    (["train", "--seed", "-1"], "--seed must be a u64, got -1"),
+], ids=["split-nan", "split-inf", "split-sum", "split-negative", "subset-high",
+        "subset-negative", "synth-seed-negative", "synth-seed-2**64",
+        "train-seed-negative"])
+def test_malformed_flag_is_usage_error(workdir, tmp_path, capsys, argv, message):
+    where = {"train": ["--data", workdir["data"], "--config", workdir["config"]],
+             "eval": ["--checkpoint", str(workdir["run"] / "checkpoint.json"),
+                      "--data", workdir["data"]],
+             "synth": []}[argv[0]]
+    rc = main(argv + where + ["--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_unknown_spec_key_is_usage_error(tmp_path):
     spec = write_json(tmp_path / "s.json", {"num_dialogs": 3})
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path)]) == 2

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emofuse import tensor as T
-from emofuse.errors import ContractError
-from emofuse.losses import (LossConfig, ace_loss, averaged_focal,
+from emofuse.config import RunConfig
+from emofuse.errors import ConfigError, ContractError
+from emofuse.losses import (ace_loss, averaged_focal,
                             candidate_distribution, combined_loss, focal_loss,
                             focal_mean, nce_loss, sample_negative_ids)
 from emofuse.rng import Rng
@@ -357,10 +358,10 @@ def test_negative_ids_cap_at_pool():
 
 
 def test_loss_config_validation():
-    with pytest.raises(ContractError):
-        LossConfig(gamma=-0.1)
-    with pytest.raises(ContractError):
-        LossConfig(focal_form="unknown")
-    with pytest.raises(ContractError):
-        LossConfig(nce_form="other")
-    assert LossConfig().tau == 0.1
+    # the loss knobs are checked by RunConfig, and a failure names the key
+    for key, value in [("gamma", -0.1), ("tau", 0.0), ("tau", -1.0),
+                       ("negatives_per_anchor", 0), ("focal_form", "unknown"),
+                       ("nce_form", "other")]:
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: value})
+    assert RunConfig(gamma=0.0).tau == 0.1

@@ -259,6 +259,25 @@ def test_numeric_abort_in_negative_cache(monkeypatch):
         run_training(cfg, corpus, [])
 
 
+def test_numeric_abort_in_alpha_probe(monkeypatch):
+    # the probe builds the stage-2 loss on each validation dialogue; a NaN
+    # there must stop training and name the probe and the dialogue
+    tr, va, _ = split(small_corpus(seed=11), (0.6, 0.3, 0.1), 1)
+    cfg = small_config(stage1_epochs=0, stage2_epochs=1, alpha_mode="learned")
+    real, calls = train_mod.focal_mean, []
+
+    def nan_on_first_call(*a, **k):
+        loss = real(*a, **k)
+        calls.append(1)
+        return T.scale(loss, float("nan")) if len(calls) == 1 else loss
+
+    monkeypatch.setattr(train_mod, "focal_mean", nan_on_first_call)
+    with pytest.raises(NumericError,
+                       match=rf"alpha probe on validation dialogue {va[0].dialogue_id}"):
+        run_training(cfg, tr, va)
+    assert len(calls) == 1
+
+
 def test_per_mode_accuracy_bounds():
     corpus = small_corpus()
     pipeline = init_pipeline(small_config())
