@@ -15,8 +15,11 @@ its own output directory:
   selection run.
 
 Every output file is compared byte for byte and reported on one line.
-The exit status is 1 if any file differs or exists on one side only.
-The worktree is removed at the end. Standard library only.
+A differing file that parses as JSON or JSONL with the same structure on
+both sides (the same keys, lengths and strings) also gets the largest
+absolute difference between its paired numbers, so roundoff reads as
+such. The exit status is 1 if any file differs or exists on one side
+only. The worktree is removed at the end. Standard library only.
 """
 from __future__ import annotations
 
@@ -64,19 +67,65 @@ def files(top: Path) -> set:
     return {p.relative_to(top) for p in top.rglob("*") if p.is_file()}
 
 
+def parse_json(path: Path):
+    """The file as one JSON value, or as JSONL (the list of its lines'
+    values); None if it is neither."""
+    try:
+        text = path.read_text(encoding="utf-8")
+        try:
+            return json.loads(text)
+        except ValueError:
+            return [json.loads(line) for line in text.splitlines() if line.strip()]
+    except ValueError:  # also not UTF-8
+        return None
+
+
+def max_abs_diff(a, b):
+    """Largest |a - b| over the paired numbers of two JSON values; None
+    when they differ in anything else."""
+    numbers = (int, float)
+    if isinstance(a, numbers) and isinstance(b, numbers) and \
+            not isinstance(a, bool) and not isinstance(b, bool):
+        return abs(a - b)
+    if type(a) is not type(b):
+        return None
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            return None
+        pairs = [(a[k], b[k]) for k in a]
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            return None
+        pairs = zip(a, b)
+    else:
+        return 0.0 if a == b else None
+    worst = 0.0
+    for x, y in pairs:
+        d = max_abs_diff(x, y)
+        if d is None:
+            return None
+        worst = max(worst, d)
+    return worst
+
+
 def compare(parent: Path, change: Path) -> int:
     """Print one line per output file; the number that differ."""
     bad = 0
     for rel in sorted(files(parent) | files(change)):
         a, b = parent / rel, change / rel
+        note = ""
         if not (a.exists() and b.exists()):
             verdict = "only in " + ("parent" if a.exists() else "change")
         elif a.read_bytes() == b.read_bytes():
             verdict = "identical"
         else:
             verdict = "DIFFERS"
+            docs = parse_json(a), parse_json(b)
+            d = None if None in docs else max_abs_diff(*docs)
+            if d is not None:
+                note = f"  (same structure, max |diff| {d:.3g})"
         bad += verdict != "identical"
-        print(f"{verdict:>14}  {rel}")
+        print(f"{verdict:>14}  {rel}{note}")
     return bad
 
 

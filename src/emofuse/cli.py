@@ -77,6 +77,8 @@ def _parse_subset(text: str, num_classes: int):
     for c in classes:
         if not 0 <= c < num_classes:
             raise ConfigError(f"--subset class {c} outside [0, {num_classes})")
+    if len(set(classes)) != len(classes):
+        raise ConfigError(f"--subset repeats a class, got {text!r}")
     return classes
 
 

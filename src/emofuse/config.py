@@ -130,6 +130,9 @@ class RunConfig:
                         not 0 <= c < self.num_classes:
                     raise ConfigError(f"subset class {c!r} outside "
                                       f"[0, {self.num_classes})")
+            if len(set(self.subset_classes)) != len(self.subset_classes):
+                raise ConfigError(f"subset_classes repeats a class, got "
+                                  f"{self.subset_classes}")
 
     # per-module views -----------------------------------------------------
 

@@ -6,6 +6,11 @@ speaker. Each speaker utterance is represented by the concatenation of
 its speaker-branch state and its dialogue-branch state, then classified
 by a linear softmax head that takes every utterance of the dialogue in
 one matmul.
+
+An explanation asks for one utterance's probability with that
+utterance's descriptor replaced, many times over (`row_query`). Only
+that row changes, so each query is one recurrent step per branch and
+direction, started from the states its neighbours carry in.
 """
 from __future__ import annotations
 
@@ -132,3 +137,58 @@ def classify_dialogue(fused_seq: T.Tensor, speaker_ids, utt_ids, params: Context
     else:
         s_states = T.Tensor(np.zeros(d_states.values.shape))
     return predict_emotion(T.concat_cols([s_states, d_states]), params, utt_ids)
+
+
+def _neighbour_states(lstm: BiLstmParams, seq: T.Tensor, pos: int):
+    """The (h, c) each direction of ``lstm`` carries into row ``pos`` of
+    ``seq``: the forward scan's over the rows before it, the backward
+    scan's over the rows after it (zero at the ends)."""
+    n = seq.values.shape[0]
+    _, fwd = T.lstm_scan(T.affine(T.slice_rows(seq, 0, pos), lstm.wx_f, lstm.b_f),
+                         lstm.wh_f, range(pos), carry=True)
+    _, bwd = T.lstm_scan(T.affine(T.slice_rows(seq, pos + 1, n), lstm.wx_b, lstm.b_b),
+                         lstm.wh_b, range(n - pos - 2, -1, -1), carry=True)
+    return fwd, bwd
+
+
+def _row_state(lstm: BiLstmParams, row: T.Tensor, fwd, bwd) -> T.Tensor:
+    """`bilstm_forward`'s output for one row between its neighbours'
+    carried states: one step per direction, then the projection."""
+    both = T.concat_cols([
+        T.lstm_scan(T.affine(row, lstm.wx_f, lstm.b_f), lstm.wh_f, [0], start=fwd),
+        T.lstm_scan(T.affine(row, lstm.wx_b, lstm.b_b), lstm.wh_b, [0], start=bwd)])
+    return T.affine(both, lstm.proj_w, lstm.proj_b)
+
+
+def row_query(fused_seq: T.Tensor, speaker_ids, index: int, params: ContextParams,
+              label: int, eval_mode: str = "own"):
+    """``predict_fn(x)``: the probability of class ``label`` that
+    `classify_dialogue` gives utterance ``index`` when its fused row is
+    replaced by the 1 x D array ``x``.
+
+    The scans up to the row's neighbours run once, here, in the dialogue
+    branch and (eval_mode "own") the row's speaker branch; the states
+    live only in the returned function. A query then takes one step per
+    branch and direction from them and one head row.
+    """
+    if eval_mode not in ("own", "dialogue"):
+        raise ContractError(f"row_query: unknown eval_mode {eval_mode!r}")
+    if fused_seq.values.shape[0] != len(speaker_ids) or \
+            not 0 <= index < len(speaker_ids):
+        raise ContractError("row_query: need one speaker id per row and a row index")
+    branches = [(params.dialogue_lstm, fused_seq, index)]
+    slot = None  # the speaker slot under eval_mode "dialogue"
+    if eval_mode == "own":
+        index_map, rows = speaker_subsequence(fused_seq, speaker_ids, speaker_ids[index])
+        branches.insert(0, (params.speaker_lstm, rows, index_map.index(index)))
+    else:
+        slot = T.Tensor(np.zeros((1, params.dialogue_lstm.proj_b.values.shape[1])))
+    carried = [(lstm, _neighbour_states(lstm, seq, pos)) for lstm, seq, pos in branches]
+
+    def predict_fn(x) -> float:
+        row = T.Tensor(np.reshape(x, (1, -1)))  # rejects a non-finite row
+        states = [_row_state(lstm, row, fwd, bwd) for lstm, (fwd, bwd) in carried]
+        joined = T.concat_cols(states if slot is None else [slot] + states)
+        return float(predict_emotion(joined, params).probs.values[0, label])
+
+    return predict_fn

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import RunConfig
-from .context import ContextParams, classify_dialogue, init_context
+from .context import ContextParams, classify_dialogue, init_context, row_query
 from .data import Utterance
 from .encoders import MODES, encode_mode, init_encoders, pad_streams
 from .errors import ConfigError, ContractError, DataError
@@ -162,8 +162,9 @@ def explain_utterance(pipeline: Pipeline, dialogue, index: int,
     """Surrogate explanation of one utterance's final-head prediction.
 
     The fused descriptor is perturbed by masking mode blocks; each query
-    re-runs the frozen context classifier over the dialogue with the
-    masked descriptor swapped in at ``index``.
+    is the frozen context classifier's probability for the predicted
+    class with the masked descriptor swapped in at ``index``
+    (`context.row_query`).
     """
     if not 0 <= index < len(dialogue.utterances):
         raise DataError(f"dialogue {dialogue.dialogue_id} has no utterance "
@@ -171,13 +172,8 @@ def explain_utterance(pipeline: Pipeline, dialogue, index: int,
     fused, _ = fuse_utterances(pipeline, dialogue.utterances)
     target = classify_dialogues(pipeline, [dialogue], fused)[0].labels[index]
     groups = mode_groups(MODES, pipeline.config.descriptor_dim)
-
-    def predict_fn(x):
-        rows = fused.values.copy()
-        rows[index] = np.asarray(x, dtype=np.float64).reshape(-1)
-        out = classify_dialogues(pipeline, [dialogue], T.Tensor(rows))[0]
-        return float(out.probs.values[index, target])
-
+    predict_fn = row_query(fused, [u.speaker_id for u in dialogue.utterances], index,
+                           pipeline.context, target, pipeline.config.eval_mode)
     return explain_instance(fused.values[index:index + 1], predict_fn, groups, pcfg,
                             utterance_id=dialogue.utterances[index].utterance_id,
                             predicted_label=target)

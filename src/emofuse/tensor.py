@@ -405,19 +405,25 @@ def _joint_pulls(inputs, adjoint):
     return tuple((t, pull_for(i)) for i, t in enumerate(inputs))
 
 
-def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None) -> Tensor:
+def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None, start=None,
+              carry: bool = False):
     """One LSTM direction over precomputed input projections.
 
     ``xg`` is n x 4H for one sequence, or B x L x 4H for a batch padded
     to L, with ``lengths`` the rows' real lengths (default: all L).
     ``wh`` is the H x 4H recurrent weight, with gate blocks ordered input,
     forget, candidate, output; ``order`` visits every timestep once. The
-    state starts at zero. A padded step (t >= its row's length) carries
-    the state through unchanged, outputs zero and gets a zero adjoint, so
-    a reverse visit starts each row at its own last real step. Returns
-    the hidden states indexed by timestep, not visit order, in the shape
-    of ``xg`` with H columns. The pull runs backpropagation through time
-    into ``xg`` and ``wh``.
+    state starts at ``start``, an (h, c) pair of constant arrays shaped
+    like one row of the output (H, or B x H), or at zero. A padded step
+    (t >= its row's length) carries the state through unchanged, outputs
+    zero and gets a zero adjoint, so a reverse visit starts each row at
+    its own last real step. Returns the hidden states indexed by
+    timestep, not visit order, in the shape of ``xg`` with H columns. The
+    pull runs backpropagation through time into ``xg`` and ``wh``.
+
+    With ``carry``, an untaped scan returns (hidden states, (h, c)), the
+    state it ends in: a scan of the steps that follow, started from it,
+    continues this one exactly.
     """
     xv, whv = xg.values, wh.values
     if xv.ndim not in (2, 3) or xv.shape[-1] % 4 or \
@@ -441,6 +447,8 @@ def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None) -> Tensor:
     rest = 1.0 - half
     # the per-step caches feed only the pull, so an untaped scan skips them
     keep = _TAPE is not None and (xg.requires_grad or wh.requires_grad)
+    if carry and keep:
+        raise ContractError("lstm_scan: a taped scan cannot carry its state out")
     hs = np.zeros((n, hid) + rows)
     if keep:
         gates = np.empty((n, four_h) + rows)
@@ -448,8 +456,15 @@ def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None) -> Tensor:
         c_prev = np.empty((n, hid) + rows)
         h_prev = np.empty((n, hid) + rows)
     wht = whv.T
-    h = np.zeros((hid,) + rows)
-    c = np.zeros((hid,) + rows)
+    if start is None:
+        h = np.zeros((hid,) + rows)
+        c = np.zeros((hid,) + rows)
+    else:
+        # (feature[, row]) like the state the loop carries
+        h, c = (np.ascontiguousarray(np.asarray(s, dtype=np.float64).T) for s in start)
+        if h.shape != (hid,) + rows or c.shape != h.shape:
+            raise ShapeError(f"lstm_scan: start state needs shape {rows + (hid,)}, got "
+                             f"{h.T.shape} and {c.T.shape}")
     for t in steps:
         a = np.tanh((xt[t] + wht @ h) * half) * half + rest
         if keep:
@@ -470,6 +485,8 @@ def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None) -> Tensor:
         if keep:
             tanh_c[t] = tc
     out = np.moveaxis(hs, -1, 0) if batched else hs
+    if carry:
+        return _wrap(out), (h.T, c.T)
     if not keep:
         return _wrap(out)
 

@@ -2,7 +2,9 @@
 
 Everything here is written directly from the mathematical definition,
 with explicit Python loops and no reuse of package code, so a bug in the
-package cannot hide in its own oracle.
+package cannot hide in its own oracle. The one exception is
+`rerun_predict_fn`, the explanation query by its definition: the whole
+context classifier re-run on the swapped dialogue.
 """
 import math
 
@@ -209,3 +211,19 @@ def adam_step_scalar(param, grad, m, v, t, lr, beta1, beta2, eps):
     mhat = m / (1 - beta1 ** t)
     vhat = v / (1 - beta2 ** t)
     return param - lr * mhat / (math.sqrt(vhat) + eps), m, v
+
+
+def rerun_predict_fn(pipeline, dialogue, fused, index, label):
+    """Explanation query as a full re-run: classify all of ``dialogue``
+    with row ``index`` of ``fused`` replaced by ``x``; class ``label``'s
+    probability there."""
+    from emofuse import tensor as T
+    from emofuse.model import classify_dialogues
+
+    def predict_fn(x):
+        rows = fused.values.copy()
+        rows[index] = np.asarray(x, dtype=np.float64).reshape(-1)
+        out = classify_dialogues(pipeline, [dialogue], T.Tensor(rows))[0]
+        return float(out.probs.values[index, label])
+
+    return predict_fn

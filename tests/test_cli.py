@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: artifacts, determinism, exit codes."""
+import contextlib
 import dataclasses
+import io
 import json
 import os
 
@@ -73,11 +75,12 @@ def test_bad_split_is_usage_error(workdir, tmp_path):
     (["train", "--split=-0.5,0.5,1.0"], "--split fractions must be finite and lie in [0, 1]"),
     (["eval", "--subset", "9"], "--subset class 9 outside [0, 4)"),
     (["eval", "--subset", "0,-1"], "--subset class -1 outside [0, 4)"),
+    (["eval", "--subset", "1,1"], "--subset repeats a class, got '1,1'"),
     (["synth", "--seed", "-1"], "--seed must be a u64, got -1"),
     (["synth", "--seed", str(2 ** 64)], f"--seed must be a u64, got {2 ** 64}"),
     (["train", "--seed", "-1"], "--seed must be a u64, got -1"),
 ], ids=["split-nan", "split-inf", "split-sum", "split-negative", "subset-high",
-        "subset-negative", "synth-seed-negative", "synth-seed-2**64",
+        "subset-negative", "subset-repeated", "synth-seed-negative", "synth-seed-2**64",
         "train-seed-negative"])
 def test_malformed_flag_is_usage_error(workdir, tmp_path, capsys, argv, message):
     where = {"train": ["--data", workdir["data"], "--config", workdir["config"]],
@@ -419,6 +422,45 @@ def test_mutated_config_and_spec_never_escape(workdir, data):
                  "--config", write_json(fuzz / "train.json", dict(doc, **epochs))]]
     for argv in runs:
         assert main(argv + ["--out", str(fuzz / "out"), "--quiet"]) in (0, 2, 3, 4)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_mutated_dataset_never_escapes(workdir, tmp_path_factory, data):
+    """One deleted or replaced value anywhere in a valid dataset.jsonl,
+    through eval against the tiny run and through train: a clean exit
+    code, never a crash."""
+    with open(workdir["data"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1))
+    doc = json.loads(lines[at])
+    # walk down from the record, stopping anywhere, and mutate that value
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        parent = node
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        node = parent[key]
+    if parent is None:
+        doc = data.draw(_SMALL)
+    elif isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(_SMALL)
+    lines[at] = json.dumps(doc)
+    fuzz = tmp_path_factory.mktemp("fuzz-data")
+    (fuzz / "dataset.jsonl").write_text("\n".join(lines) + "\n")
+    dataset = str(fuzz / "dataset.jsonl")
+    config = write_json(fuzz / "config.json", dict(TINY, stage2_epochs=0))
+    for argv in (["eval", "--checkpoint", str(workdir["run"] / "checkpoint.json"),
+                  "--data", dataset],
+                 ["train", "--data", dataset, "--config", config]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(argv + ["--out", str(fuzz / argv[0]), "--quiet"])
+        assert rc in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

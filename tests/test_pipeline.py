@@ -6,20 +6,23 @@ import pytest
 
 from emofuse import tensor as T
 from emofuse.config import RunConfig, load_config
+from emofuse.context import row_query
 from emofuse.data import SynthSpec, synth_generate
 from emofuse.encoders import MODES
 from emofuse.errors import ConfigError, DataError
-from emofuse.explain import PerturbationConfig
+from emofuse.explain import PerturbationConfig, fit_surrogate, mode_groups, perturb_and_score
 from emofuse.fusion import AlphaState
 from emofuse.rng import Rng
 from emofuse.losses import ace_loss, averaged_focal, combined_loss
-from emofuse.model import (encode_array, evaluate, explain_utterance,
+from emofuse.model import (classify_dialogues, encode_array, evaluate, explain_utterance,
                            fuse_dialogue, fuse_utterances, init_pipeline,
                            load_checkpoint,
                            named_parameters, pairwise_coefficients,
                            predict_dialogue, require_same_config,
                            save_checkpoint, stage1_parameters,
                            utterance_descriptors)
+
+from oracles import rerun_predict_fn
 
 SPEC = SynthSpec(num_dialogues=6, utterances_per_dialogue=(2, 3), seed=9)
 
@@ -54,6 +57,12 @@ def test_config_rejects_bad_values():
         RunConfig(eval_mode="speaker")
     with pytest.raises(ConfigError):
         RunConfig(batch_size=0)
+
+
+def test_config_rejects_repeated_subset_class():
+    # a repeat would count its class twice in the subset's weighted F1
+    with pytest.raises(ConfigError, match="subset_classes repeats a class"):
+        RunConfig(subset_classes=[1, 2, 1])
 
 
 def test_config_rejects_unknown_keys():
@@ -215,6 +224,34 @@ def test_explain_utterance_masks_full_descriptor(pipeline, corpus):
     with pytest.raises(DataError, match="no utterance index"):
         explain_utterance(pipeline, corpus[2], 99,
                           PerturbationConfig(num_samples=24, seed=3))
+
+
+@pytest.mark.parametrize("eval_mode", ["own", "dialogue"])
+def test_explanation_queries_match_full_rerun(eval_mode):
+    config = RunConfig(seed=4, eval_mode=eval_mode)
+    pipe = init_pipeline(config)
+    [dialogue] = synth_generate(SynthSpec(num_dialogues=1, utterances_per_dialogue=(40, 40),
+                                          num_speakers=3, seed=11))
+    speakers = [u.speaker_id for u in dialogue.utterances]
+    assert len(speakers) == 40 and len(set(speakers)) == 3
+    fused, _ = fuse_utterances(pipe, dialogue.utterances)
+    labels = classify_dialogues(pipe, [dialogue], fused)[0].labels
+    groups = mode_groups(MODES, config.descriptor_dim)
+    pcfg = PerturbationConfig(num_samples=12, seed=3)
+    for index in range(40):
+        x = fused.values[index]
+        query = row_query(fused, speakers, index, pipe.context, labels[index], eval_mode)
+        rerun = rerun_predict_fn(pipe, dialogue, fused, index, labels[index])
+        masks, want, weights = perturb_and_score(x, rerun, groups, pcfg)
+        _, got, _ = perturb_and_score(x, query, groups, pcfg)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        ref = fit_surrogate(masks, want, weights, pcfg, [g[0] for g in groups],
+                            dialogue.utterances[index].utterance_id, labels[index])
+        exp = explain_utterance(pipe, dialogue, index, pcfg)
+        assert exp.predicted_label == ref.predicted_label
+        assert np.max(np.abs(np.subtract(exp.weights, ref.weights))) <= 1e-12
+        assert abs(exp.intercept - ref.intercept) <= 1e-12
+        assert abs(exp.r2 - ref.r2) <= 1e-12
 
 
 def test_explanations_reproducible(pipeline, corpus):

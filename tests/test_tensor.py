@@ -280,6 +280,72 @@ def test_lstm_scan_is_one_record_and_untracked_off_tape():
         T.lstm_scan(xg, rand_t(rng, (3, 8)), range(5))
 
 
+def split_scan(xg, wh, t, reverse, lengths=None):
+    """The scan of ``xg`` as two scans split at step ``t``, the second
+    started from the (h, c) the first carries out."""
+    xv = xg.values
+    n = xv.shape[-2]
+    if reverse:  # steps n-1..t, then t-1..0
+        parts = [(t, n), (0, t)]
+    else:
+        parts = [(0, t), (t, n)]
+    start, outs = None, {}
+    for lo, hi in parts:
+        part = T.Tensor(xv[..., lo:hi, :])
+        order = range(hi - lo - 1, -1, -1) if reverse else range(hi - lo)
+        sub = None if lengths is None else np.clip(np.asarray(lengths) - lo, 0, hi - lo)
+        out, start = T.lstm_scan(part, wh, order, sub, start=start, carry=True)
+        outs[lo, hi] = out.values
+    return np.concatenate([outs[k] for k in sorted(outs)], axis=-2)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("lengths", [None, [5, 1, 3, 0]], ids=["one-sequence", "ragged"])
+def test_lstm_scan_resumed_from_carried_state_is_bit_identical(reverse, lengths):
+    rng = Rng(61)
+    hid, n = 3, 5
+    shape = (n, 4 * hid) if lengths is None else (len(lengths), n, 4 * hid)
+    xg = T.Tensor(rng.uniform_array(shape, -1.5, 1.5))
+    wh = T.Tensor(rng.uniform_array((hid, 4 * hid), -0.8, 0.8))
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    whole, (h, c) = T.lstm_scan(xg, wh, order, lengths, carry=True)
+    assert np.array_equal(whole.values, T.lstm_scan(xg, wh, order, lengths).values)
+    assert h.shape == c.shape == shape[:-2] + (hid,)
+    for t in range(n + 1):  # t = 0 and t = n split off an empty scan
+        assert np.array_equal(split_scan(xg, wh, t, reverse, lengths), whole.values)
+
+
+def test_lstm_scan_state_validation():
+    rng = Rng(62)
+    xg = rand_t(rng, (4, 8))
+    wh = rand_t(rng, (2, 8))
+    with pytest.raises(ShapeError, match="start state"):
+        T.lstm_scan(xg, wh, range(4), start=(np.zeros(3), np.zeros(3)))
+    with pytest.raises(ShapeError, match="start state"):
+        T.lstm_scan(T.Tensor(np.zeros((2, 4, 8))), wh, range(4),
+                    start=(np.zeros(2), np.zeros(2)))
+    with T.recording(T.Tape()):
+        with pytest.raises(ContractError, match="carry"):
+            T.lstm_scan(xg, wh, range(4), carry=True)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_grad_lstm_scan_from_start_state(reverse):
+    # the start state is a constant: gradients reach xg and wh through it
+    rng = Rng(63)
+    hid, n = 3, 4
+    xg = rand_t(rng, (2, n, 4 * hid), -1.5, 1.5)
+    wh = rand_t(rng, (hid, 4 * hid), -0.8, 0.8)
+    start = (rng.uniform_array((2, hid), -0.9, 0.9), rng.uniform_array((2, hid), -2.0, 2.0))
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    lengths = [n, 2]
+    r = readout(rng, (2, n, hid))
+    assert T.finite_diff_check(
+        lambda t: r(T.lstm_scan(t, wh, order, lengths, start=start)), xg) < TOL
+    assert T.finite_diff_check(
+        lambda t: r(T.lstm_scan(xg, t, order, lengths, start=start)), wh) < TOL
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_grad_lstm_scan_batched_ragged(reverse):
     # three rows padded to 4 steps, one of them a single real step
