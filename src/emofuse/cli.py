@@ -21,7 +21,7 @@ from .encoders import MODES
 from .errors import (ConfigError, ContractError, DataError, NumericError,
                      ShapeError)
 from .explain import PerturbationConfig, render_report
-from .model import (evaluate, explain_utterance, load_checkpoint,
+from .model import (evaluate, explain_dialogue, load_checkpoint,
                     require_same_config)
 from .train import run_training
 
@@ -239,6 +239,7 @@ def cmd_eval(args) -> int:
 def cmd_explain(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     dialogues = load_dataset(args.input)
+    check_data_matches(ck.pipeline.config, dialogues)
     seed = args.seed if args.seed is not None else ck.pipeline.config.seed
     # a surrogate fit needs the unmasked sample plus one per mode group
     if args.samples < len(MODES) + 1:
@@ -246,17 +247,16 @@ def cmd_explain(args) -> int:
                           f"(mode groups + 1), got {args.samples}")
     pcfg = PerturbationConfig(num_samples=args.samples, seed=seed)
     if args.utterance == "all":
-        targets = [(d, i) for d in dialogues
-                   for i in range(len(d.utterances))]
+        targets = [(d, range(len(d.utterances))) for d in dialogues]
     else:
-        targets = [(d, i) for d in dialogues
+        targets = [(d, [i]) for d in dialogues
                    for i, u in enumerate(d.utterances)
                    if u.utterance_id == args.utterance]
         if not targets:
             raise DataError(f"utterance {args.utterance!r} not found in "
                             f"{args.input}")
-    explanations = [explain_utterance(ck.pipeline, d, i, pcfg)
-                    for d, i in targets]
+    explanations = [exp for d, indices in targets
+                    for exp in explain_dialogue(ck.pipeline, d, indices, pcfg)]
     report_dir = os.path.join(args.out, "explanations")
     written = render_report(explanations, report_dir)
     _say(args, f"wrote {len(explanations)} explanations "

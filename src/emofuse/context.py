@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoders import BiLstmParams, bilstm_forward, init_bilstm
+from .encoders import BiLstmParams, bilstm_forward, directions, init_bilstm
 from .errors import ContractError, DataError
 from .rng import Rng
 
@@ -140,36 +140,36 @@ def classify_dialogue(fused_seq: T.Tensor, speaker_ids, utt_ids, params: Context
 
 
 def _neighbour_states(lstm: BiLstmParams, seq: T.Tensor, pos: int):
-    """The (h, c) each direction of ``lstm`` carries into row ``pos`` of
-    ``seq``: the forward scan's over the rows before it, the backward
-    scan's over the rows after it (zero at the ends)."""
+    """The (h, c) the two directions of ``lstm`` carry into row ``pos`` of
+    ``seq``, side by side: the forward scan's over the rows before it,
+    then the backward scan's over the rows after it (zero at the ends)."""
     n = seq.values.shape[0]
     _, fwd = T.lstm_scan(T.affine(T.slice_rows(seq, 0, pos), lstm.wx_f, lstm.b_f),
                          lstm.wh_f, range(pos), carry=True)
     _, bwd = T.lstm_scan(T.affine(T.slice_rows(seq, pos + 1, n), lstm.wx_b, lstm.b_b),
                          lstm.wh_b, range(n - pos - 2, -1, -1), carry=True)
-    return fwd, bwd
+    return tuple(np.concatenate(pair) for pair in zip(fwd, bwd))
 
 
-def _row_state(lstm: BiLstmParams, row: T.Tensor, fwd, bwd) -> T.Tensor:
+def _row_state(lstm: BiLstmParams, weights, row: T.Tensor, start) -> T.Tensor:
     """`bilstm_forward`'s output for one row between its neighbours'
-    carried states: one step per direction, then the projection."""
-    both = T.concat_cols([
-        T.lstm_scan(T.affine(row, lstm.wx_f, lstm.b_f), lstm.wh_f, [0], start=fwd),
-        T.lstm_scan(T.affine(row, lstm.wx_b, lstm.b_b), lstm.wh_b, [0], start=bwd)])
+    carried states: one two-direction step from ``start``, then the
+    projection. ``weights`` are ``directions(lstm)``."""
+    wx, b, wh = weights
+    both = T.lstm_scan(T.affine(row, wx, b), wh, ([0], [0]), start=start)
     return T.affine(both, lstm.proj_w, lstm.proj_b)
 
 
 def row_query(fused_seq: T.Tensor, speaker_ids, index: int, params: ContextParams,
-              label: int, eval_mode: str = "own"):
-    """``predict_fn(x)``: the probability of class ``label`` that
-    `classify_dialogue` gives utterance ``index`` when its fused row is
-    replaced by the 1 x D array ``x``.
+              eval_mode: str = "own"):
+    """``probs(x)``: the class probabilities `classify_dialogue` gives
+    utterance ``index`` when its fused row is replaced by the 1 x D array
+    ``x``.
 
     The scans up to the row's neighbours run once, here, in the dialogue
     branch and (eval_mode "own") the row's speaker branch; the states
-    live only in the returned function. A query then takes one step per
-    branch and direction from them and one head row.
+    live only in the returned function. A query then takes one
+    two-direction step per branch from them and one head row.
     """
     if eval_mode not in ("own", "dialogue"):
         raise ContractError(f"row_query: unknown eval_mode {eval_mode!r}")
@@ -183,12 +183,13 @@ def row_query(fused_seq: T.Tensor, speaker_ids, index: int, params: ContextParam
         branches.insert(0, (params.speaker_lstm, rows, index_map.index(index)))
     else:
         slot = T.Tensor(np.zeros((1, params.dialogue_lstm.proj_b.values.shape[1])))
-    carried = [(lstm, _neighbour_states(lstm, seq, pos)) for lstm, seq, pos in branches]
+    carried = [(lstm, directions(lstm), _neighbour_states(lstm, seq, pos))
+               for lstm, seq, pos in branches]
 
-    def predict_fn(x) -> float:
+    def probs(x) -> np.ndarray:
         row = T.Tensor(np.reshape(x, (1, -1)))  # rejects a non-finite row
-        states = [_row_state(lstm, row, fwd, bwd) for lstm, (fwd, bwd) in carried]
+        states = [_row_state(lstm, w, row, start) for lstm, w, start in carried]
         joined = T.concat_cols(states if slot is None else [slot] + states)
-        return float(predict_emotion(joined, params).probs.values[0, label])
+        return predict_emotion(joined, params).probs.values[0]
 
-    return predict_fn
+    return probs

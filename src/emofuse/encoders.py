@@ -94,12 +94,20 @@ def init_bilstm(din: int, hidden: int, dout: int, rng: Rng) -> BiLstmParams:
     )
 
 
+def directions(params: BiLstmParams):
+    """Both directions' input weights, biases and recurrent weights, laid
+    out for one two-direction `tensor.lstm_scan`: (din x 8H, 1 x 8H,
+    2 x H x 4H)."""
+    return (T.concat_cols([params.wx_f, params.wx_b]), T.concat_cols([params.b_f, params.b_b]),
+            T.stack([params.wh_f, params.wh_b]))
+
+
 def bilstm_forward(params: BiLstmParams, seq: T.Tensor, lengths=None) -> T.Tensor:
     """Both directions concatenated, then projected to dout columns.
 
     ``seq`` is one len x din sequence, or a B x L x din batch padded to L
     with ``lengths`` its rows' real lengths; padded steps carry no state
-    and get no gradient.
+    and get no gradient. The directions step together in one scan.
     """
     sv = seq.values
     if sv.ndim not in (2, 3) or sv.shape[-2] < 1:
@@ -109,10 +117,8 @@ def bilstm_forward(params: BiLstmParams, seq: T.Tensor, lengths=None) -> T.Tenso
             f"bilstm_forward: input width {sv.shape[-1]} does not match "
             f"parameter width {params.wx_f.values.shape[0]}")
     n = sv.shape[-2]
-    xg_f = T.affine(seq, params.wx_f, params.b_f)
-    xg_b = T.affine(seq, params.wx_b, params.b_b)
-    both = T.concat_cols([T.lstm_scan(xg_f, params.wh_f, range(n), lengths),
-                          T.lstm_scan(xg_b, params.wh_b, range(n - 1, -1, -1), lengths)])
+    wx, b, wh = directions(params)
+    both = T.lstm_scan(T.affine(seq, wx, b), wh, (range(n), range(n - 1, -1, -1)), lengths)
     return T.affine(both, params.proj_w, params.proj_b)
 
 

@@ -120,63 +120,59 @@ def init_man(config: ManConfig, encoder_dims: dict, rng: Rng) -> dict:
 
 
 def peripheral_kv(f_mi: T.Tensor, maps):
-    """Bias-free key/value projections of one peripheral mode's encoder
-    output, from one matmul over the column-stacked maps.
+    """Bias-free key/value projections of peripheral encoder rows, from one
+    matmul over the column-stacked maps.
 
-    ``maps`` is one CrossMaps, or a list of them, one per head; with a
-    list, K and V gain a leading head axis.
+    ``maps`` is one CrossMaps, or a nested list of them of shape S. Each
+    map's [wk | wv] columns, zero-padded to the width of ``f_mi``
+    (..., n, k), sit at the map's index of one S x k x 2d weight, whose
+    leading axes broadcast against those of ``f_mi`` as in numpy's
+    matmul.
     """
-    many = isinstance(maps, (list, tuple))
-    heads = list(maps) if many else [maps]
-    if f_mi.values.shape[-1] != heads[0].wk.values.shape[0]:
-        raise ShapeError(
-            f"peripheral width {f_mi.values.shape[-1]} does not match projection "
-            f"input width {heads[0].wk.values.shape[0]}")
-    kv = T.matmul(f_mi, T.concat_cols([w for m in heads for w in (m.wk, m.wv)]))
-    if many:
-        kv = T.split_cols(kv, len(heads))
-    d = heads[0].wk.values.shape[1]
+    grid = np.array(maps, dtype=object)
+    width = f_mi.values.shape[-1]
+    d = grid.flat[0].wk.values.shape[1]
+    parts = []
+    for index, m in np.ndenumerate(grid):
+        if m.wk.values.shape[0] > width:
+            raise ShapeError(f"peripheral width {width} is narrower than projection "
+                             f"input width {m.wk.values.shape[0]}")
+        rows = slice(m.wk.values.shape[0])
+        parts += [(m.wk, index + (rows, slice(d))), (m.wv, index + (rows, slice(d, 2 * d)))]
+    kv = T.matmul(f_mi, T.place(grid.shape + (width, 2 * d), parts))
     return T.slice_cols(kv, 0, d), T.slice_cols(kv, d, 2 * d)
 
 
 def cross_attend_layer(g_prev: T.Tensor, kv_pairs, affines, num_modes: int,
-                       key_masks=None) -> T.Tensor:
-    """Residual cross-modal injection for one layer, all heads and
-    peripherals in one attention call.
+                       mask=None) -> T.Tensor:
+    """Residual cross-modal injection for one layer, every peripheral in
+    one attention call.
 
-    ``kv_pairs`` is a list of (K, V) per peripheral mode, as
-    `peripheral_kv` makes them, all padded to one key length;
-    ``affines`` the matching (scale, bias) pairs, each a 1 x 1 tensor or
-    a list with one per head; ``key_masks`` one boolean array per
-    peripheral marking its real keys (None: all real). The summed
-    injections are averaged over the full mode count ``num_modes``.
+    ``kv_pairs`` is a list of (K, V), one per peripheral mode as
+    `peripheral_kv` makes them, and ``affines`` the matching 1 x 1
+    (scale, bias) pairs. Or both come stacked on a leading peripheral
+    axis: one (K, V) pair and one (scale, bias) pair broadcastable
+    against the (peripheral, ..., query, key) scores. ``mask``, a boolean
+    array broadcastable to the scores, marks the real keys (None: all
+    real). The summed injections are averaged over the full mode count
+    ``num_modes``.
     """
-    if not kv_pairs:
-        raise ContractError("cross_attend_layer: empty peripheral set")
-    if len(kv_pairs) != len(affines):
-        raise ContractError("cross_attend_layer: kv/affine count mismatch")
-    if len({k.values.shape for k, _ in kv_pairs}) != 1:
-        raise ShapeError("cross_attend_layer: peripheral keys differ in shape "
-                         f"{[k.values.shape for k, _ in kv_pairs]}")
-    keys = T.stack([k for k, _ in kv_pairs])
-    values = T.stack([v for _, v in kv_pairs])
-    # one scale and bias per (peripheral, head), shaped to broadcast over
-    # the (peripheral, [head,] ..., query, key) scores
-    per_head = isinstance(affines[0][0], (list, tuple))
-    head_axes = (len(affines[0][0]),) if per_head else ()
-    shape = (len(kv_pairs),) + head_axes + \
-        (1,) * (keys.values.ndim - 1 - len(head_axes))
-
-    def stacked(j):
-        parts = [t for pair in affines for t in (pair[j] if per_head else [pair[j]])]
-        return T.reshape(T.concat_rows(parts), shape)
-
-    mask = None
-    if key_masks is not None:
-        m = np.stack(key_masks)[..., None, :]
-        mask = m.reshape(m.shape[:1] + (1,) * len(head_axes) + m.shape[1:])
+    if isinstance(kv_pairs, list):
+        if not kv_pairs:
+            raise ContractError("cross_attend_layer: empty peripheral set")
+        if len(kv_pairs) != len(affines):
+            raise ContractError("cross_attend_layer: kv/affine count mismatch")
+        if len({k.values.shape for k, _ in kv_pairs}) != 1:
+            raise ShapeError("cross_attend_layer: peripheral keys differ in shape "
+                             f"{[k.values.shape for k, _ in kv_pairs]}")
+        keys = T.stack([k for k, _ in kv_pairs])
+        shape = (len(kv_pairs),) + (1,) * (keys.values.ndim - 1)
+        affines = [T.reshape(T.concat_rows([pair[j] for pair in affines]), shape)
+                   for j in (0, 1)]
+        kv_pairs = (keys, T.stack([v for _, v in kv_pairs]))
+    (keys, values), (scale, bias) = kv_pairs, affines
     inv = 1.0 / math.sqrt(g_prev.values.shape[-1])
-    attended = T.attend(g_prev, keys, values, inv, stacked(0), stacked(1), mask)
+    attended = T.attend(g_prev, keys, values, inv, scale, bias, mask)
     return T.add(g_prev, T.scale(T.sum_axis(attended, 0), 1.0 / num_modes))
 
 
@@ -190,6 +186,11 @@ def man_forward(encoded: dict, params: dict, trace=None, masks=None) -> dict:
     utterance. When ``trace`` is a list, (mode, layer, head, dense_out,
     after_injection) tuples are appended for every cross-attention
     application, each tensor B x L x d over the padded rows.
+
+    The query networks run as one: activations are (mode, head, batch,
+    row, feature) arrays and keys (peripheral, mode, head, batch, row,
+    feature), each mode's weights placed at its index of one zero-padded
+    stack.
     """
     modes = tuple(params)
     if len(modes) < 2:
@@ -197,53 +198,62 @@ def man_forward(encoded: dict, params: dict, trace=None, masks=None) -> dict:
     for mode in modes:
         if mode not in encoded:
             raise ContractError(f"man_forward: missing encoder output for mode {mode}")
+    ps = [params[m] for m in modes]
+    xs = [encoded[m] for m in modes]
+    num_modes, n_layers = len(modes), len(ps[0].dense)
+    num_heads = max(h for (_, _, h) in ps[0].cross) + 1
+    size = xs[0].values.shape[0] if xs[0].values.ndim == 3 else 1
+    length = max(x.values.shape[-2] for x in xs)
+    d = ps[0].dense[0][0].values.shape[1]
 
-    # pad every mode to one length, so all of a query's peripherals stack
-    rows, real = {}, {}
-    for mode in modes:
-        x = encoded[mode]
-        if x.values.ndim == 2:
-            x = T.reshape(x, (1,) + x.values.shape)
-        rows[mode] = x
-        real[mode] = np.ones(x.values.shape[:2], dtype=bool) if masks is None else masks[mode]
-    length = max(x.values.shape[1] for x in rows.values())
-    for mode in modes:
-        size, n, width = rows[mode].values.shape
-        if n < length:
-            pad = (size, length - n)
-            rows[mode] = T.concat([rows[mode], T.Tensor(np.zeros(pad + (width,)))], 1)
-            real[mode] = np.concatenate([real[mode], np.zeros(pad, dtype=bool)], axis=1)
+    # every mode's rows zero-padded to one length and width; real marks
+    # the rows that are not padding
+    real = np.zeros((num_modes, size, length), dtype=bool)
+    for i, (mode, x) in enumerate(zip(modes, xs)):
+        real[i, :, :x.values.shape[-2]] = True if masks is None else masks[mode]
+    rows = T.place((num_modes, 1, size, length, max(x.values.shape[-1] for x in xs)),
+                   [(x, (i, 0, Ellipsis) + tuple(map(slice, x.values.shape[-2:])))
+                    for i, x in enumerate(xs)])
 
-    num_modes = len(modes)
-    out = {}
-    for mode in modes:
-        p = params[mode]
-        n_layers = len(p.dense)
-        num_heads = max(h for (_, _, h) in p.cross) + 1 if p.cross else 1
-        g = rows[mode]
-        for layer, (w, b) in enumerate(p.dense):
-            g = T.affine(g, w, b)
-            if layer < n_layers - 1:
-                g = T.relu(g)
-            dense_out = g
-            slots = [[p.cross[(layer, mi, h)] for h in range(num_heads)]
-                     for mi in p.peripherals]
-            g = cross_attend_layer(
-                g, [peripheral_kv(rows[mi], maps) for mi, maps in zip(p.peripherals, slots)],
-                [([m.score_scale for m in maps], [m.score_bias for m in maps])
-                 for maps in slots],
-                num_modes, [real[mi] for mi in p.peripherals])
-            if trace is not None:
-                dense = np.broadcast_to(dense_out.values, g.values.shape)
+    # entry (j, i) of index is query mode i's j-th peripheral; keys and
+    # values for every layer come from one matmul
+    index = np.array([[modes.index(mi) for mi in p.peripherals] for p in ps]).T
+    grid = np.array([[[[p.cross[(layer, p.peripherals[j], h)] for h in range(num_heads)]
+                       for p in ps] for j in range(num_modes - 1)]
+                     for layer in range(n_layers)], dtype=object)
+    periph = T.reshape(T.take_rows(rows, index), index.shape + (1, -1, rows.values.shape[-1]))
+    keys, values = (T.reshape(t, t.values.shape[:-2] + (size, length, d))
+                    for t in peripheral_kv(periph, grid))
+    scale, bias = (T.place(grid.shape + (1, 1, 1), [(getattr(m, name), i)
+                                                    for i, m in np.ndenumerate(grid)])
+                   for name in ("score_scale", "score_bias"))
+    key_mask = real[index][:, :, None, :, None, :]
+
+    g = rows
+    for layer in range(n_layers):
+        dense = [p.dense[layer] for p in ps]
+        w = T.place((num_modes, 1, 1, g.values.shape[-1], d),
+                    [(w, (i, 0, 0, slice(w.values.shape[0]))) for i, (w, _) in enumerate(dense)])
+        b = T.place((num_modes, 1, 1, 1, d), [(b, i) for i, (_, b) in enumerate(dense)])
+        g = T.affine(g, w, b)
+        if layer < n_layers - 1:
+            g = T.relu(g)
+        dense_out = g
+        g = cross_attend_layer(
+            g, tuple(T.take_rows(t, layer) for t in (keys, values)),
+            tuple(T.take_rows(t, layer) for t in (scale, bias)), num_modes, key_mask)
+        if trace is not None:
+            before = np.broadcast_to(dense_out.values, g.values.shape)
+            for i, mode in enumerate(modes):
                 for head in range(num_heads):
-                    trace.append((mode, layer, head, T.Tensor(dense[head]),
-                                  T.Tensor(g.values[head])))
-        # average the heads, then each utterance's real rows
-        avg = T.sum_axis(g, 0)
-        if num_heads > 1:
-            avg = T.scale(avg, 1.0 / num_heads)
-        weights = real[mode] / real[mode].sum(axis=1, keepdims=True)
-        f_ca = T.sum_axis(T.mul(avg, T.Tensor(weights[:, :, None])), 1)
-        probs = T.softmax_rows(T.affine(f_ca, p.cls_w, p.cls_b))
-        out[mode] = CrossAttendedDescriptor(f_ca=f_ca, probs=probs)
-    return out
+                    trace.append((mode, layer, head, T.Tensor(before[i, head]),
+                                  T.Tensor(g.values[i, head])))
+    # average the heads, then each utterance's real rows
+    weights = real / real.sum(axis=2, keepdims=True) / num_heads
+    f_ca = T.sum_axis(T.mul(T.sum_axis(g, 1), T.Tensor(weights[..., None])), 2)
+    classes = ps[0].cls_w.values.shape[1]
+    probs = T.softmax_rows(T.affine(
+        f_ca, T.place((num_modes, d, classes), [(p.cls_w, i) for i, p in enumerate(ps)]),
+        T.place((num_modes, 1, classes), [(p.cls_b, i) for i, p in enumerate(ps)])))
+    return {mode: CrossAttendedDescriptor(f_ca=T.take_rows(f_ca, i), probs=T.take_rows(probs, i))
+            for i, mode in enumerate(modes)}

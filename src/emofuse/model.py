@@ -157,26 +157,38 @@ def evaluate(pipeline: Pipeline, dialogues, subset=None) -> dict:
 # ---------------------------------------------------------------------------
 # explanations
 
+def explain_dialogue(pipeline: Pipeline, dialogue, indices,
+                     pcfg: PerturbationConfig) -> list:
+    """Surrogate explanations of the final-head predictions of utterances
+    ``indices`` of one dialogue, all from one fuse of it.
+
+    Each fused descriptor is perturbed by masking mode blocks; each query
+    is the frozen context classifier's probability, with the masked
+    descriptor swapped in (`context.row_query`), of the class the
+    unmasked descriptor gets.
+    """
+    for index in indices:
+        if not 0 <= index < len(dialogue.utterances):
+            raise DataError(f"dialogue {dialogue.dialogue_id} has no utterance "
+                            f"index {index}")
+    fused, _ = fuse_utterances(pipeline, dialogue.utterances)
+    speakers = [u.speaker_id for u in dialogue.utterances]
+    groups = mode_groups(MODES, pipeline.config.descriptor_dim)
+    out = []
+    for index in indices:
+        row = fused.values[index:index + 1]
+        probs = row_query(fused, speakers, index, pipeline.context, pipeline.config.eval_mode)
+        target = int(np.argmax(probs(row)))
+        out.append(explain_instance(row, lambda x, p=probs, c=target: p(x)[c], groups, pcfg,
+                                    utterance_id=dialogue.utterances[index].utterance_id,
+                                    predicted_label=target))
+    return out
+
+
 def explain_utterance(pipeline: Pipeline, dialogue, index: int,
                       pcfg: PerturbationConfig) -> Explanation:
-    """Surrogate explanation of one utterance's final-head prediction.
-
-    The fused descriptor is perturbed by masking mode blocks; each query
-    is the frozen context classifier's probability for the predicted
-    class with the masked descriptor swapped in at ``index``
-    (`context.row_query`).
-    """
-    if not 0 <= index < len(dialogue.utterances):
-        raise DataError(f"dialogue {dialogue.dialogue_id} has no utterance "
-                        f"index {index}")
-    fused, _ = fuse_utterances(pipeline, dialogue.utterances)
-    target = classify_dialogues(pipeline, [dialogue], fused)[0].labels[index]
-    groups = mode_groups(MODES, pipeline.config.descriptor_dim)
-    predict_fn = row_query(fused, [u.speaker_id for u in dialogue.utterances], index,
-                           pipeline.context, target, pipeline.config.eval_mode)
-    return explain_instance(fused.values[index:index + 1], predict_fn, groups, pcfg,
-                            utterance_id=dialogue.utterances[index].utterance_id,
-                            predicted_label=target)
+    """`explain_dialogue` of the one utterance ``index``."""
+    return explain_dialogue(pipeline, dialogue, [index], pcfg)[0]
 
 
 # ---------------------------------------------------------------------------

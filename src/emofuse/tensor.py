@@ -27,6 +27,8 @@ points that the rest of the package relies on:
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ContractError, ShapeError
@@ -159,28 +161,38 @@ def _sum_to(g, shape):
 # ---------------------------------------------------------------------------
 # binary ops
 
+def _matmul_pulls(x: Tensor, w: Tensor):
+    """Pulls of ``x @ w`` into both factors, each summed over the batch
+    axes it was broadcast along."""
+    xv, wv = x.values, w.values
+    k, m = wv.shape[-2:]
+
+    def pull_w(g):
+        if wv.ndim == 2:
+            return xv.reshape(-1, k).T @ g.reshape(-1, m)
+        return _sum_to(np.swapaxes(xv, -1, -2) @ g, wv.shape)
+
+    return ((x, lambda g: _sum_to(g @ np.swapaxes(wv, -1, -2), xv.shape)), (w, pull_w))
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a`` (..., n, k) times the k x m matrix ``b``; leading axes of
-    ``a`` are batch axes."""
+    """``a`` (..., n, k) times ``b`` (..., k, m). The leading axes are batch
+    axes and broadcast as in numpy's matmul: a k x m ``b`` multiplies every
+    batch member, a stacked one gives each member its own matrix."""
     av, bv = a.values, b.values
-    if av.ndim < 2 or bv.ndim != 2 or av.shape[-1] != bv.shape[0]:
+    if av.ndim < 2 or bv.ndim < 2 or av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {av.shape} x {bv.shape}")
-    k, m = bv.shape
-    return _result(av @ bv, ((a, lambda g: g @ bv.T),
-                             (b, lambda g: av.reshape(-1, k).T @ g.reshape(-1, m))))
+    return _result(av @ bv, _matmul_pulls(a, b))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x`` (..., n, k) times the k x m matrix ``w``, plus the bias ``b``
-    (1 x m), as one record: the values and adjoints of matmul then add."""
+    """``matmul(x, w)`` plus the bias ``b`` (1 x m, or broadcastable like
+    ``w``), as one record: the values and adjoints of matmul then add."""
     xv, wv, bv = x.values, w.values, b.values
-    if xv.ndim < 2 or wv.ndim != 2 or xv.shape[-1] != wv.shape[0] or \
-            bv.shape[-1] != wv.shape[1]:
+    if xv.ndim < 2 or wv.ndim < 2 or xv.shape[-1] != wv.shape[-2] or \
+            bv.shape[-1] != wv.shape[-1]:
         raise ShapeError(f"affine: incompatible shapes {xv.shape} x {wv.shape} + {bv.shape}")
-    k, m = wv.shape
-    return _result(xv @ wv + bv, ((x, lambda g: g @ wv.T),
-                                  (w, lambda g: xv.reshape(-1, k).T @ g.reshape(-1, m)),
-                                  (b, lambda g: _sum_to(g, bv.shape))))
+    return _result(xv @ wv + bv, _matmul_pulls(x, w) + ((b, lambda g: _sum_to(g, bv.shape)),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -268,18 +280,15 @@ def sum_axis(a: Tensor, axis) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by row-max subtraction."""
+    """Softmax along the last axis, stabilized by row-max subtraction."""
     xv = x.values
-    if xv.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got shape {xv.shape}")
     if not np.all(np.isfinite(xv)):
         raise ContractError("softmax_rows: input must be finite")
-    shifted = xv - xv.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    e = np.exp(xv - xv.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def pull(g):
-        return y * (g - (g * y).sum(axis=1, keepdims=True))
+        return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
     return _result(y, ((x, pull),))
 
@@ -321,6 +330,17 @@ def stack(parts) -> Tensor:
     parts = list(parts)
     return _result(np.stack([t.values for t in parts]),
                    tuple((t, lambda g, i=i: g[i]) for i, t in enumerate(parts)))
+
+
+def place(shape, parts) -> Tensor:
+    """A zero array of ``shape`` with each (tensor, index) of ``parts``
+    written at its numpy index, as one record; the slots must not
+    overlap. One place pads and stacks tensors of different shapes."""
+    out = np.zeros(shape)
+    for t, index in parts:
+        out[index] = t.values
+    return _result(out, tuple((t, lambda g, i=i, s=t.values.shape: g[i].reshape(s))
+                              for t, i in parts))
 
 
 def split_cols(a: Tensor, n: int) -> Tensor:
@@ -405,124 +425,157 @@ def _joint_pulls(inputs, adjoint):
     return tuple((t, pull_for(i)) for i, t in enumerate(inputs))
 
 
+@functools.lru_cache(maxsize=None)
+def _gate_affine(width: int, batched: bool):
+    """(half, rest) such that tanh(z * half) * half + rest is the sigmoid of
+    the input, forget and output gate rows and the tanh of the candidate
+    rows: sigmoid(z) = (1 + tanh(z / 2)) / 2, so one tanh gives all four."""
+    half = np.full((4 * width,) + (1,) * batched, 0.5)
+    half[2 * width:3 * width] = 1.0
+    half.flags.writeable = False
+    return half, 1.0 - half
+
+
 def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None, start=None,
               carry: bool = False):
-    """One LSTM direction over precomputed input projections.
+    """LSTM directions over precomputed input projections.
 
     ``xg`` is n x 4H for one sequence, or B x L x 4H for a batch padded
     to L, with ``lengths`` the rows' real lengths (default: all L).
     ``wh`` is the H x 4H recurrent weight, with gate blocks ordered input,
-    forget, candidate, output; ``order`` visits every timestep once. The
-    state starts at ``start``, an (h, c) pair of constant arrays shaped
-    like one row of the output (H, or B x H), or at zero. A padded step
-    (t >= its row's length) carries the state through unchanged, outputs
-    zero and gets a zero adjoint, so a reverse visit starts each row at
-    its own last real step. Returns the hidden states indexed by
-    timestep, not visit order, in the shape of ``xg`` with H columns. The
-    pull runs backpropagation through time into ``xg`` and ``wh``.
+    forget, candidate, output; ``order`` visits every timestep once.
+    With a leading direction axis, a D x H x 4H ``wh``, D directions
+    step together in one loop: ``order`` holds one visit order per
+    direction, and the columns of ``xg`` hold D blocks of 4H, one per
+    direction, as those of the output and the state hold D blocks of H.
+    The state starts at ``start``, an (h, c) pair of constant arrays
+    shaped like one row of the output (DH, or B x DH), or at zero. A
+    padded step (t >= its row's length) carries the state through
+    unchanged, outputs zero and gets a zero adjoint, so a reverse visit
+    starts each row at its own last real step. Returns the hidden states
+    indexed by timestep, not visit order, in the shape of ``xg`` with DH
+    columns. The pull runs backpropagation through time into ``xg`` and
+    ``wh``.
 
     With ``carry``, an untaped scan returns (hidden states, (h, c)), the
     state it ends in: a scan of the steps that follow, started from it,
     continues this one exactly.
     """
     xv, whv = xg.values, wh.values
-    if xv.ndim not in (2, 3) or xv.shape[-1] % 4 or \
-            whv.shape != (xv.shape[-1] // 4, xv.shape[-1]):
-        raise ShapeError(f"lstm_scan: need n x 4H or B x L x 4H, and H x 4H, "
-                         f"got {xv.shape} and {whv.shape}")
+    dirs = whv.shape[0] if whv.ndim == 3 else 1
+    hid = whv.shape[-2]
+    width = dirs * hid
+    if xv.ndim not in (2, 3) or whv.ndim not in (2, 3) or \
+            whv.shape[-1] != 4 * hid or xv.shape[-1] != 4 * width:
+        raise ShapeError(f"lstm_scan: need n x 4DH or B x L x 4DH, and H x 4H or "
+                         f"D x H x 4H, got {xv.shape} and {whv.shape}")
+    orders = [list(o) for o in order] if whv.ndim == 3 else [list(order)]
+    if len(orders) != dirs or len({len(o) for o in orders}) != 1:
+        raise ShapeError(f"lstm_scan: need {dirs} visit orders of one length")
     batched = xv.ndim == 3
-    n, four_h = xv.shape[-2:]
-    hid = four_h // 4
-    steps = list(order)
-    real = None if lengths is None else \
-        np.arange(n)[:, None] < np.asarray(lengths)[None, :]  # n x B
-    partial = [real is not None and not real[t].all() for t in range(n)]
-    # steps run on (time, feature[, row]) arrays, so each gate block is one
-    # leading slice and a single sequence keeps plain vectors
-    rows = xv.shape[:1] if batched else ()
-    xt = np.ascontiguousarray(np.moveaxis(xv, 0, -1)) if batched else xv
-    # sigmoid(z) = (1 + tanh(z / 2)) / 2, so one tanh gives all four gates
-    half = np.full((four_h,) + (1,) * len(rows), 0.5)
-    half[2 * hid:3 * hid] = 1.0
-    rest = 1.0 - half
+    n, size = xv.shape[-2], xv.shape[0] if batched else 1
+    rows = (size,) if batched else ()
+    # steps run on (feature[, row]) arrays with features ordered (gate,
+    # direction, unit): each gate is one leading slice for every direction,
+    # and one block-diagonal matrix steps them all
+    visit = np.array(orders, dtype=np.intp).reshape(dirs, -1).T  # step -> timesteps
+    across = np.arange(dirs)
+    steps = len(visit)
+    live = None if lengths is None else np.repeat(
+        (np.arange(n)[:, None] < np.asarray(lengths)[None, :])[visit], hid, axis=1)
+    partial = [live is not None and not live[k].all() for k in range(steps)]
+    half, rest = _gate_affine(width, batched)
+    # z * half is exact, so the inputs and recurrent weight take it up front
+    xs = xv.reshape(size, n, dirs, 4, hid).transpose(1, 2, 3, 4, 0)[visit, across] \
+        .swapaxes(1, 2).reshape((steps, 4 * width) + rows) * half
     # the per-step caches feed only the pull, so an untaped scan skips them
     keep = _TAPE is not None and (xg.requires_grad or wh.requires_grad)
     if carry and keep:
         raise ContractError("lstm_scan: a taped scan cannot carry its state out")
-    hs = np.zeros((n, hid) + rows)
+    hs = np.zeros((steps, width) + rows)
     if keep:
-        gates = np.empty((n, four_h) + rows)
-        tanh_c = np.empty((n, hid) + rows)
-        c_prev = np.empty((n, hid) + rows)
-        h_prev = np.empty((n, hid) + rows)
-    wht = whv.T
+        gates = np.empty((steps, 4 * width) + rows)
+        tanh_c, c_prev, h_prev = (np.empty((steps, width) + rows) for _ in range(3))
+    blocks = np.zeros((4, dirs, hid, dirs, hid))  # (gate, dir, out, dir, in)
+    blocks[:, across, :, across] = whv.reshape(dirs, hid, 4, hid).transpose(0, 2, 3, 1)
+    wt = blocks.reshape(4 * width, width)
+    wt_half = wt * half.reshape(-1, 1)
+    state = xv.shape[:-2] + (width,)  # one row of the output
     if start is None:
-        h = np.zeros((hid,) + rows)
-        c = np.zeros((hid,) + rows)
+        h = c = np.zeros((width,) + rows)
     else:
-        # (feature[, row]) like the state the loop carries
-        h, c = (np.ascontiguousarray(np.asarray(s, dtype=np.float64).T) for s in start)
-        if h.shape != (hid,) + rows or c.shape != h.shape:
-            raise ShapeError(f"lstm_scan: start state needs shape {rows + (hid,)}, got "
-                             f"{h.T.shape} and {c.T.shape}")
-    for t in steps:
-        a = np.tanh((xt[t] + wht @ h) * half) * half + rest
+        h, c = (np.asarray(s, dtype=np.float64) for s in start)
+        if h.shape != state or c.shape != state:
+            raise ShapeError(f"lstm_scan: start state needs shape {state}, got "
+                             f"{h.shape} and {c.shape}")
+        h, c = np.ascontiguousarray(h.T), np.ascontiguousarray(c.T)
+    for k in range(steps):
+        a = np.tanh(xs[k] + wt_half @ h) * half + rest
         if keep:
-            gates[t] = a
-            c_prev[t] = c
-            h_prev[t] = h
-        c_new = a[hid:2 * hid] * c + a[:hid] * a[2 * hid:3 * hid]
+            gates[k] = a
+            c_prev[k] = c
+            h_prev[k] = h
+        c_new = a[width:2 * width] * c + a[:width] * a[2 * width:3 * width]
         tc = np.tanh(c_new)
-        h_new = a[3 * hid:] * tc
-        if partial[t]:
-            live = real[t]
-            c = np.where(live, c_new, c)
-            h = np.where(live, h_new, h)
-            hs[t] = np.where(live, h_new, 0.0)
+        h_new = a[3 * width:] * tc
+        if partial[k]:
+            m = live[k]
+            c = np.where(m, c_new, c)
+            h = np.where(m, h_new, h)
+            hs[k] = np.where(m, h_new, 0.0)
         else:
             c, h = c_new, h_new
-            hs[t] = h
+            hs[k] = h
         if keep:
-            tanh_c[t] = tc
-    out = np.moveaxis(hs, -1, 0) if batched else hs
+            tanh_c[k] = tc
+
+    def by_time(a):
+        """Visit-ordered (step, direction, feature[, row]) to xg's layout."""
+        t = np.zeros((n,) + a.shape[1:])
+        t[visit, across] = a
+        t = np.moveaxis(t, -1, 0) if batched else t
+        return t.reshape(xv.shape[:-1] + (a.shape[1] * a.shape[2],))
+
+    out = by_time(hs.reshape((steps, dirs, hid) + rows))
     if carry:
         return _wrap(out), (h.T, c.T)
     if not keep:
         return _wrap(out)
 
-    def by_step(a):
-        """(time x row) x features, to sum over every real step."""
-        return np.moveaxis(a, -1, 1).reshape(-1, a.shape[1]) if batched else a
-
     def adjoint(g):
-        gt = np.moveaxis(g, 0, -1) if batched else g
+        gs = g.reshape(size, n, dirs, hid).transpose(1, 2, 3, 0)[visit, across] \
+            .reshape((steps, width) + rows)
         slope = gates * (1.0 - gates)
-        slope[:, 2 * hid:3 * hid] = 1.0 - gates[:, 2 * hid:3 * hid] ** 2
-        dxg = np.zeros((n, four_h) + rows)
-        da = np.empty((four_h,) + rows)
-        dh = np.zeros((hid,) + rows)
-        dc = np.zeros((hid,) + rows)
-        for t in reversed(steps):
-            a, tc = gates[t], tanh_c[t]
-            dh_t = dh + gt[t]
-            dc_t = dc + dh_t * a[3 * hid:] * (1.0 - tc * tc)
-            da[:hid] = dc_t * a[2 * hid:3 * hid]
-            da[hid:2 * hid] = dc_t * c_prev[t]
-            da[2 * hid:3 * hid] = dc_t * a[:hid]
-            da[3 * hid:] = dh_t * tc
-            dz = da * slope[t]
-            if partial[t]:
+        slope[:, 2 * width:3 * width] = 1.0 - gates[:, 2 * width:3 * width] ** 2
+        dz_all = np.zeros((steps, 4 * width) + rows)
+        da = np.empty((4 * width,) + rows)
+        dh = dc = np.zeros((width,) + rows)
+        back = np.ascontiguousarray(wt.T)
+        for k in reversed(range(steps)):
+            a, tc = gates[k], tanh_c[k]
+            dh_t = dh + gs[k]
+            dc_t = dc + dh_t * a[3 * width:] * (1.0 - tc * tc)
+            da[:width] = dc_t * a[2 * width:3 * width]
+            da[width:2 * width] = dc_t * c_prev[k]
+            da[2 * width:3 * width] = dc_t * a[:width]
+            da[3 * width:] = dh_t * tc
+            dz = da * slope[k]
+            if partial[k]:
                 # a padded step passed its state on untouched
-                live = real[t]
-                dz = np.where(live, dz, 0.0)
-                dh = np.where(live, whv @ dz, dh)
-                dc = np.where(live, dc_t * a[hid:2 * hid], dc)
+                m = live[k]
+                dz = np.where(np.tile(m, (4, 1)), dz, 0.0)
+                dh = np.where(m, back @ dz, dh)
+                dc = np.where(m, dc_t * a[width:2 * width], dc)
             else:
-                dh = whv @ dz
-                dc = dc_t * a[hid:2 * hid]
-            dxg[t] = dz
-        return (np.moveaxis(dxg, -1, 0) if batched else dxg,
-                by_step(h_prev).T @ by_step(dxg))
+                dh = back @ dz
+                dc = dc_t * a[width:2 * width]
+            dz_all[k] = dz
+        # sum over every step and row, then keep each direction's block
+        full = np.moveaxis(h_prev, 1, 0).reshape(width, -1) @ \
+            np.moveaxis(dz_all, 1, -1).reshape(-1, 4 * width)
+        dwh = np.einsum("ahgae->ahge", full.reshape(dirs, hid, 4, dirs, hid))
+        dz_t = dz_all.reshape((steps, 4, dirs, hid) + rows).swapaxes(1, 2)
+        return by_time(dz_t.reshape((steps, dirs, 4 * hid) + rows)), dwh.reshape(whv.shape)
 
     return _result(out, _joint_pulls((xg, wh), adjoint))
 

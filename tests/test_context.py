@@ -205,47 +205,47 @@ def test_row_query_matches_classifying_the_swapped_dialogue(eval_mode, speakers)
     ids = [f"u{i}" for i in range(len(speakers))]
     masks = Rng(23).uniform_array((3, 4), 0.0, 1.0) < 0.5
     for index in range(len(speakers)):
-        query = row_query(seq, list(speakers), index, p, 2, eval_mode)
+        query = row_query(seq, list(speakers), index, p, eval_mode)
         for keep in masks:
             x = np.where(keep, seq.values[index], 0.0)[None, :]
             rows = seq.values.copy()
             rows[index] = x
             full = classify_dialogue(T.Tensor(rows), list(speakers), ids, p, eval_mode)
-            assert abs(query(x) - full[index].probs.values[0, 2]) < 1e-14
+            assert np.max(np.abs(query(x) - full[index].probs.values[0])) < 1e-14
 
 
 def test_row_query_never_reruns_a_bilstm(monkeypatch):
     # the scans up to the row's neighbours run once, when the query is
-    # built; a query is then one step per branch and direction
+    # built; a query is then one two-direction step per branch
     p = params(seed=24)
     seq = fused(Rng(25), 6)
     scans = []
     real_scan = T.lstm_scan
 
-    def counted(xg, *args, **kwargs):
-        scans.append(xg.values.shape[0])
-        return real_scan(xg, *args, **kwargs)
+    def counted(xg, wh, *args, **kwargs):
+        scans.append((wh.values.ndim - 1, xg.values.shape[0]))  # (directions, steps)
+        return real_scan(xg, wh, *args, **kwargs)
 
     monkeypatch.setattr(context, "bilstm_forward", None)
     monkeypatch.setattr(T, "lstm_scan", counted)
-    query = row_query(seq, list("abaabb"), 3, p, 0)
+    query = row_query(seq, list("abaabb"), 3, p)
     # speaker "a" holds rows 0, 2, 3: two rows before row 3, none after it
-    assert sorted(scans) == [0, 2, 2, 3]
+    assert sorted(scans) == [(1, 0), (1, 2), (1, 2), (1, 3)]
     scans.clear()
     query(seq.values[3:4])
     query(np.zeros((1, 4)))
-    assert scans == [1] * 8
+    assert scans == [(2, 1)] * 4
 
 
 def test_row_query_validates():
     p = params()
     seq = fused(Rng(26), 3)
     with pytest.raises(ContractError):
-        row_query(seq, ["a", "b", "a"], 3, p, 0)
+        row_query(seq, ["a", "b", "a"], 3, p)
     with pytest.raises(ContractError):
-        row_query(seq, ["a", "b"], 0, p, 0)
+        row_query(seq, ["a", "b"], 0, p)
     with pytest.raises(ContractError):
-        row_query(seq, ["a", "b", "a"], 0, p, 0, eval_mode="nope")
-    query = row_query(seq, ["a", "b", "a"], 1, p, 0)
+        row_query(seq, ["a", "b", "a"], 0, p, eval_mode="nope")
+    query = row_query(seq, ["a", "b", "a"], 1, p)
     with pytest.raises(ContractError, match="finite"):
         query(np.array([[0.0, np.nan, 0.0, 0.0]]))

@@ -240,7 +240,10 @@ def test_explanation_queries_match_full_rerun(eval_mode):
     pcfg = PerturbationConfig(num_samples=12, seed=3)
     for index in range(40):
         x = fused.values[index]
-        query = row_query(fused, speakers, index, pipe.context, labels[index], eval_mode)
+        probs = row_query(fused, speakers, index, pipe.context, eval_mode)
+        # the unmasked row's own probabilities give classify_dialogues' label
+        assert int(np.argmax(probs(x))) == labels[index]
+        query = lambda row: probs(row)[labels[index]]  # noqa: E731
         rerun = rerun_predict_fn(pipe, dialogue, fused, index, labels[index])
         masks, want, weights = perturb_and_score(x, rerun, groups, pcfg)
         _, got, _ = perturb_and_score(x, query, groups, pcfg)
@@ -248,7 +251,7 @@ def test_explanation_queries_match_full_rerun(eval_mode):
         ref = fit_surrogate(masks, want, weights, pcfg, [g[0] for g in groups],
                             dialogue.utterances[index].utterance_id, labels[index])
         exp = explain_utterance(pipe, dialogue, index, pcfg)
-        assert exp.predicted_label == ref.predicted_label
+        assert exp.predicted_label == ref.predicted_label == labels[index]
         assert np.max(np.abs(np.subtract(exp.weights, ref.weights))) <= 1e-12
         assert abs(exp.intercept - ref.intercept) <= 1e-12
         assert abs(exp.r2 - ref.r2) <= 1e-12
