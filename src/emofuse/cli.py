@@ -246,16 +246,11 @@ def cmd_explain(args) -> int:
         raise ConfigError(f"--samples must be at least {len(MODES) + 1} "
                           f"(mode groups + 1), got {args.samples}")
     pcfg = PerturbationConfig(num_samples=args.samples, seed=seed)
-    if args.utterance == "all":
-        targets = [(d, range(len(d.utterances))) for d in dialogues]
-    else:
-        targets = [(d, [i]) for d in dialogues
-                   for i, u in enumerate(d.utterances)
-                   if u.utterance_id == args.utterance]
-        if not targets:
-            raise DataError(f"utterance {args.utterance!r} not found in "
-                            f"{args.input}")
-    explanations = [exp for d, indices in targets
+    targets = [(d, [i for i, u in enumerate(d.utterances)
+                    if args.utterance in ("all", u.utterance_id)]) for d in dialogues]
+    if args.utterance != "all" and not any(indices for _, indices in targets):
+        raise DataError(f"utterance {args.utterance!r} not found in {args.input}")
+    explanations = [exp for d, indices in targets if indices
                     for exp in explain_dialogue(ck.pipeline, d, indices, pcfg)]
     report_dir = os.path.join(args.out, "explanations")
     written = render_report(explanations, report_dir)

@@ -7,12 +7,12 @@ and the row-concatenated pair feeds one shared attention stack, so face
 rows can attend to background rows.
 
 Encoders run on a batch of utterances: every stream is zero-padded to
-its longest sequence in the batch (``pad_streams``), each LSTM direction
-is one fused ``tensor.lstm_scan`` record over the whole batch and each
-attention layer one masked ``tensor.attend`` record, so the tape grows
-by a fixed count per batch whatever its size and lengths. The context
-classifier reuses ``bilstm_forward`` on single sequences for its speaker
-and dialogue branches.
+its longest sequence in the batch (``pad_streams``), a BiLSTM's two
+directions step together in one ``tensor.lstm_scan`` record and each
+attention layer is one masked ``tensor.attend`` record, so the tape
+grows by a fixed count per batch whatever its size and lengths. The
+context classifier reuses ``bilstm_forward`` on single sequences for its
+speaker and dialogue branches.
 """
 from __future__ import annotations
 
@@ -95,9 +95,8 @@ def init_bilstm(din: int, hidden: int, dout: int, rng: Rng) -> BiLstmParams:
 
 
 def directions(params: BiLstmParams):
-    """Both directions' input weights, biases and recurrent weights, laid
-    out for one two-direction `tensor.lstm_scan`: (din x 8H, 1 x 8H,
-    2 x H x 4H)."""
+    """Input weights, biases and recurrent weights of both directions, laid
+    out for one two-direction `tensor.lstm_scan`."""
     return (T.concat_cols([params.wx_f, params.wx_b]), T.concat_cols([params.b_f, params.b_b]),
             T.stack([params.wh_f, params.wh_b]))
 

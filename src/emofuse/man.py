@@ -9,11 +9,12 @@ over the full mode count. Heads share dense weights and differ only in
 their key/value/affine maps; head outputs are averaged, pooled over
 rows, and classified per mode.
 
-The network runs on a padded batch of utterances. Every mode's rows are
-padded to one length, so at each (mode, layer) the heads and
-peripherals fold into leading batch axes of a single masked
-``tensor.attend`` call, and each peripheral's keys and values for all
-heads come from one matmul over column-stacked maps.
+The query networks of all modes run as one, on a padded batch of
+utterances: each mode's encoder rows and weights are zero-padded and
+placed at its index of one stack. One matmul gives the keys and values
+of every layer, peripheral, mode and head; each layer is then one
+affine, one relu and one masked ``tensor.attend`` over the (peripheral,
+mode, head, batch) axes, so the tape grows by a fixed count per call.
 """
 from __future__ import annotations
 
@@ -123,11 +124,10 @@ def peripheral_kv(f_mi: T.Tensor, maps):
     """Bias-free key/value projections of peripheral encoder rows, from one
     matmul over the column-stacked maps.
 
-    ``maps`` is one CrossMaps, or a nested list of them of shape S. Each
-    map's [wk | wv] columns, zero-padded to the width of ``f_mi``
-    (..., n, k), sit at the map's index of one S x k x 2d weight, whose
-    leading axes broadcast against those of ``f_mi`` as in numpy's
-    matmul.
+    ``maps`` is one CrossMaps, or a nested list of them of shape S: each
+    map's [wk | wv], zero-padded to the width k of ``f_mi`` (..., n, k),
+    sits at its index of one S x k x 2d weight, whose leading axes
+    broadcast against those of ``f_mi`` as in numpy's matmul.
     """
     grid = np.array(maps, dtype=object)
     width = f_mi.values.shape[-1]
@@ -150,26 +150,23 @@ def cross_attend_layer(g_prev: T.Tensor, kv_pairs, affines, num_modes: int,
 
     ``kv_pairs`` is a list of (K, V), one per peripheral mode as
     `peripheral_kv` makes them, and ``affines`` the matching 1 x 1
-    (scale, bias) pairs. Or both come stacked on a leading peripheral
-    axis: one (K, V) pair and one (scale, bias) pair broadcastable
-    against the (peripheral, ..., query, key) scores. ``mask``, a boolean
-    array broadcastable to the scores, marks the real keys (None: all
-    real). The summed injections are averaged over the full mode count
-    ``num_modes``.
+    (scale, bias) pairs; or one (K, V) and one (scale, bias) pair stacked
+    on a leading peripheral axis of the (peripheral, ..., query, key)
+    scores. ``mask``, broadcastable to the scores, marks the real keys
+    (None: all real). The summed injections are averaged over the full
+    mode count ``num_modes``.
     """
     if isinstance(kv_pairs, list):
-        if not kv_pairs:
-            raise ContractError("cross_attend_layer: empty peripheral set")
-        if len(kv_pairs) != len(affines):
-            raise ContractError("cross_attend_layer: kv/affine count mismatch")
+        if not kv_pairs or len(kv_pairs) != len(affines):
+            raise ContractError("cross_attend_layer: need one (scale, bias) per (K, V), "
+                                "and at least one peripheral")
         if len({k.values.shape for k, _ in kv_pairs}) != 1:
             raise ShapeError("cross_attend_layer: peripheral keys differ in shape "
                              f"{[k.values.shape for k, _ in kv_pairs]}")
-        keys = T.stack([k for k, _ in kv_pairs])
-        shape = (len(kv_pairs),) + (1,) * (keys.values.ndim - 1)
-        affines = [T.reshape(T.concat_rows([pair[j] for pair in affines]), shape)
-                   for j in (0, 1)]
-        kv_pairs = (keys, T.stack([v for _, v in kv_pairs]))
+        shape = (len(kv_pairs),) + (1,) * kv_pairs[0][0].values.ndim
+        kv_pairs, affines = ([T.stack([pair[j] for pair in kv_pairs]) for j in (0, 1)],
+                             [T.place(shape, [(pair[j], i) for i, pair in enumerate(affines)])
+                              for j in (0, 1)])
     (keys, values), (scale, bias) = kv_pairs, affines
     inv = 1.0 / math.sqrt(g_prev.values.shape[-1])
     attended = T.attend(g_prev, keys, values, inv, scale, bias, mask)
@@ -186,11 +183,6 @@ def man_forward(encoded: dict, params: dict, trace=None, masks=None) -> dict:
     utterance. When ``trace`` is a list, (mode, layer, head, dense_out,
     after_injection) tuples are appended for every cross-attention
     application, each tensor B x L x d over the padded rows.
-
-    The query networks run as one: activations are (mode, head, batch,
-    row, feature) arrays and keys (peripheral, mode, head, batch, row,
-    feature), each mode's weights placed at its index of one zero-padded
-    stack.
     """
     modes = tuple(params)
     if len(modes) < 2:
@@ -204,16 +196,14 @@ def man_forward(encoded: dict, params: dict, trace=None, masks=None) -> dict:
     num_heads = max(h for (_, _, h) in ps[0].cross) + 1
     size = xs[0].values.shape[0] if xs[0].values.ndim == 3 else 1
     length = max(x.values.shape[-2] for x in xs)
-    d = ps[0].dense[0][0].values.shape[1]
+    d, classes = ps[0].cls_w.values.shape
 
     # every mode's rows zero-padded to one length and width; real marks
     # the rows that are not padding
     real = np.zeros((num_modes, size, length), dtype=bool)
     for i, (mode, x) in enumerate(zip(modes, xs)):
         real[i, :, :x.values.shape[-2]] = True if masks is None else masks[mode]
-    rows = T.place((num_modes, 1, size, length, max(x.values.shape[-1] for x in xs)),
-                   [(x, (i, 0, Ellipsis) + tuple(map(slice, x.values.shape[-2:])))
-                    for i, x in enumerate(xs)])
+    rows = _stack(xs, (1, size, length, max(x.values.shape[-1] for x in xs)))
 
     # entry (j, i) of index is query mode i's j-th peripheral; keys and
     # values for every layer come from one matmul
@@ -231,11 +221,8 @@ def man_forward(encoded: dict, params: dict, trace=None, masks=None) -> dict:
 
     g = rows
     for layer in range(n_layers):
-        dense = [p.dense[layer] for p in ps]
-        w = T.place((num_modes, 1, 1, g.values.shape[-1], d),
-                    [(w, (i, 0, 0, slice(w.values.shape[0]))) for i, (w, _) in enumerate(dense)])
-        b = T.place((num_modes, 1, 1, 1, d), [(b, i) for i, (_, b) in enumerate(dense)])
-        g = T.affine(g, w, b)
+        g = T.affine(g, _stack([p.dense[layer][0] for p in ps], (1, 1, g.values.shape[-1], d)),
+                     _stack([p.dense[layer][1] for p in ps], (1, 1, 1, d)))
         if layer < n_layers - 1:
             g = T.relu(g)
         dense_out = g
@@ -251,9 +238,15 @@ def man_forward(encoded: dict, params: dict, trace=None, masks=None) -> dict:
     # average the heads, then each utterance's real rows
     weights = real / real.sum(axis=2, keepdims=True) / num_heads
     f_ca = T.sum_axis(T.mul(T.sum_axis(g, 1), T.Tensor(weights[..., None])), 2)
-    classes = ps[0].cls_w.values.shape[1]
-    probs = T.softmax_rows(T.affine(
-        f_ca, T.place((num_modes, d, classes), [(p.cls_w, i) for i, p in enumerate(ps)]),
-        T.place((num_modes, 1, classes), [(p.cls_b, i) for i, p in enumerate(ps)])))
+    probs = T.softmax_rows(T.affine(f_ca, _stack([p.cls_w for p in ps], (d, classes)),
+                                    _stack([p.cls_b for p in ps], (1, classes))))
     return {mode: CrossAttendedDescriptor(f_ca=T.take_rows(f_ca, i), probs=T.take_rows(probs, i))
             for i, mode in enumerate(modes)}
+
+
+def _stack(parts, shape) -> T.Tensor:
+    """``parts`` zero-padded to ``shape``, each aligned at its last axes,
+    and stacked on a new leading (mode) axis, as one record."""
+    return T.place((len(parts),) + shape, [
+        (t, (i,) + (0,) * (len(shape) - t.values.ndim) + tuple(map(slice, t.values.shape)))
+        for i, t in enumerate(parts)])

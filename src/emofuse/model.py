@@ -159,13 +159,10 @@ def evaluate(pipeline: Pipeline, dialogues, subset=None) -> dict:
 
 def explain_dialogue(pipeline: Pipeline, dialogue, indices,
                      pcfg: PerturbationConfig) -> list:
-    """Surrogate explanations of the final-head predictions of utterances
-    ``indices`` of one dialogue, all from one fuse of it.
-
-    Each fused descriptor is perturbed by masking mode blocks; each query
-    is the frozen context classifier's probability, with the masked
-    descriptor swapped in (`context.row_query`), of the class the
-    unmasked descriptor gets.
+    """Surrogate explanations of utterances ``indices`` of one dialogue,
+    from one fuse of it. Each masks mode blocks of the utterance's fused
+    descriptor; a query is the frozen context classifier's probability of
+    the class the unmasked descriptor gets (`context.row_query`).
     """
     for index in indices:
         if not 0 <= index < len(dialogue.utterances):
@@ -174,15 +171,16 @@ def explain_dialogue(pipeline: Pipeline, dialogue, indices,
     fused, _ = fuse_utterances(pipeline, dialogue.utterances)
     speakers = [u.speaker_id for u in dialogue.utterances]
     groups = mode_groups(MODES, pipeline.config.descriptor_dim)
-    out = []
-    for index in indices:
+
+    def explain(index):
         row = fused.values[index:index + 1]
         probs = row_query(fused, speakers, index, pipeline.context, pipeline.config.eval_mode)
         target = int(np.argmax(probs(row)))
-        out.append(explain_instance(row, lambda x, p=probs, c=target: p(x)[c], groups, pcfg,
-                                    utterance_id=dialogue.utterances[index].utterance_id,
-                                    predicted_label=target))
-    return out
+        return explain_instance(row, lambda x: probs(x)[target], groups, pcfg,
+                                utterance_id=dialogue.utterances[index].utterance_id,
+                                predicted_label=target)
+
+    return [explain(index) for index in indices]
 
 
 def explain_utterance(pipeline: Pipeline, dialogue, index: int,

@@ -13,21 +13,20 @@ points that the rest of the package relies on:
 * after ``backward`` every tensor that requires grad and lies upstream
   of the loss holds its full adjoint in ``.grad``; leaf grads accumulate
   across calls until ``zero_grad``,
-* the model's three hot blocks are fused ops: ``lstm_scan`` (one LSTM
-  direction), ``attend`` (scaled dot-product attention with an optional
-  score affine) and ``cosine_rows`` (query rows' cosines against
-  candidates). Each runs its forward pass in numpy and records exactly
-  one tape entry, whose pulls compute the hand-written adjoint once and
-  share it between the inputs,
+* the model's three hot blocks are fused ops: ``lstm_scan`` (LSTM
+  directions stepped together), ``attend`` (scaled dot-product attention
+  with an optional score affine) and ``cosine_rows`` (query rows' cosines
+  against candidates). Each runs its forward pass in numpy and records
+  exactly one tape entry, whose pulls compute the hand-written adjoint
+  once and share it between the inputs,
 * the batch axis is leading: ``lstm_scan`` takes a B x L batch with
-  per-row lengths and ``attend`` any leading batch axes with a key mask,
-  so one record covers a whole padded batch. Padding never leaks: a padded
-  LSTM step carries its state through unchanged with a zero adjoint, and
-  a padded key gets exactly zero attention weight.
+  per-row lengths, ``attend`` any leading batch axes with a key mask, and
+  ``matmul`` and ``affine`` a weight with leading batch axes, so one
+  record covers a padded batch or a stack of networks. Padding never
+  leaks: a padded LSTM step carries its state through unchanged with a
+  zero adjoint, and a padded key gets exactly zero attention weight.
 """
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -162,14 +161,12 @@ def _sum_to(g, shape):
 # binary ops
 
 def _matmul_pulls(x: Tensor, w: Tensor):
-    """Pulls of ``x @ w`` into both factors, each summed over the batch
-    axes it was broadcast along."""
+    """Pulls of ``x @ w``, each summed over the axes its input broadcast along."""
     xv, wv = x.values, w.values
-    k, m = wv.shape[-2:]
 
     def pull_w(g):
         if wv.ndim == 2:
-            return xv.reshape(-1, k).T @ g.reshape(-1, m)
+            return xv.reshape(-1, wv.shape[0]).T @ g.reshape(-1, wv.shape[1])
         return _sum_to(np.swapaxes(xv, -1, -2) @ g, wv.shape)
 
     return ((x, lambda g: _sum_to(g @ np.swapaxes(wv, -1, -2), xv.shape)), (w, pull_w))
@@ -333,25 +330,13 @@ def stack(parts) -> Tensor:
 
 
 def place(shape, parts) -> Tensor:
-    """A zero array of ``shape`` with each (tensor, index) of ``parts``
-    written at its numpy index, as one record; the slots must not
-    overlap. One place pads and stacks tensors of different shapes."""
+    """Zeros of ``shape`` with each (tensor, index) of ``parts`` written at
+    that numpy index (the slots must not overlap): pads and stacks as one record."""
     out = np.zeros(shape)
     for t, index in parts:
         out[index] = t.values
     return _result(out, tuple((t, lambda g, i=i, s=t.values.shape: g[i].reshape(s))
                               for t, i in parts))
-
-
-def split_cols(a: Tensor, n: int) -> Tensor:
-    """Move n equal column blocks onto a new leading axis:
-    (..., n * d) -> (n, ..., d)."""
-    av = a.values
-    if av.shape[-1] % n:
-        raise ShapeError(f"split_cols: {av.shape[-1]} columns do not split into {n} blocks")
-    blocks = av.reshape(av.shape[:-1] + (n, av.shape[-1] // n))
-    return _result(np.moveaxis(blocks, -2, 0),
-                   ((a, lambda g: np.moveaxis(g, 0, -2).reshape(av.shape)),))
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -425,17 +410,6 @@ def _joint_pulls(inputs, adjoint):
     return tuple((t, pull_for(i)) for i, t in enumerate(inputs))
 
 
-@functools.lru_cache(maxsize=None)
-def _gate_affine(width: int, batched: bool):
-    """(half, rest) such that tanh(z * half) * half + rest is the sigmoid of
-    the input, forget and output gate rows and the tanh of the candidate
-    rows: sigmoid(z) = (1 + tanh(z / 2)) / 2, so one tanh gives all four."""
-    half = np.full((4 * width,) + (1,) * batched, 0.5)
-    half[2 * width:3 * width] = 1.0
-    half.flags.writeable = False
-    return half, 1.0 - half
-
-
 def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None, start=None,
               carry: bool = False):
     """LSTM directions over precomputed input projections.
@@ -443,19 +417,17 @@ def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None, start=None,
     ``xg`` is n x 4H for one sequence, or B x L x 4H for a batch padded
     to L, with ``lengths`` the rows' real lengths (default: all L).
     ``wh`` is the H x 4H recurrent weight, with gate blocks ordered input,
-    forget, candidate, output; ``order`` visits every timestep once.
-    With a leading direction axis, a D x H x 4H ``wh``, D directions
-    step together in one loop: ``order`` holds one visit order per
-    direction, and the columns of ``xg`` hold D blocks of 4H, one per
-    direction, as those of the output and the state hold D blocks of H.
-    The state starts at ``start``, an (h, c) pair of constant arrays
-    shaped like one row of the output (DH, or B x DH), or at zero. A
-    padded step (t >= its row's length) carries the state through
-    unchanged, outputs zero and gets a zero adjoint, so a reverse visit
-    starts each row at its own last real step. Returns the hidden states
-    indexed by timestep, not visit order, in the shape of ``xg`` with DH
-    columns. The pull runs backpropagation through time into ``xg`` and
-    ``wh``.
+    forget, candidate, output; ``order`` visits every timestep once. A
+    D x H x 4H ``wh`` steps D directions in one loop: ``order`` then holds
+    one visit order per direction, and the columns of ``xg``, the output
+    and the state hold D blocks side by side. The state starts at
+    ``start``, an (h, c) pair of constant arrays shaped like one row of
+    the output (DH, or B x DH), or at zero. A padded step (t >= its row's
+    length) carries the state through unchanged, outputs zero and gets a
+    zero adjoint, so a reverse visit starts each row at its own last real
+    step. Returns the hidden states indexed by timestep, not visit order,
+    in the shape of ``xg`` with DH columns. The pull runs backpropagation
+    through time into ``xg`` and ``wh``.
 
     With ``carry``, an untaped scan returns (hidden states, (h, c)), the
     state it ends in: a scan of the steps that follow, started from it,
@@ -472,43 +444,43 @@ def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None, start=None,
     orders = [list(o) for o in order] if whv.ndim == 3 else [list(order)]
     if len(orders) != dirs or len({len(o) for o in orders}) != 1:
         raise ShapeError(f"lstm_scan: need {dirs} visit orders of one length")
-    batched = xv.ndim == 3
-    n, size = xv.shape[-2], xv.shape[0] if batched else 1
-    rows = (size,) if batched else ()
-    # steps run on (feature[, row]) arrays with features ordered (gate,
-    # direction, unit): each gate is one leading slice for every direction,
-    # and one block-diagonal matrix steps them all
+    n, size = xv.shape[-2], xv.shape[0] if xv.ndim == 3 else 1
+    # steps run on (feature, row) arrays with features ordered (gate,
+    # direction, unit), so each gate of every direction is one leading
+    # slice and one block-diagonal matrix steps all directions
     visit = np.array(orders, dtype=np.intp).reshape(dirs, -1).T  # step -> timesteps
     across = np.arange(dirs)
     steps = len(visit)
     live = None if lengths is None else np.repeat(
         (np.arange(n)[:, None] < np.asarray(lengths)[None, :])[visit], hid, axis=1)
     partial = [live is not None and not live[k].all() for k in range(steps)]
-    half, rest = _gate_affine(width, batched)
+    # sigmoid(z) = (1 + tanh(z / 2)) / 2, so one tanh gives all four gates
+    half = np.where(np.arange(4 * width)[:, None] // width == 2, 1.0, 0.5)
+    rest = 1.0 - half
+    blocks = np.zeros((4, dirs, hid, dirs, hid))  # (gate, direction, out, direction, in)
+    blocks[:, across, :, across] = whv.reshape(dirs, hid, 4, hid).transpose(0, 2, 3, 1)
+    wt = blocks.reshape(4 * width, width)
     # z * half is exact, so the inputs and recurrent weight take it up front
     xs = xv.reshape(size, n, dirs, 4, hid).transpose(1, 2, 3, 4, 0)[visit, across] \
-        .swapaxes(1, 2).reshape((steps, 4 * width) + rows) * half
+        .swapaxes(1, 2).reshape(steps, 4 * width, size) * half
+    wt_half = wt * half
     # the per-step caches feed only the pull, so an untaped scan skips them
     keep = _TAPE is not None and (xg.requires_grad or wh.requires_grad)
     if carry and keep:
         raise ContractError("lstm_scan: a taped scan cannot carry its state out")
-    hs = np.zeros((steps, width) + rows)
+    hs = np.zeros((steps, width, size))
     if keep:
-        gates = np.empty((steps, 4 * width) + rows)
-        tanh_c, c_prev, h_prev = (np.empty((steps, width) + rows) for _ in range(3))
-    blocks = np.zeros((4, dirs, hid, dirs, hid))  # (gate, dir, out, dir, in)
-    blocks[:, across, :, across] = whv.reshape(dirs, hid, 4, hid).transpose(0, 2, 3, 1)
-    wt = blocks.reshape(4 * width, width)
-    wt_half = wt * half.reshape(-1, 1)
+        gates = np.empty((steps, 4 * width, size))
+        tanh_c, c_prev, h_prev = (np.empty((steps, width, size)) for _ in range(3))
     state = xv.shape[:-2] + (width,)  # one row of the output
     if start is None:
-        h = c = np.zeros((width,) + rows)
+        h = c = np.zeros((width, size))
     else:
         h, c = (np.asarray(s, dtype=np.float64) for s in start)
         if h.shape != state or c.shape != state:
             raise ShapeError(f"lstm_scan: start state needs shape {state}, got "
                              f"{h.shape} and {c.shape}")
-        h, c = np.ascontiguousarray(h.T), np.ascontiguousarray(c.T)
+        h, c = (np.ascontiguousarray(s.reshape(size, width).T) for s in (h, c))
     for k in range(steps):
         a = np.tanh(xs[k] + wt_half @ h) * half + rest
         if keep:
@@ -530,26 +502,25 @@ def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None, start=None,
             tanh_c[k] = tc
 
     def by_time(a):
-        """Visit-ordered (step, direction, feature[, row]) to xg's layout."""
+        """(step, direction, feature, row) in visit order to xg's layout."""
         t = np.zeros((n,) + a.shape[1:])
         t[visit, across] = a
-        t = np.moveaxis(t, -1, 0) if batched else t
-        return t.reshape(xv.shape[:-1] + (a.shape[1] * a.shape[2],))
+        return np.moveaxis(t, -1, 0).reshape(xv.shape[:-1] + (a.shape[1] * a.shape[2],))
 
-    out = by_time(hs.reshape((steps, dirs, hid) + rows))
+    out = by_time(hs.reshape(steps, dirs, hid, size))
     if carry:
-        return _wrap(out), (h.T, c.T)
+        return _wrap(out), tuple(s.T.reshape(state) for s in (h, c))
     if not keep:
         return _wrap(out)
 
     def adjoint(g):
-        gs = g.reshape(size, n, dirs, hid).transpose(1, 2, 3, 0)[visit, across] \
-            .reshape((steps, width) + rows)
+        gs = g.reshape(size, n, width).transpose(1, 2, 0).reshape(n, dirs, hid, size)
+        gs = gs[visit, across].reshape(steps, width, size)
         slope = gates * (1.0 - gates)
         slope[:, 2 * width:3 * width] = 1.0 - gates[:, 2 * width:3 * width] ** 2
-        dz_all = np.zeros((steps, 4 * width) + rows)
-        da = np.empty((4 * width,) + rows)
-        dh = dc = np.zeros((width,) + rows)
+        dz_all = np.zeros((steps, 4 * width, size))
+        da = np.empty((4 * width, size))
+        dh = dc = np.zeros((width, size))
         back = np.ascontiguousarray(wt.T)
         for k in reversed(range(steps)):
             a, tc = gates[k], tanh_c[k]
@@ -570,12 +541,12 @@ def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None, start=None,
                 dh = back @ dz
                 dc = dc_t * a[width:2 * width]
             dz_all[k] = dz
-        # sum over every step and row, then keep each direction's block
-        full = np.moveaxis(h_prev, 1, 0).reshape(width, -1) @ \
-            np.moveaxis(dz_all, 1, -1).reshape(-1, 4 * width)
+        # sum over every step and row, then keep each direction's own block
+        full = h_prev.transpose(1, 0, 2).reshape(width, -1) @ \
+            dz_all.transpose(0, 2, 1).reshape(-1, 4 * width)
         dwh = np.einsum("ahgae->ahge", full.reshape(dirs, hid, 4, dirs, hid))
-        dz_t = dz_all.reshape((steps, 4, dirs, hid) + rows).swapaxes(1, 2)
-        return by_time(dz_t.reshape((steps, dirs, 4 * hid) + rows)), dwh.reshape(whv.shape)
+        dz_t = dz_all.reshape(steps, 4, dirs, hid, size).swapaxes(1, 2)
+        return by_time(dz_t.reshape(steps, dirs, 4 * hid, size)), dwh.reshape(whv.shape)
 
     return _result(out, _joint_pulls((xg, wh), adjoint))
 

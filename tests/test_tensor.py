@@ -450,7 +450,7 @@ def test_grad_attend_batched_score_affine_with_padded_row():
     assert np.all(k.grad[:, 1, 1:] == 0.0) and np.all(v.grad[:, 1, 1:] == 0.0)
 
 
-@pytest.mark.parametrize("op", ["affine", "sum_axis", "stack", "split_cols",
+@pytest.mark.parametrize("op", ["affine", "sum_axis", "stack", "place",
                                 "take_rows", "concat_mid"])
 def test_grad_batch_layout_ops(op):
     rng = Rng(58)
@@ -460,7 +460,8 @@ def test_grad_batch_layout_ops(op):
     f = {"affine": lambda t: T.affine(t, w, b),
          "sum_axis": lambda t: T.sum_axis(t, (0, 2)),
          "stack": lambda t: T.stack([t, other, t]),
-         "split_cols": lambda t: T.split_cols(t, 2),
+         "place": lambda t: T.place((3, 2, 5, 4), [(t, (0, slice(None), slice(3))),
+                                                   (t, (2, slice(None), slice(1, 4)))]),
          "take_rows": lambda t: T.take_rows(t, [1, 0, 1]),
          "concat_mid": lambda t: T.concat([t, other], 1)}[op]
     r = readout(rng, f(x).shape)
