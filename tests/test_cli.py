@@ -496,6 +496,45 @@ def test_explain_missing_utterance_is_data_error(workdir, tmp_path):
     assert rc == 3
 
 
+def test_explain_checks_data_against_checkpoint(workdir, tmp_path, capsys):
+    # a corpus one text column wider than the checkpoint: explain names the
+    # utterance and exits 3, as eval does
+    spec = write_json(tmp_path / "spec.json", {"num_dialogues": 2, "text_dim": 7,
+                                               "utterances_per_dialogue": [2, 2], "seed": 7})
+    assert main(["synth", "--spec", spec, "--out", str(tmp_path / "wide"), "--quiet"]) == 0
+    data = str(tmp_path / "wide" / "dataset.jsonl")
+    ck = str(workdir["run"] / "checkpoint.json")
+    for argv in (["eval", "--data", data], ["explain", "--input", data, "--samples", "8"]):
+        rc = main(argv + ["--checkpoint", ck, "--out", str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert "text width 7 does not match configured width 6" in err
+
+
+def test_explain_all_fuses_each_dialogue_once_and_matches_single_runs(
+        workdir, tmp_path, monkeypatch):
+    from emofuse import model
+    fuses = []
+    real_fuse = model.fuse_utterances
+    monkeypatch.setattr(model, "fuse_utterances",
+                        lambda p, utts, *a: fuses.append(len(utts)) or real_fuse(p, utts, *a))
+    dialogues = load_dataset(workdir["data"])
+    ck = str(workdir["run"] / "checkpoint.json")
+    argv = ["explain", "--checkpoint", ck, "--input", workdir["data"], "--samples", "8",
+            "--quiet"]
+    assert main(argv + ["--out", str(tmp_path / "all")]) == 0
+    assert fuses == [len(d.utterances) for d in dialogues]
+    index = json.loads((tmp_path / "all" / "explanations" / "index.json").read_text())
+    ids = [u.utterance_id for d in dialogues for u in d.utterances]
+    assert [e["utterance_id"] for e in index] == ids
+    for uid, entry in zip(ids, index):
+        one = tmp_path / uid
+        assert main(argv + ["--utterance", uid, "--out", str(one)]) == 0
+        for name in (entry["json"], entry["svg"]):
+            assert (one / "explanations" / name).read_bytes() == \
+                (tmp_path / "all" / "explanations" / name).read_bytes()
+
+
 def test_ablate_alpha_writes_table(workdir, tmp_path):
     assert main(["ablate", "--which", "alpha", "--data", workdir["data"],
                  "--config", workdir["config"], "--out", str(tmp_path),

@@ -258,3 +258,50 @@ def test_tensor_collection_is_stable():
     a = [id(t) for mode in params for t in params[mode].tensors()]
     b = [id(t) for mode in params for t in params[mode].tensors()]
     assert a == b and len(a) > 0
+
+
+def test_records_per_call_do_not_grow_with_heads_or_modes():
+    # the query networks run as one stack: the tape count is fixed by the
+    # layer count; a mode adds only its two output rows (f_ca and probs)
+    def records(heads, dims):
+        params = init_man(ManConfig(num_classes=3, layers=2, heads=heads, descriptor_dim=3),
+                          dims, Rng(80))
+        rng = Rng(81)
+        encoded = {m: T.Tensor(rng.uniform_array((2, 3, w), -1.0, 1.0), requires_grad=True)
+                   for m, w in dims.items()}
+        tape = T.Tape()
+        with T.recording(tape):
+            man_forward(encoded, params)
+        return len(tape)
+
+    two = {"text": 4, "audio": 3}
+    three = {"text": 4, "video": 5, "audio": 3}
+    four = dict(three, extra=2)
+    assert records(1, three) == records(2, three) == records(4, three)
+    assert records(2, three) - records(2, two) == records(2, four) - records(2, three) == 2
+
+
+def test_batch_equals_members_alone_with_mixed_widths_and_lengths():
+    # modes of different widths and lengths, utterances of different
+    # lengths: zero padding on either axis never reaches a real row
+    config = ManConfig(num_classes=4, layers=2, heads=2, descriptor_dim=3)
+    dims = {"text": 4, "video": 6, "audio": 2}
+    params = init_man(config, dims, Rng(82))
+    rng = Rng(83)
+    lengths = {"text": [3, 1, 2], "video": [2, 4, 1], "audio": [5, 2, 3]}
+    members = [{m: rng.uniform_array((lengths[m][b], w), -1.0, 1.0) for m, w in dims.items()}
+               for b in range(3)]
+    encoded, masks = {}, {}
+    for m, w in dims.items():
+        rows = np.zeros((3, max(lengths[m]), w))
+        for b, member in enumerate(members):
+            rows[b, :lengths[m][b]] = member[m]
+        encoded[m] = T.Tensor(rows)
+        masks[m] = np.arange(rows.shape[1])[None, :] < np.array(lengths[m])[:, None]
+    out = man_forward(encoded, params, masks=masks)
+    for b, member in enumerate(members):
+        alone = man_forward({m: T.Tensor(x) for m, x in member.items()}, params)
+        for m in dims:
+            for field in ("f_ca", "probs"):
+                assert np.allclose(getattr(out[m], field).values[b],
+                                   getattr(alone[m], field).values[0], atol=1e-12, rtol=0)

@@ -661,3 +661,83 @@ def test_full_pipeline_bit_determinism():
         return loss.values.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
     assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# two LSTM directions in one scan, weights with leading batch axes
+
+def two_directions(rng, shape, hid):
+    """Gate inputs of two directions side by side, their stacked recurrent
+    weights, and each direction's own (xg, wh)."""
+    xf, xb = (rand_t(rng, shape + (4 * hid,), -1.5, 1.5) for _ in range(2))
+    wf, wb = (rand_t(rng, (hid, 4 * hid), -0.8, 0.8) for _ in range(2))
+    return (T.Tensor(np.concatenate([xf.values, xb.values], -1), requires_grad=True),
+            T.Tensor(np.stack([wf.values, wb.values]), requires_grad=True),
+            ((xf, wf), (xb, wb)))
+
+
+@pytest.mark.parametrize("case", ["one-sequence", "ragged", "ragged-start"])
+def test_two_direction_scan_equals_two_one_direction_scans(case):
+    rng = Rng(64)
+    hid, n = 3, 5
+    lengths = None if case == "one-sequence" else [5, 1, 3, 0]
+    shape = (n,) if lengths is None else (len(lengths), n)
+    xg, wh, ((xf, wf), (xb, wb)) = two_directions(rng, shape, hid)
+    orders = (range(n), range(n - 1, -1, -1))
+    starts = [None, None]
+    if case == "ragged-start":
+        starts = [tuple(rng.uniform_array(shape[:-1] + (hid,), -0.9, 0.9) for _ in "hc")
+                  for _ in orders]
+    start = None if starts[0] is None else tuple(np.concatenate(s, -1) for s in zip(*starts))
+    both, (h, c) = T.lstm_scan(xg, wh, orders, lengths, start, carry=True)
+    alone = [T.lstm_scan(x, w, order, lengths, s, carry=True)
+             for (x, w), order, s in zip(((xf, wf), (xb, wb)), orders, starts)]
+    for got, want in ((both.values, [out.values for out, _ in alone]),
+                      (h, [hc[0] for _, hc in alone]), (c, [hc[1] for _, hc in alone])):
+        assert np.max(np.abs(got - np.concatenate(want, -1))) <= 1e-12
+    # the adjoints are the two directions' adjoints, side by side
+    r = rng.uniform_array(both.shape, -1.0, 1.0)
+    for parts in ([(xg, wh, orders, start, r)],
+                  [(x, w, order, s, part) for (x, w), order, s, part in zip(
+                      ((xf, wf), (xb, wb)), orders, starts, np.split(r, 2, axis=-1))]):
+        tape = T.Tape()
+        with T.recording(tape):
+            terms = [T.sum_all(T.mul(T.lstm_scan(x, w, order, lengths, s), T.Tensor(part)))
+                     for x, w, order, s, part in parts]
+            loss = terms[0] if len(terms) == 1 else T.add(*terms)
+        T.backward(loss, tape)
+    assert np.max(np.abs(xg.grad - np.concatenate([xf.grad, xb.grad], -1))) <= 1e-12
+    assert np.max(np.abs(wh.grad - np.stack([wf.grad, wb.grad]))) <= 1e-12
+
+
+@pytest.mark.parametrize("start", [False, True])
+def test_grad_two_direction_scan_ragged(start):
+    rng = Rng(65)
+    hid, n, lengths = 2, 4, [4, 1, 3]
+    xg, wh, _ = two_directions(rng, (3, n), hid)
+    orders = (range(n), range(n - 1, -1, -1))
+    state = (rng.uniform_array((3, 2 * hid), -0.9, 0.9),
+             rng.uniform_array((3, 2 * hid), -2.0, 2.0)) if start else None
+    r = readout(rng, (3, n, 2 * hid))
+    assert T.finite_diff_check(
+        lambda t: r(T.lstm_scan(t, wh, orders, lengths, state)), xg) < TOL
+    assert T.finite_diff_check(
+        lambda t: r(T.lstm_scan(xg, t, orders, lengths, state)), wh) < TOL
+    with pytest.raises(ShapeError, match="visit orders"):
+        T.lstm_scan(xg, wh, orders[:1], lengths)
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [((2, 3, 4), (2, 4, 5)),   # one matrix each
+                                              ((3, 4), (2, 4, 5)),      # x shared
+                                              ((2, 2, 3, 4), (2, 1, 4, 5))])  # broadcast
+def test_grad_matmul_and_affine_with_batched_weight(x_shape, w_shape):
+    rng = Rng(66)
+    x, w = rand_t(rng, x_shape), rand_t(rng, w_shape)
+    b = rand_t(rng, w_shape[:-2] + (1, w_shape[-1]))
+    out_shape = np.broadcast_shapes(x_shape[:-2], w_shape[:-2]) + (x_shape[-2], w_shape[-1])
+    r = readout(rng, out_shape)
+    assert np.allclose(T.matmul(x, w).values, x.values @ w.values, atol=1e-15)
+    for probe in (x, w):
+        assert T.finite_diff_check(lambda _: r(T.matmul(x, w)), probe) < TOL
+    for probe in (x, w, b):
+        assert T.finite_diff_check(lambda _: r(T.affine(x, w, b)), probe) < TOL
