@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoders import BiLstmParams, bilstm_forward, directions, init_bilstm
+from .encoders import BiLstmParams, bilstm_forward, init_bilstm
 from .errors import ContractError, DataError
 from .rng import Rng
 
@@ -151,15 +151,6 @@ def _neighbour_states(lstm: BiLstmParams, seq: T.Tensor, pos: int):
     return tuple(np.concatenate(pair) for pair in zip(fwd, bwd))
 
 
-def _row_state(lstm: BiLstmParams, weights, row: T.Tensor, start) -> T.Tensor:
-    """`bilstm_forward`'s output for one row between its neighbours'
-    carried states: one two-direction step from ``start``, then the
-    projection. ``weights`` are ``directions(lstm)``."""
-    wx, b, wh = weights
-    both = T.lstm_scan(T.affine(row, wx, b), wh, ([0], [0]), start=start)
-    return T.affine(both, lstm.proj_w, lstm.proj_b)
-
-
 def row_query(fused_seq: T.Tensor, speaker_ids, index: int, params: ContextParams,
               eval_mode: str = "own"):
     """``probs(x)``: the class probabilities `classify_dialogue` gives
@@ -168,8 +159,9 @@ def row_query(fused_seq: T.Tensor, speaker_ids, index: int, params: ContextParam
 
     The scans up to the row's neighbours run once, here, in the dialogue
     branch and (eval_mode "own") the row's speaker branch; the states
-    live only in the returned function. A query then takes one
-    two-direction step per branch from them and one head row.
+    live only in the returned function. A query then steps every
+    direction of every branch from them in one scan, and reads one head
+    row.
     """
     if eval_mode not in ("own", "dialogue"):
         raise ContractError(f"row_query: unknown eval_mode {eval_mode!r}")
@@ -183,13 +175,23 @@ def row_query(fused_seq: T.Tensor, speaker_ids, index: int, params: ContextParam
         branches.insert(0, (params.speaker_lstm, rows, index_map.index(index)))
     else:
         slot = T.Tensor(np.zeros((1, params.dialogue_lstm.proj_b.values.shape[1])))
-    carried = [(lstm, directions(lstm), _neighbour_states(lstm, seq, pos))
-               for lstm, seq, pos in branches]
+    start = tuple(np.concatenate(s) for s in zip(*(_neighbour_states(*b) for b in branches)))
+    # the branches' directions side by side, and their projections block-diagonal
+    lstms = [lstm for lstm, _, _ in branches]
+    wx, b = (T.concat_cols([getattr(lstm, f"{name}_{d}") for lstm in lstms for d in "fb"])
+             for name in ("wx", "b"))
+    wh = T.stack([w for lstm in lstms for w in (lstm.wh_f, lstm.wh_b)])
+    (ins, outs), k = lstms[0].proj_w.values.shape, len(lstms)
+    proj = T.place((k * ins, k * outs), [(lstm.proj_w, (slice(i * ins, (i + 1) * ins),
+                                                        slice(i * outs, (i + 1) * outs)))
+                                         for i, lstm in enumerate(lstms)])
+    proj_b = T.concat_cols([lstm.proj_b for lstm in lstms])
 
     def probs(x) -> np.ndarray:
         row = T.Tensor(np.reshape(x, (1, -1)))  # rejects a non-finite row
-        states = [_row_state(lstm, w, row, start) for lstm, w, start in carried]
-        joined = T.concat_cols(states if slot is None else [slot] + states)
+        states = T.affine(T.lstm_scan(T.affine(row, wx, b), wh, [[0]] * 2 * k, start=start),
+                          proj, proj_b)
+        joined = states if slot is None else T.concat_cols([slot, states])
         return predict_emotion(joined, params).probs.values[0]
 
     return probs

@@ -94,13 +94,6 @@ def init_bilstm(din: int, hidden: int, dout: int, rng: Rng) -> BiLstmParams:
     )
 
 
-def directions(params: BiLstmParams):
-    """Input weights, biases and recurrent weights of both directions, laid
-    out for one two-direction `tensor.lstm_scan`."""
-    return (T.concat_cols([params.wx_f, params.wx_b]), T.concat_cols([params.b_f, params.b_b]),
-            T.stack([params.wh_f, params.wh_b]))
-
-
 def bilstm_forward(params: BiLstmParams, seq: T.Tensor, lengths=None) -> T.Tensor:
     """Both directions concatenated, then projected to dout columns.
 
@@ -116,8 +109,10 @@ def bilstm_forward(params: BiLstmParams, seq: T.Tensor, lengths=None) -> T.Tenso
             f"bilstm_forward: input width {sv.shape[-1]} does not match "
             f"parameter width {params.wx_f.values.shape[0]}")
     n = sv.shape[-2]
-    wx, b, wh = directions(params)
-    both = T.lstm_scan(T.affine(seq, wx, b), wh, (range(n), range(n - 1, -1, -1)), lengths)
+    xg = T.affine(seq, T.concat_cols([params.wx_f, params.wx_b]),
+                  T.concat_cols([params.b_f, params.b_b]))
+    both = T.lstm_scan(xg, T.stack([params.wh_f, params.wh_b]),
+                       (range(n), range(n - 1, -1, -1)), lengths)
     return T.affine(both, params.proj_w, params.proj_b)
 
 

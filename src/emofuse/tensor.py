@@ -28,6 +28,8 @@ points that the rest of the package relies on:
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ContractError, ShapeError
@@ -163,12 +165,8 @@ def _sum_to(g, shape):
 def _matmul_pulls(x: Tensor, w: Tensor):
     """Pulls of ``x @ w``, each summed over the axes its input broadcast along."""
     xv, wv = x.values, w.values
-
-    def pull_w(g):
-        if wv.ndim == 2:
-            return xv.reshape(-1, wv.shape[0]).T @ g.reshape(-1, wv.shape[1])
-        return _sum_to(np.swapaxes(xv, -1, -2) @ g, wv.shape)
-
+    pull_w = (lambda g: xv.reshape(-1, wv.shape[0]).T @ g.reshape(-1, wv.shape[1])) \
+        if wv.ndim == 2 else (lambda g: _sum_to(np.swapaxes(xv, -1, -2) @ g, wv.shape))
     return ((x, lambda g: _sum_to(g @ np.swapaxes(wv, -1, -2), xv.shape)), (w, pull_w))
 
 
@@ -410,6 +408,15 @@ def _joint_pulls(inputs, adjoint):
     return tuple((t, pull_for(i)) for i, t in enumerate(inputs))
 
 
+@functools.lru_cache(maxsize=None)
+def _gate_affine(width: int):
+    """(half, rest): tanh(z * half) * half + rest is the sigmoid of the
+    input, forget and output gates and the tanh of the candidate, since
+    sigmoid(z) = (1 + tanh(z / 2)) / 2; one tanh gives all four gates."""
+    half = np.where(np.arange(4 * width)[:, None] // width == 2, 1.0, 0.5)
+    return half, 1.0 - half
+
+
 def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None, start=None,
               carry: bool = False):
     """LSTM directions over precomputed input projections.
@@ -454,12 +461,10 @@ def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None, start=None,
     live = None if lengths is None else np.repeat(
         (np.arange(n)[:, None] < np.asarray(lengths)[None, :])[visit], hid, axis=1)
     partial = [live is not None and not live[k].all() for k in range(steps)]
-    # sigmoid(z) = (1 + tanh(z / 2)) / 2, so one tanh gives all four gates
-    half = np.where(np.arange(4 * width)[:, None] // width == 2, 1.0, 0.5)
-    rest = 1.0 - half
-    blocks = np.zeros((4, dirs, hid, dirs, hid))  # (gate, direction, out, direction, in)
-    blocks[:, across, :, across] = whv.reshape(dirs, hid, 4, hid).transpose(0, 2, 3, 1)
-    wt = blocks.reshape(4 * width, width)
+    half, rest = _gate_affine(width)
+    wt = np.zeros((4, dirs, hid, dirs, hid))  # (gate, direction, out, direction, in)
+    wt[:, across, :, across] = whv.reshape(dirs, hid, 4, hid).transpose(0, 2, 3, 1)
+    wt = wt.reshape(4 * width, width)
     # z * half is exact, so the inputs and recurrent weight take it up front
     xs = xv.reshape(size, n, dirs, 4, hid).transpose(1, 2, 3, 4, 0)[visit, across] \
         .swapaxes(1, 2).reshape(steps, 4 * width, size) * half
@@ -489,15 +494,13 @@ def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None, start=None,
             h_prev[k] = h
         c_new = a[width:2 * width] * c + a[:width] * a[2 * width:3 * width]
         tc = np.tanh(c_new)
-        h_new = a[3 * width:] * tc
         if partial[k]:
-            m = live[k]
+            m, h_new = live[k], a[3 * width:] * tc
             c = np.where(m, c_new, c)
             h = np.where(m, h_new, h)
             hs[k] = np.where(m, h_new, 0.0)
         else:
-            c, h = c_new, h_new
-            hs[k] = h
+            c, h = c_new, np.multiply(a[3 * width:], tc, out=hs[k])
         if keep:
             tanh_c[k] = tc
 
@@ -505,7 +508,7 @@ def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None, start=None,
         """(step, direction, feature, row) in visit order to xg's layout."""
         t = np.zeros((n,) + a.shape[1:])
         t[visit, across] = a
-        return np.moveaxis(t, -1, 0).reshape(xv.shape[:-1] + (a.shape[1] * a.shape[2],))
+        return t.transpose(3, 0, 1, 2).reshape(xv.shape[:-1] + (a.shape[1] * a.shape[2],))
 
     out = by_time(hs.reshape(steps, dirs, hid, size))
     if carry:

@@ -216,14 +216,15 @@ def test_row_query_matches_classifying_the_swapped_dialogue(eval_mode, speakers)
 
 def test_row_query_never_reruns_a_bilstm(monkeypatch):
     # the scans up to the row's neighbours run once, when the query is
-    # built; a query is then one two-direction step per branch
+    # built; a query is then one step of both branches' two directions
     p = params(seed=24)
     seq = fused(Rng(25), 6)
     scans = []
     real_scan = T.lstm_scan
 
     def counted(xg, wh, *args, **kwargs):
-        scans.append((wh.values.ndim - 1, xg.values.shape[0]))  # (directions, steps)
+        directions = wh.values.shape[0] if wh.values.ndim == 3 else 1
+        scans.append((directions, xg.values.shape[0]))
         return real_scan(xg, wh, *args, **kwargs)
 
     monkeypatch.setattr(context, "bilstm_forward", None)
@@ -234,7 +235,7 @@ def test_row_query_never_reruns_a_bilstm(monkeypatch):
     scans.clear()
     query(seq.values[3:4])
     query(np.zeros((1, 4)))
-    assert scans == [(2, 1)] * 4
+    assert scans == [(4, 1)] * 2
 
 
 def test_row_query_validates():
