@@ -178,8 +178,8 @@ def row_query(fused_seq: T.Tensor, speaker_ids, index: int, params: ContextParam
     start = tuple(np.concatenate(s) for s in zip(*(_neighbour_states(*b) for b in branches)))
     # the branches' directions side by side, and their projections block-diagonal
     lstms = [lstm for lstm, _, _ in branches]
-    wx, b = (T.concat_cols([getattr(lstm, f"{name}_{d}") for lstm in lstms for d in "fb"])
-             for name in ("wx", "b"))
+    wx = T.concat_cols([w for lstm in lstms for w in (lstm.wx_f, lstm.wx_b)])
+    b = T.concat_cols([v for lstm in lstms for v in (lstm.b_f, lstm.b_b)])
     wh = T.stack([w for lstm in lstms for w in (lstm.wh_f, lstm.wh_b)])
     (ins, outs), k = lstms[0].proj_w.values.shape, len(lstms)
     proj = T.place((k * ins, k * outs), [(lstm.proj_w, (slice(i * ins, (i + 1) * ins),
