@@ -39,8 +39,7 @@ def _say(args, msg: str) -> None:
 
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _resolve_config(args) -> RunConfig:

@@ -9,8 +9,9 @@ one matmul.
 
 An explanation asks for one utterance's probability with that
 utterance's descriptor replaced, many times over (`row_query`). Only
-that row changes, so each query is one recurrent step per branch and
-direction, started from the states its neighbours carry in.
+that row changes, so one scan of every branch and direction up to the
+row's neighbours serves every query, and a batch of replacement rows
+is one recurrent step from the states that scan carries in.
 """
 from __future__ import annotations
 
@@ -139,59 +140,58 @@ def classify_dialogue(fused_seq: T.Tensor, speaker_ids, utt_ids, params: Context
     return predict_emotion(T.concat_cols([s_states, d_states]), params, utt_ids)
 
 
-def _neighbour_states(lstm: BiLstmParams, seq: T.Tensor, pos: int):
-    """The (h, c) the two directions of ``lstm`` carry into row ``pos`` of
-    ``seq``, side by side: the forward scan's over the rows before it,
-    then the backward scan's over the rows after it (zero at the ends)."""
-    n = seq.values.shape[0]
-    _, fwd = T.lstm_scan(T.affine(T.slice_rows(seq, 0, pos), lstm.wx_f, lstm.b_f),
-                         lstm.wh_f, range(pos), carry=True)
-    _, bwd = T.lstm_scan(T.affine(T.slice_rows(seq, pos + 1, n), lstm.wx_b, lstm.b_b),
-                         lstm.wh_b, range(n - pos - 2, -1, -1), carry=True)
-    return tuple(np.concatenate(pair) for pair in zip(fwd, bwd))
-
-
 def row_query(fused_seq: T.Tensor, speaker_ids, index: int, params: ContextParams,
               eval_mode: str = "own"):
     """``probs(x)``: the class probabilities `classify_dialogue` gives
-    utterance ``index`` when its fused row is replaced by the 1 x D array
-    ``x``.
+    utterance ``index`` when its fused row is replaced by a row of the
+    k x D array ``x``, as k x num_classes, one row per row of ``x``.
 
-    The scans up to the row's neighbours run once, here, in the dialogue
-    branch and (eval_mode "own") the row's speaker branch; the states
-    live only in the returned function. A query then steps every
-    direction of every branch from them in one scan, and reads one head
-    row.
+    The scans up to the row's neighbours run once, here: one scan of
+    every direction of the dialogue branch and (eval_mode "own") the
+    row's speaker branch, each direction stopping at its own neighbour.
+    The (h, c) they carry live only in the returned function, which
+    steps every direction for all k rows in one scan step from them and
+    reads the head once.
     """
     if eval_mode not in ("own", "dialogue"):
         raise ContractError(f"row_query: unknown eval_mode {eval_mode!r}")
     if fused_seq.values.shape[0] != len(speaker_ids) or \
             not 0 <= index < len(speaker_ids):
         raise ContractError("row_query: need one speaker id per row and a row index")
-    branches = [(params.dialogue_lstm, fused_seq, index)]
-    slot = None  # the speaker slot under eval_mode "dialogue"
+    branches = [(params.dialogue_lstm, range(len(speaker_ids)))]  # (lstm, its rows)
     if eval_mode == "own":
-        index_map, rows = speaker_subsequence(fused_seq, speaker_ids, speaker_ids[index])
-        branches.insert(0, (params.speaker_lstm, rows, index_map.index(index)))
-    else:
-        slot = T.Tensor(np.zeros((1, params.dialogue_lstm.proj_b.values.shape[1])))
-    start = tuple(np.concatenate(s) for s in zip(*(_neighbour_states(*b) for b in branches)))
+        branches.insert(0, (params.speaker_lstm, [i for i, s in enumerate(speaker_ids)
+                                                  if s == speaker_ids[index]]))
     # the branches' directions side by side, and their projections block-diagonal
-    lstms = [lstm for lstm, _, _ in branches]
+    lstms = [lstm for lstm, _ in branches]
     wx = T.concat_cols([w for lstm in lstms for w in (lstm.wx_f, lstm.wx_b)])
     b = T.concat_cols([v for lstm in lstms for v in (lstm.b_f, lstm.b_b)])
     wh = T.stack([w for lstm in lstms for w in (lstm.wh_f, lstm.wh_b)])
-    (ins, outs), k = lstms[0].proj_w.values.shape, len(lstms)
-    proj = T.place((k * ins, k * outs), [(lstm.proj_w, (slice(i * ins, (i + 1) * ins),
-                                                        slice(i * outs, (i + 1) * outs)))
-                                         for i, lstm in enumerate(lstms)])
+    (ins, outs), nb = lstms[0].proj_w.values.shape, len(lstms)
+    proj = T.place((nb * ins, nb * outs), [(lstm.proj_w, (slice(i * ins, (i + 1) * ins),
+                                                          slice(i * outs, (i + 1) * outs)))
+                                           for i, lstm in enumerate(lstms)])
     proj_b = T.concat_cols([lstm.proj_b for lstm in lstms])
 
+    # each direction reads its branch's rows before the row, or after it
+    # in reverse, from timestep 0; its padded steps carry its state on
+    runs = [run for _, rows in branches for pos in [rows.index(index)]
+            for run in (rows[:pos], rows[:pos:-1])]
+    gates, width = T.affine(fused_seq, wx, b).values, wh.values.shape[-1]
+    xg = np.zeros((max(map(len, runs)), len(runs) * width))
+    for d, run in enumerate(runs):
+        xg[:len(run), d * width:(d + 1) * width] = gates[run, d * width:(d + 1) * width]
+    _, start = T.lstm_scan(T.Tensor(xg), wh, [range(len(xg))] * len(runs),
+                           [[len(run) for run in runs]], carry=True)
+
     def probs(x) -> np.ndarray:
-        row = T.Tensor(np.reshape(x, (1, -1)))  # rejects a non-finite row
-        states = T.affine(T.lstm_scan(T.affine(row, wx, b), wh, [[0]] * 2 * k, start=start),
-                          proj, proj_b)
-        joined = states if slot is None else T.concat_cols([slot, states])
-        return predict_emotion(joined, params).probs.values[0]
+        rows = T.Tensor(np.reshape(x, (-1, 1, wx.values.shape[0])))  # rejects a non-finite row
+        size = rows.values.shape[0]
+        states = T.lstm_scan(T.affine(rows, wx, b), wh, [[0]] * len(runs),
+                             start=tuple(np.repeat(s[None], size, axis=0) for s in start))
+        joined = T.affine(states, proj, proj_b)
+        if nb == 1:  # eval_mode "dialogue": the speaker slot is zero
+            joined = T.concat_cols([T.Tensor(np.zeros((size, 1, outs))), joined])
+        return T.softmax_rows(T.affine(joined, params.head_w, params.head_b)).values[:, 0]
 
     return probs

@@ -75,6 +75,15 @@ def mode_groups(mode_order, block_width: int) -> list:
             for i, mode in enumerate(mode_order)]
 
 
+def masked_rows(descriptor, groups, masks) -> np.ndarray:
+    """The descriptor once per row of the S x G ``masks``, as S x F, with
+    each group whose mask entry is 0 zeroed."""
+    rows = np.repeat(np.asarray(descriptor, dtype=np.float64).reshape(1, -1), len(masks), axis=0)
+    for j, (_, lo, hi) in enumerate(groups):
+        rows[masks[:, j] == 0.0, lo:hi] = 0.0
+    return rows
+
+
 def perturb_and_score(descriptor, predict_fn, groups, config: PerturbationConfig):
     """Draw group masks, query the model on masked inputs, weight by locality.
 
@@ -92,17 +101,9 @@ def perturb_and_score(descriptor, predict_fn, groups, config: PerturbationConfig
             f"group count + 1 ({g + 1})")
     rng = Rng(config.seed)
     masks = np.ones((config.num_samples, g))
-    for s in range(1, config.num_samples):
-        for j in range(g):
-            if rng.uniform(0.0, 1.0) < config.mask_prob:
-                masks[s, j] = 0.0
-    scores = np.empty(config.num_samples)
-    for s in range(config.num_samples):
-        x = x0.copy()
-        for j, (_, lo, hi) in enumerate(groups):
-            if masks[s, j] == 0.0:
-                x[0, lo:hi] = 0.0
-        scores[s] = float(predict_fn(x))
+    masks[1:][rng.uniform_array((config.num_samples - 1, g)) < config.mask_prob] = 0.0
+    rows = masked_rows(x0, groups, masks)
+    scores = np.array([float(predict_fn(rows[s:s + 1])) for s in range(config.num_samples)])
     kernel = config.kernel_for(g)
     hamming = (masks == 0.0).sum(axis=1).astype(np.float64)
     weights = np.exp(-(hamming ** 2) / (kernel ** 2))

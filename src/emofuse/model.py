@@ -9,6 +9,7 @@ recurrent context to per-utterance class probabilities.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 import os
@@ -22,7 +23,8 @@ from .context import ContextParams, classify_dialogue, init_context, row_query
 from .data import Utterance
 from .encoders import MODES, encode_mode, init_encoders, pad_streams
 from .errors import ConfigError, ContractError, DataError
-from .explain import Explanation, PerturbationConfig, explain_instance, mode_groups
+from .explain import (Explanation, PerturbationConfig, explain_instance, masked_rows,
+                      mode_groups)
 from .fusion import AlphaState, adaptive_fuse
 from .man import CrossAttendedDescriptor, init_man, man_forward
 from .metrics import confusion, metrics_report
@@ -162,7 +164,9 @@ def explain_dialogue(pipeline: Pipeline, dialogue, indices,
     """Surrogate explanations of utterances ``indices`` of one dialogue,
     from one fuse of it. Each masks mode blocks of the utterance's fused
     descriptor; a query is the frozen context classifier's probability of
-    the class the unmasked descriptor gets (`context.row_query`).
+    the class the unmasked descriptor gets. A sample can only be one of
+    the 2^G mode masks, so one `context.row_query` call scores all of
+    them and each query looks its row up, however many samples there are.
     """
     for index in indices:
         if not 0 <= index < len(dialogue.utterances):
@@ -171,12 +175,22 @@ def explain_dialogue(pipeline: Pipeline, dialogue, indices,
     fused, _ = fuse_utterances(pipeline, dialogue.utterances)
     speakers = [u.speaker_id for u in dialogue.utterances]
     groups = mode_groups(MODES, pipeline.config.descriptor_dim)
+    every_mask = np.array(list(itertools.product((1.0, 0.0), repeat=len(groups))))
 
     def explain(index):
-        row = fused.values[index:index + 1]
-        probs = row_query(fused, speakers, index, pipeline.context, pipeline.config.eval_mode)
-        target = int(np.argmax(probs(row)))
-        return explain_instance(row, lambda x: probs(x)[target], groups, pcfg,
+        table = masked_rows(fused.values[index], groups, every_mask)  # row 0 unmasked
+        probs = row_query(fused, speakers, index, pipeline.context,
+                          pipeline.config.eval_mode)(table)
+        target = int(np.argmax(probs[0]))
+        scores = {row.tobytes(): p for row, p in zip(table, probs[:, target])}
+
+        def score(x):
+            key = np.asarray(x, dtype=np.float64).tobytes()
+            if key not in scores:
+                raise ContractError("explain_dialogue: a query is not a mode mask of the row")
+            return scores[key]
+
+        return explain_instance(table[:1], score, groups, pcfg,
                                 utterance_id=dialogue.utterances[index].utterance_id,
                                 predicted_label=target)
 
@@ -278,8 +292,7 @@ def save_checkpoint(path, pipeline: Pipeline, stage: int, epoch: int,
     }
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     os.replace(tmp, path)
 
 

@@ -369,7 +369,12 @@ def take_rows(a: Tensor, index) -> Tensor:
 
     def pull(g):
         z = np.zeros_like(av)
-        np.add.at(z, index, g)
+        rows = index.reshape(-1) % max(len(av), 1)
+        if len(set(rows.tolist())) == len(rows):
+            z[index] = g
+        else:  # in index order, so the sums round as np.add.at's do
+            for i, gi in zip(rows, g.reshape((-1,) + av.shape[1:])):
+                z[i] += gi
         return z
 
     return _result(av[index], ((a, pull),))
@@ -422,7 +427,9 @@ def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None, start=None,
     """LSTM directions over precomputed input projections.
 
     ``xg`` is n x 4H for one sequence, or B x L x 4H for a batch padded
-    to L, with ``lengths`` the rows' real lengths (default: all L).
+    to L, with ``lengths`` the rows' real lengths (default: all L), or a
+    B x D array of them, one per row and direction (B is 1 for one
+    sequence).
     ``wh`` is the H x 4H recurrent weight, with gate blocks ordered input,
     forget, candidate, output; ``order`` visits every timestep once. A
     D x H x 4H ``wh`` steps D directions in one loop: ``order`` then holds
@@ -458,8 +465,15 @@ def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None, start=None,
     visit = np.array(orders, dtype=np.intp).reshape(dirs, -1).T  # step -> timesteps
     across = np.arange(dirs)
     steps = len(visit)
-    live = None if lengths is None else np.repeat(
-        (np.arange(n)[:, None] < np.asarray(lengths)[None, :])[visit], hid, axis=1)
+    live = None
+    if lengths is not None:
+        lens = np.asarray(lengths)
+        if lens.size not in (size, size * dirs):
+            raise ShapeError(f"lstm_scan: need one length per row or per row and "
+                             f"direction, got {lens.shape}")
+        live = np.arange(n)[:, None, None] < lens.reshape(size, -1).T  # t x (1 | D) x B
+        live = np.repeat(live[visit, across] if live.shape[1] > 1 else live[visit, 0],
+                         hid, axis=1)
     partial = [live is not None and not live[k].all() for k in range(steps)]
     half, rest = _gate_affine(width)
     wt = np.zeros((4, dirs, hid, dirs, hid))  # (gate, direction, out, direction, in)

@@ -199,43 +199,50 @@ def test_gradient_through_context_classifier():
 @pytest.mark.parametrize("eval_mode", ["own", "dialogue"])
 @pytest.mark.parametrize("speakers", ["a", "ab", "aab", "abcab"])
 def test_row_query_matches_classifying_the_swapped_dialogue(eval_mode, speakers):
-    # one-utterance dialogues and speakers put the row at both ends at once
+    # one-utterance dialogues and speakers put the row at both ends at once;
+    # k rows scored in one call equal k one-row calls and k full re-runs
     p = params(seed=21, c=4)
     seq = fused(Rng(22), len(speakers))
     ids = [f"u{i}" for i in range(len(speakers))]
     masks = Rng(23).uniform_array((3, 4), 0.0, 1.0) < 0.5
     for index in range(len(speakers)):
         query = row_query(seq, list(speakers), index, p, eval_mode)
-        for keep in masks:
-            x = np.where(keep, seq.values[index], 0.0)[None, :]
+        xs = np.where(masks, seq.values[index], 0.0)
+        together = query(xs)
+        assert together.shape == (len(xs), 4)
+        for x, got in zip(xs, together):
+            assert np.max(np.abs(query(x[None, :])[0] - got)) < 1e-14
             rows = seq.values.copy()
             rows[index] = x
             full = classify_dialogue(T.Tensor(rows), list(speakers), ids, p, eval_mode)
-            assert np.max(np.abs(query(x) - full[index].probs.values[0])) < 1e-14
+            assert np.max(np.abs(got - full[index].probs.values[0])) < 1e-14
 
 
 def test_row_query_never_reruns_a_bilstm(monkeypatch):
-    # the scans up to the row's neighbours run once, when the query is
-    # built; a query is then one step of both branches' two directions
+    # the scans up to the row's neighbours are one scan of every direction,
+    # run when the query is built; scoring a batch of rows is one step
     p = params(seed=24)
     seq = fused(Rng(25), 6)
     scans = []
     real_scan = T.lstm_scan
 
-    def counted(xg, wh, *args, **kwargs):
-        directions = wh.values.shape[0] if wh.values.ndim == 3 else 1
-        scans.append((directions, xg.values.shape[0]))
-        return real_scan(xg, wh, *args, **kwargs)
+    def counted(xg, wh, order, lengths=None, **kwargs):
+        scans.append((wh.values.shape[0], xg.values.shape[:-1], lengths))
+        return real_scan(xg, wh, order, lengths, **kwargs)
 
     monkeypatch.setattr(context, "bilstm_forward", None)
     monkeypatch.setattr(T, "lstm_scan", counted)
     query = row_query(seq, list("abaabb"), 3, p)
-    # speaker "a" holds rows 0, 2, 3: two rows before row 3, none after it
-    assert sorted(scans) == [(1, 0), (1, 2), (1, 2), (1, 3)]
+    # speaker "a" holds rows 0, 2, 3: two rows before row 3, none after it;
+    # the dialogue has three before it and two after
+    assert scans == [(4, (3,), [[2, 0, 3, 2]])]
     scans.clear()
+    query(np.zeros((5, 4)))
     query(seq.values[3:4])
-    query(np.zeros((1, 4)))
-    assert scans == [(4, 1)] * 2
+    assert scans == [(4, (5, 1), None), (4, (1, 1), None)]
+    scans.clear()
+    row_query(seq, list("abaabb"), 3, p, "dialogue")(np.zeros((2, 4)))
+    assert scans == [(2, (3,), [[3, 2]]), (2, (2, 1), None)]
 
 
 def test_row_query_validates():

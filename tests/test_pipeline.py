@@ -1,20 +1,24 @@
 """Run configuration, pipeline assembly, and checkpoint round-trips."""
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from emofuse import model
 from emofuse import tensor as T
 from emofuse.config import RunConfig, load_config
 from emofuse.context import row_query
 from emofuse.data import SynthSpec, synth_generate
 from emofuse.encoders import MODES
 from emofuse.errors import ConfigError, DataError
-from emofuse.explain import PerturbationConfig, fit_surrogate, mode_groups, perturb_and_score
+from emofuse.explain import (PerturbationConfig, explain_instance, fit_surrogate, masked_rows,
+                             mode_groups, perturb_and_score)
 from emofuse.fusion import AlphaState
 from emofuse.rng import Rng
 from emofuse.losses import ace_loss, averaged_focal, combined_loss
-from emofuse.model import (classify_dialogues, encode_array, evaluate, explain_utterance,
+from emofuse.model import (classify_dialogues, encode_array, evaluate, explain_dialogue,
+                           explain_utterance,
                            fuse_dialogue, fuse_utterances, init_pipeline,
                            load_checkpoint,
                            named_parameters, pairwise_coefficients,
@@ -174,6 +178,19 @@ def test_checkpoint_round_trip(tmp_path, corpus):
     assert want == got
 
 
+def test_checkpoint_bytes_equal_json_dump(tmp_path):
+    # the one-shot encoder writes what the streaming json.dump writes
+    pl = init_pipeline(RunConfig(seed=6))
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, pl, stage=1, epoch=2, adam={"steps": {}, "m": {}, "v": {}},
+                    trainer_rng=[1, 2, 3, 4, 2 ** 64 - 1])
+    with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
+        json.dump(json.loads(path.read_text(encoding="utf-8")), fh, sort_keys=True,
+                  separators=(",", ":"))
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     pl = init_pipeline(RunConfig(seed=1))
     path = tmp_path / "ck.json"
@@ -238,13 +255,20 @@ def test_explanation_queries_match_full_rerun(eval_mode):
     labels = classify_dialogues(pipe, [dialogue], fused)[0].labels
     groups = mode_groups(MODES, config.descriptor_dim)
     pcfg = PerturbationConfig(num_samples=12, seed=3)
+    every_mask = np.array(list(itertools.product((1.0, 0.0), repeat=len(groups))))
     for index in range(40):
         x = fused.values[index]
         probs = row_query(fused, speakers, index, pipe.context, eval_mode)
         # the unmasked row's own probabilities give classify_dialogues' label
-        assert int(np.argmax(probs(x))) == labels[index]
-        query = lambda row: probs(row)[labels[index]]  # noqa: E731
+        assert int(np.argmax(probs(x)[0])) == labels[index]
+        query = lambda row: probs(row)[0, labels[index]]  # noqa: E731
         rerun = rerun_predict_fn(pipe, dialogue, fused, index, labels[index])
+        # every mode mask scored at once equals one-row queries and re-runs
+        table = masked_rows(x, groups, every_mask)
+        together = probs(table)
+        for row, got in zip(table, together):
+            assert np.max(np.abs(probs(row)[0] - got)) <= 1e-14
+            assert abs(rerun(row) - got[labels[index]]) <= 1e-14
         masks, want, weights = perturb_and_score(x, rerun, groups, pcfg)
         _, got, _ = perturb_and_score(x, query, groups, pcfg)
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -252,6 +276,42 @@ def test_explanation_queries_match_full_rerun(eval_mode):
                             dialogue.utterances[index].utterance_id, labels[index])
         exp = explain_utterance(pipe, dialogue, index, pcfg)
         assert exp.predicted_label == ref.predicted_label == labels[index]
+        assert np.max(np.abs(np.subtract(exp.weights, ref.weights))) <= 1e-12
+        assert abs(exp.intercept - ref.intercept) <= 1e-12
+        assert abs(exp.r2 - ref.r2) <= 1e-12
+
+
+def test_explanation_scores_every_mode_mask_in_one_call(monkeypatch, pipeline, corpus):
+    # 200 samples, yet one batched query per explained utterance; the
+    # weights equal those of querying row by row
+    batches = []
+    real_row_query = model.row_query
+
+    def counted(*args):
+        probs = real_row_query(*args)
+
+        def batch(x):
+            batches.append(np.shape(x))
+            return probs(x)
+
+        return batch
+
+    monkeypatch.setattr(model, "row_query", counted)
+    dialogue = corpus[0]
+    n, width = len(dialogue.utterances), pipeline.config.descriptor_dim
+    pcfg = PerturbationConfig(num_samples=200, seed=5)
+    exps = explain_dialogue(pipeline, dialogue, [0, n - 1], pcfg)
+    assert batches == [(2 ** len(MODES), len(MODES) * width)] * 2
+    monkeypatch.undo()
+    fused, _ = fuse_utterances(pipeline, dialogue.utterances)
+    speakers = [u.speaker_id for u in dialogue.utterances]
+    groups = mode_groups(MODES, width)
+    for index, exp in zip([0, n - 1], exps):
+        probs = row_query(fused, speakers, index, pipeline.context, pipeline.config.eval_mode)
+        label = int(np.argmax(probs(fused.values[index])[0]))
+        ref = explain_instance(fused.values[index], lambda x: probs(x)[0, label], groups, pcfg,
+                               dialogue.utterances[index].utterance_id, label)
+        assert exp.predicted_label == ref.predicted_label
         assert np.max(np.abs(np.subtract(exp.weights, ref.weights))) <= 1e-12
         assert abs(exp.intercept - ref.intercept) <= 1e-12
         assert abs(exp.r2 - ref.r2) <= 1e-12

@@ -666,14 +666,14 @@ def test_full_pipeline_bit_determinism():
 # ---------------------------------------------------------------------------
 # two LSTM directions in one scan, weights with leading batch axes
 
-def two_directions(rng, shape, hid):
-    """Gate inputs of two directions side by side, their stacked recurrent
-    weights, and each direction's own (xg, wh)."""
-    xf, xb = (rand_t(rng, shape + (4 * hid,), -1.5, 1.5) for _ in range(2))
-    wf, wb = (rand_t(rng, (hid, 4 * hid), -0.8, 0.8) for _ in range(2))
-    return (T.Tensor(np.concatenate([xf.values, xb.values], -1), requires_grad=True),
-            T.Tensor(np.stack([wf.values, wb.values]), requires_grad=True),
-            ((xf, wf), (xb, wb)))
+def directions(rng, shape, hid, dirs=2):
+    """Gate inputs of ``dirs`` directions side by side, their stacked
+    recurrent weights, and each direction's own (xg, wh)."""
+    xs = [rand_t(rng, shape + (4 * hid,), -1.5, 1.5) for _ in range(dirs)]
+    ws = [rand_t(rng, (hid, 4 * hid), -0.8, 0.8) for _ in range(dirs)]
+    return (T.Tensor(np.concatenate([x.values for x in xs], -1), requires_grad=True),
+            T.Tensor(np.stack([w.values for w in ws]), requires_grad=True),
+            tuple(zip(xs, ws)))
 
 
 @pytest.mark.parametrize("case", ["one-sequence", "ragged", "ragged-start"])
@@ -682,7 +682,7 @@ def test_two_direction_scan_equals_two_one_direction_scans(case):
     hid, n = 3, 5
     lengths = None if case == "one-sequence" else [5, 1, 3, 0]
     shape = (n,) if lengths is None else (len(lengths), n)
-    xg, wh, ((xf, wf), (xb, wb)) = two_directions(rng, shape, hid)
+    xg, wh, ((xf, wf), (xb, wb)) = directions(rng, shape, hid)
     orders = (range(n), range(n - 1, -1, -1))
     starts = [None, None]
     if case == "ragged-start":
@@ -714,7 +714,7 @@ def test_two_direction_scan_equals_two_one_direction_scans(case):
 def test_grad_two_direction_scan_ragged(start):
     rng = Rng(65)
     hid, n, lengths = 2, 4, [4, 1, 3]
-    xg, wh, _ = two_directions(rng, (3, n), hid)
+    xg, wh, _ = directions(rng, (3, n), hid)
     orders = (range(n), range(n - 1, -1, -1))
     state = (rng.uniform_array((3, 2 * hid), -0.9, 0.9),
              rng.uniform_array((3, 2 * hid), -2.0, 2.0)) if start else None
@@ -725,6 +725,50 @@ def test_grad_two_direction_scan_ragged(start):
         lambda t: r(T.lstm_scan(xg, t, orders, lengths, state)), wh) < TOL
     with pytest.raises(ShapeError, match="visit orders"):
         T.lstm_scan(xg, wh, orders[:1], lengths)
+
+
+@pytest.mark.parametrize("lengths", [[[3, 0, 4, 1]], [[4, 0, 2, 2], [1, 3, 0, 4]]])
+def test_scan_with_a_length_per_direction_equals_one_direction_scans(lengths):
+    # one sequence (a 1 x D table) or a batch of two; each direction stops
+    # at its own length, a reverse visit at its own last real step
+    rng = Rng(67)
+    hid, n, dirs = 2, 4, 4
+    shape = (n,) if len(lengths) == 1 else (len(lengths), n)
+    xg, wh, alone = directions(rng, shape, hid, dirs)
+    orders = [range(n), range(n - 1, -1, -1)] * 2
+    starts = [tuple(rng.uniform_array(shape[:-1] + (hid,), -0.9, 0.9) for _ in "hc")
+              for _ in orders]
+    start = tuple(np.concatenate(s, -1) for s in zip(*starts))
+    out, (h, c) = T.lstm_scan(xg, wh, orders, lengths, start, carry=True)
+    runs = [T.lstm_scan(x, w, order, np.array(lengths)[:, d], s, carry=True)
+            for d, ((x, w), order, s) in enumerate(zip(alone, orders, starts))]
+    for got, want in ((out.values, [o.values for o, _ in runs]),
+                      (h, [hc[0] for _, hc in runs]), (c, [hc[1] for _, hc in runs])):
+        assert np.max(np.abs(got - np.concatenate(want, -1))) <= 1e-12
+    r = readout(rng, out.shape)
+    assert T.finite_diff_check(
+        lambda t: r(T.lstm_scan(t, wh, orders, lengths, start)), xg) < TOL
+    assert T.finite_diff_check(
+        lambda t: r(T.lstm_scan(xg, t, orders, lengths, start)), wh) < TOL
+    with pytest.raises(ShapeError, match="one length per row"):
+        T.lstm_scan(xg, wh, orders, [[n] * (dirs - 1)] * len(lengths))
+
+
+@pytest.mark.parametrize("index", [[3, 0, 2], [1, 0, 1, 1, 3, 1], [[2, 0], [0, 3], [2, 2]], 2])
+def test_take_rows_adjoint_adds_as_np_add_at(index):
+    # unique, repeated and 2-D indices: the pull sums repeated rows in
+    # the order np.add.at does, bit for bit
+    rng = Rng(68)
+    a = rand_t(rng, (4, 3))
+    g = rng.uniform_array(np.shape(index) + (3,), -1.0, 1.0) * \
+        10.0 ** rng.uniform_array(np.shape(index) + (3,), -8.0, 8.0)
+    tape = T.Tape()
+    with T.recording(tape):
+        loss = T.sum_all(T.mul(T.take_rows(a, index), T.Tensor(g)))
+    T.backward(loss, tape)
+    want = np.zeros((4, 3))
+    np.add.at(want, np.asarray(index), g)
+    assert np.array_equal(a.grad, want)
 
 
 @pytest.mark.parametrize("x_shape, w_shape", [((2, 3, 4), (2, 4, 5)),   # one matrix each
