@@ -7,6 +7,9 @@ temporary directory. Both trees then run the same CLI commands, each in
 its own output directory:
 
 - ``synth --seed 3``;
+- ``synth --spec`` with a non-default spec: per-mode signal scales
+  (informativeness) of 1, 0.5 and 0.25 and other per-mode widths and
+  lengths, so a stream given the wrong mode changes the corpus bytes;
 - ``train --seed 3`` for 2 + 2 epochs, then ``eval`` and ``explain
   --utterance d0000_u00 --samples 40`` on its checkpoint;
 - ``train --seed 5 --split 0.5,0.4,0.1`` for 1 + 2 epochs with batch
@@ -38,6 +41,9 @@ RUNS = (
     ("run2", {"stage1_epochs": 1, "stage2_epochs": 2, "batch_size": 3, "man_heads": 2},
      ["--seed", "5", "--split", "0.5,0.4,0.1"]),
 )
+SPEC = {"num_dialogues": 12, "informativeness": [1.0, 0.5, 0.25], "text_dim": 3,
+        "video_dim": 4, "audio_dim": 2, "text_len": [2, 4], "video_len": [1, 3],
+        "audio_len": [4, 7], "seed": 4}
 
 
 def cli(tree: Path, *args) -> None:
@@ -53,6 +59,7 @@ def produce(tree: Path, out: Path, configs: Path) -> None:
     """Run every command with the code of ``tree``, writing under ``out``."""
     data = out / "data" / "dataset.jsonl"
     cli(tree, "synth", "--seed", "3", "--out", str(out / "data"))
+    cli(tree, "synth", "--spec", str(configs / "spec.json"), "--out", str(out / "data-spec"))
     for name, _, flags in RUNS:
         cli(tree, "train", *flags, "--config", str(configs / f"{name}.json"),
             "--data", str(data), "--out", str(out / name))
@@ -143,6 +150,7 @@ def main(argv=None) -> int:
         configs.mkdir()
         for name, config, _ in RUNS:
             (configs / f"{name}.json").write_text(json.dumps(config))
+        (configs / "spec.json").write_text(json.dumps(SPEC))
         produce(parent, tmp / "out-parent", configs)
         produce(ROOT, tmp / "out-change", configs)
         bad = compare(tmp / "out-parent", tmp / "out-change")

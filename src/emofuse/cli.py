@@ -15,8 +15,9 @@ import math
 import os
 import sys
 
-from .config import RunConfig, check_type, load_config
-from .data import SynthSpec, load_dataset, save_dataset, split, synth_generate
+from .config import RunConfig, load_config
+from .data import (STREAM_MODE, SynthSpec, load_dataset, load_synth_spec,
+                   save_dataset, split, synth_generate)
 from .encoders import MODES
 from .errors import (ConfigError, ContractError, DataError, NumericError,
                      ShapeError)
@@ -83,101 +84,26 @@ def _parse_subset(text: str, num_classes: int):
 
 def check_data_matches(config: RunConfig, dialogues) -> None:
     """Reject data whose feature widths or labels contradict the config."""
-    widths = {"text": config.text_dim, "video_face": config.video_dim,
-              "video_back": config.video_dim, "audio": config.audio_dim}
-    for d in dialogues:
-        for utt in d.utterances:
-            for stream, want in widths.items():
-                got = utt.features[stream].shape[1]
-                if got != want:
-                    raise DataError(
-                        f"utterance {utt.utterance_id}: {stream} width {got} "
-                        f"does not match configured width {want}")
-            if utt.label >= config.num_classes:
-                raise DataError(
-                    f"utterance {utt.utterance_id}: label {utt.label} outside "
-                    f"configured {config.num_classes} classes")
-        break  # widths are corpus-wide invariants, one dialogue suffices
-    labels = [u.label for d in dialogues for u in d.utterances]
-    if labels and max(labels) >= config.num_classes:
-        raise DataError(f"dataset holds label {max(labels)} outside "
-                        f"configured {config.num_classes} classes")
-
-
-# synth spec keys by JSON type; the range keys hold [lo, hi] with 1 <= lo <= hi
-_SPEC_INTS = ("num_classes", "text_dim", "video_dim", "audio_dim", "num_dialogues",
-              "num_speakers", "seed")
-_SPEC_FLOATS = ("separation", "correlation", "noise_scale")
-_SPEC_RANGES = ("text_len", "video_len", "audio_len", "utterances_per_dialogue")
-
-
-def _check_spec(raw: dict) -> None:
-    """Reject spec values of the wrong JSON type or outside what synthesis
-    can build, naming the key."""
-    for key in _SPEC_INTS:
-        if key in raw:
-            check_type(key, raw[key], "int")
-    for key in ("text_dim", "video_dim", "audio_dim"):
-        if raw.get(key, 1) < 1:
-            raise ConfigError(f"{key} must be positive, got {raw[key]}")
-    if not 0 <= raw.get("seed", 0) < 2 ** 64:
-        raise ConfigError(f"seed must be a u64, got {raw['seed']}")
-    for key in _SPEC_FLOATS:
-        if key in raw:
-            check_type(key, raw[key], "float")
-    for key in _SPEC_RANGES:
-        if key in raw:
-            v = raw[key]
-            if not (isinstance(v, list) and len(v) == 2 and
-                    all(isinstance(x, int) and not isinstance(x, bool) for x in v) and
-                    1 <= v[0] <= v[1]):
-                raise ConfigError(f"{key} must be a list of two integers "
-                                  f"1 <= lo <= hi, got {v!r:.40}")
-    if "informativeness" in raw:
-        _check_weights("informativeness", raw["informativeness"], len(MODES))
-    if raw.get("class_weights") is not None:
-        _check_weights("class_weights", raw["class_weights"], None)
-
-
-def _check_weights(key: str, v, size) -> None:
-    if not isinstance(v, list) or (size is not None and len(v) != size):
-        raise ConfigError(f"{key} must be a list of {size or 'num_classes'} "
-                          f"numbers, got {v!r:.40}")
-    for x in v:
-        check_type(f"{key} entry", x, "float")
-        if x < 0:
-            raise ConfigError(f"{key} entries must be >= 0, got {x}")
-
-
-def _load_synth_spec(path) -> SynthSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read spec {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"spec {path} is not valid JSON: {e}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("synth spec must be a JSON object")
-    known = {f.name for f in dataclasses.fields(SynthSpec)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"unknown synth spec keys: {unknown}")
-    _check_spec(raw)
-    for key in _SPEC_RANGES + ("informativeness",):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    try:
-        return SynthSpec(**raw)
-    except ContractError as e:
-        raise ConfigError(str(e)) from None
+    utts = [u for d in dialogues for u in d.utterances]
+    # widths are corpus-wide invariants of a loaded dataset, one utterance suffices
+    for stream, mat in (utts[0].features.items() if utts else ()):
+        want = getattr(config, f"{STREAM_MODE[stream]}_dim")
+        if mat.shape[1] != want:
+            raise DataError(
+                f"utterance {utts[0].utterance_id}: {stream} width {mat.shape[1]} "
+                f"does not match configured width {want}")
+    for utt in utts:
+        if utt.label >= config.num_classes:
+            raise DataError(
+                f"utterance {utt.utterance_id}: label {utt.label} outside "
+                f"configured {config.num_classes} classes")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_synth(args) -> int:
-    spec = _load_synth_spec(args.spec) if args.spec else SynthSpec()
+    spec = load_synth_spec(args.spec) if args.spec else SynthSpec()
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     dialogues = synth_generate(spec)
@@ -291,9 +217,9 @@ def cmd_ablate(args) -> int:
     config = _resolve_config(args)
     dialogues = load_dataset(args.data)
     check_data_matches(config, dialogues)
+    os.makedirs(args.out, exist_ok=True)
     emit = None if args.quiet else (lambda row: print(json.dumps(row, sort_keys=True)))
     rows = run_ablation(config, dialogues, args.which, emit=emit)
-    os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, f"ablation_{args.which}.json"), rows)
     return 0
 
@@ -382,6 +308,9 @@ def main(argv=None) -> int:
     except (ContractError, ShapeError) as e:
         print(f"emofuse: internal numeric contract violated: {e}", file=sys.stderr)
         return 4
+    except OSError as e:  # every input file is read through config.read_text
+        print(f"emofuse: cannot write output: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

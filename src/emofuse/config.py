@@ -159,28 +159,48 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("configuration must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError(f"unknown configuration keys: {unknown}")
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"invalid configuration: {e}") from None
+        return from_json_object(cls, d, "configuration")
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def load_config(path) -> RunConfig:
+def from_json_object(cls, d, noun: str):
+    """Build dataclass ``cls`` from a JSON object, rejecting a non-object
+    and unknown keys with a ConfigError that names the ``noun``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{noun} must be a JSON object")
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - known)
+    if unknown:
+        raise ConfigError(f"unknown {noun} keys: {unknown}")
+    try:
+        return cls(**d)
+    except TypeError as e:
+        raise ConfigError(f"invalid {noun}: {e}") from None
+
+
+def read_text(path, what: str, error) -> str:
+    """The UTF-8 text of the file at ``path``. A file that cannot be read
+    or is not UTF-8 raises ``error`` naming ``what`` and the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return fh.read()
     except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from None
+        raise error(f"cannot read {what} {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise error(f"{what} {path} is not UTF-8 text: {e}") from None
+
+
+def read_json(path, what: str, error):
+    """The JSON document in the file at ``path``; errors as ``read_text``."""
+    text = read_text(path, what, error)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from None
-    return RunConfig.from_dict(raw)
+        raise error(f"{what} {path} is not valid JSON: {e}") from None
+
+
+def load_config(path) -> RunConfig:
+    return RunConfig.from_dict(read_json(path, "config", ConfigError))

@@ -8,17 +8,21 @@ shortest round-trip repr, so save followed by load is bit-exact.
 """
 from __future__ import annotations
 
+import dataclasses
+import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError
+from .config import check_type, from_json_object, read_json, read_text
+from .encoders import MODE_STREAMS, MODES
+from .errors import ConfigError, ContractError, DataError
 from .rng import Rng
 
-STREAMS = ("text", "video_face", "video_back", "audio")
-_FEAT_KEYS = {"text": "text_feat", "video_face": "video_face_feat",
-              "video_back": "video_back_feat", "audio": "audio_feat"}
+# every feature stream in file and processing order, and the mode it feeds
+STREAMS = tuple(s for mode in MODES for s in MODE_STREAMS[mode])
+STREAM_MODE = {s: mode for mode in MODES for s in MODE_STREAMS[mode]}
 
 
 @dataclass
@@ -43,7 +47,7 @@ class Dialogue:
 
 
 def _as_matrix(obj, stream, record, utt_id):
-    where = f"record {record}, utterance {utt_id!r}, {_FEAT_KEYS[stream]}"
+    where = f"record {record}, utterance {utt_id!r}, {stream}_feat"
     if not isinstance(obj, list) or not obj:
         raise DataError(f"{where}: expected a nonempty list of rows")
     width = None
@@ -73,58 +77,59 @@ def load_dataset(path) -> list:
     dialogues = []
     widths = {}
     record = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    text = read_text(path, "dataset", DataError)
+    for line_no, line in enumerate(io.StringIO(text), start=1):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"line {line_no}: malformed JSON ({e.msg})") from None
+        if not isinstance(raw, dict) or "dialogue_id" not in raw or "utterances" not in raw:
+            raise DataError(f"line {line_no}: expected dialogue_id and utterances keys")
+        if not isinstance(raw["utterances"], list):
+            raise DataError(f"line {line_no}: utterances must be a list, got "
+                            f"{type(raw['utterances']).__name__}")
+        utts = []
+        for u in raw["utterances"]:
+            record += 1
+            if not isinstance(u, dict):
+                raise DataError(f"line {line_no}, record {record}: utterance must be "
+                                f"an object, got {type(u).__name__}")
             try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"line {line_no}: malformed JSON ({e.msg})") from None
-            if not isinstance(raw, dict) or "dialogue_id" not in raw or "utterances" not in raw:
-                raise DataError(f"line {line_no}: expected dialogue_id and utterances keys")
-            if not isinstance(raw["utterances"], list):
-                raise DataError(f"line {line_no}: utterances must be a list, got "
-                                f"{type(raw['utterances']).__name__}")
-            utts = []
-            for u in raw["utterances"]:
-                record += 1
-                if not isinstance(u, dict):
-                    raise DataError(f"line {line_no}, record {record}: utterance must be "
-                                    f"an object, got {type(u).__name__}")
-                try:
-                    utt_id = u["utterance_id"]
-                    speaker = u["speaker_id"]
-                    label = u["label"]
-                except KeyError as e:
-                    raise DataError(f"line {line_no}, record {record}: missing field {e}") from None
-                if not isinstance(label, int) or isinstance(label, bool) or label < 0:
+                utt_id = u["utterance_id"]
+                speaker = u["speaker_id"]
+                label = u["label"]
+            except KeyError as e:
+                raise DataError(f"line {line_no}, record {record}: missing field {e}") from None
+            if not isinstance(label, int) or isinstance(label, bool) or label < 0:
+                raise DataError(
+                    f"record {record}, utterance {utt_id!r}: label must be a "
+                    f"nonnegative integer, got {label!r}")
+            feats = {}
+            for stream in STREAMS:
+                key = f"{stream}_feat"
+                if key not in u:
+                    raise DataError(f"record {record}, utterance {utt_id!r}: missing {key}")
+                mat = _as_matrix(u[key], stream, record, utt_id)
+                if stream in widths and mat.shape[1] != widths[stream]:
                     raise DataError(
-                        f"record {record}, utterance {utt_id!r}: label must be a "
-                        f"nonnegative integer, got {label!r}")
-                feats = {}
-                for stream in STREAMS:
-                    key = _FEAT_KEYS[stream]
-                    if key not in u:
-                        raise DataError(f"record {record}, utterance {utt_id!r}: missing {key}")
-                    mat = _as_matrix(u[key], stream, record, utt_id)
-                    if stream in widths and mat.shape[1] != widths[stream]:
-                        raise DataError(
-                            f"record {record}, utterance {utt_id!r}: {key} width "
-                            f"{mat.shape[1]} does not match dataset width {widths[stream]}")
-                    widths.setdefault(stream, mat.shape[1])
-                    feats[stream] = mat
-                if feats["video_face"].shape[0] != feats["video_back"].shape[0]:
+                        f"record {record}, utterance {utt_id!r}: {key} width "
+                        f"{mat.shape[1]} does not match dataset width {widths[stream]}")
+                widths.setdefault(stream, mat.shape[1])
+                feats[stream] = mat
+            for mode, streams in MODE_STREAMS.items():
+                lengths = [str(feats[s].shape[0]) for s in streams]
+                if len(set(lengths)) > 1:
                     raise DataError(
-                        f"record {record}, utterance {utt_id!r}: video streams disagree "
-                        f"on length ({feats['video_face'].shape[0]} vs "
-                        f"{feats['video_back'].shape[0]})")
-                utts.append(Utterance(utterance_id=str(utt_id), speaker_id=str(speaker),
-                                      label=label, features=feats))
-            try:
-                dialogues.append(Dialogue(dialogue_id=str(raw["dialogue_id"]), utterances=utts))
-            except ContractError as e:
-                raise DataError(f"line {line_no}: {e}") from None
+                        f"record {record}, utterance {utt_id!r}: {mode} streams disagree "
+                        f"on length ({' vs '.join(lengths)})")
+            utts.append(Utterance(utterance_id=str(utt_id), speaker_id=str(speaker),
+                                  label=label, features=feats))
+        try:
+            dialogues.append(Dialogue(dialogue_id=str(raw["dialogue_id"]), utterances=utts))
+        except ContractError as e:
+            raise DataError(f"line {line_no}: {e}") from None
     return dialogues
 
 
@@ -137,10 +142,7 @@ def save_dataset(dialogues, path) -> None:
                     "utterance_id": u.utterance_id,
                     "speaker_id": u.speaker_id,
                     "label": u.label,
-                    "text_feat": u.features["text"].tolist(),
-                    "video_face_feat": u.features["video_face"].tolist(),
-                    "video_back_feat": u.features["video_back"].tolist(),
-                    "audio_feat": u.features["audio"].tolist(),
+                    **{f"{s}_feat": u.features[s].tolist() for s in STREAMS},
                 } for u in d.utterances],
             }, separators=(",", ":")))
             fh.write("\n")
@@ -176,35 +178,53 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.type in ("int", "float"):
+                check_type(f.name, getattr(self, f.name), f.type)
+        for key in [f"{mode}_dim" for mode in MODES]:
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must be a u64, got {self.seed}")
+        for key in [f"{mode}_len" for mode in MODES] + ["utterances_per_dialogue"]:
+            v = getattr(self, key)
+            if not (isinstance(v, (list, tuple)) and len(v) == 2 and
+                    all(isinstance(x, int) and not isinstance(x, bool) for x in v) and
+                    1 <= v[0] <= v[1]):
+                raise ConfigError(f"{key} must be a list of two integers "
+                                  f"1 <= lo <= hi, got {v!r:.40}")
+            setattr(self, key, tuple(v))
         if self.separation <= 0.0:
-            raise ContractError("SynthSpec.separation must be positive")
+            raise ConfigError("SynthSpec.separation must be positive")
         if not 0.0 <= self.correlation <= 1.0:
-            raise ContractError("SynthSpec.correlation must lie in [0, 1]")
+            raise ConfigError("SynthSpec.correlation must lie in [0, 1]")
         if self.noise_scale < 0.0:
-            raise ContractError("SynthSpec.noise_scale must be >= 0")
+            raise ConfigError("SynthSpec.noise_scale must be >= 0")
         if self.num_classes < 2:
-            raise ContractError("SynthSpec.num_classes must be at least 2")
+            raise ConfigError("SynthSpec.num_classes must be at least 2")
+        if self.num_speakers < 1 or self.num_dialogues < 1:
+            raise ConfigError("SynthSpec: speaker pool and dialogue count must be positive")
+        _check_weights("informativeness", self.informativeness, len(MODES))
+        self.informativeness = tuple(self.informativeness)
         if self.class_weights is None:
             self.class_weights = [1.0 / self.num_classes] * self.num_classes
-        if len(self.class_weights) != self.num_classes:
-            raise ContractError("SynthSpec.class_weights must have one entry per class")
+        _check_weights("class_weights", self.class_weights, self.num_classes)
         if abs(sum(self.class_weights) - 1.0) > 1e-9:
-            raise ContractError("SynthSpec.class_weights must sum to 1")
-        if self.num_speakers < 1 or self.num_dialogues < 1:
-            raise ContractError("SynthSpec: speaker pool and dialogue count must be positive")
+            raise ConfigError("SynthSpec.class_weights must sum to 1")
 
-    def stream_dim(self, stream: str) -> int:
-        return {"text": self.text_dim, "video_face": self.video_dim,
-                "video_back": self.video_dim, "audio": self.audio_dim}[stream]
 
-    def stream_len_range(self, stream: str) -> tuple:
-        return {"text": self.text_len, "video_face": self.video_len,
-                "video_back": self.video_len, "audio": self.audio_len}[stream]
+def _check_weights(key: str, v, size: int) -> None:
+    if not isinstance(v, (list, tuple)) or len(v) != size:
+        raise ConfigError(f"{key} must be a list of {size} numbers, got {v!r:.40}")
+    for x in v:
+        check_type(f"{key} entry", x, "float")
+        if x < 0:
+            raise ConfigError(f"{key} entries must be >= 0, got {x}")
 
-    def stream_signal(self, stream: str) -> float:
-        scales = {"text": self.informativeness[0], "video_face": self.informativeness[1],
-                  "video_back": self.informativeness[1], "audio": self.informativeness[2]}
-        return scales[stream]
+
+def load_synth_spec(path) -> SynthSpec:
+    raw = read_json(path, "spec", ConfigError)
+    return from_json_object(SynthSpec, raw, "synth spec")
 
 
 _LATENT_DIM = 6
@@ -213,29 +233,31 @@ _LATENT_DIM = 6
 def synth_generate(spec: SynthSpec) -> list:
     """Deterministically sample a dialogue corpus from the spec."""
     rng = Rng(spec.seed)
+    # per-stream constants, drawn and looked up once: (stream, mode, width, mixer)
+    layout = []
     centroids = {}
-    mixers = {}
     for stream in STREAMS:
-        dim = spec.stream_dim(stream)
-        mixers[stream] = rng.normal_array((_LATENT_DIM, dim)) / np.sqrt(_LATENT_DIM)
+        mode = STREAM_MODE[stream]
+        dim = getattr(spec, f"{mode}_dim")
+        signal = spec.informativeness[MODES.index(mode)]
+        mixer = rng.normal_array((_LATENT_DIM, dim)) / np.sqrt(_LATENT_DIM)
         for c in range(spec.num_classes):
             direction = rng.normal_array((dim,))
             norm = float(np.linalg.norm(direction))
             if norm == 0.0:
                 direction[0] = 1.0
                 norm = 1.0
-            centroids[(c, stream)] = (direction / norm) * spec.separation * \
-                spec.stream_signal(stream)
+            centroids[(c, stream)] = (direction / norm) * spec.separation * signal
+        layout.append((stream, mode, dim, mixer))
 
     def rand_len(rng, lo_hi):
         lo, hi = lo_hi
         return lo + rng.randint(hi - lo + 1) if hi > lo else lo
 
-    # per-stream constants, looked up once: (stream, width, length range, or
-    # None for the video streams, which share one drawn length, mixer)
-    layout = [(stream, spec.stream_dim(stream),
-               None if stream.startswith("video") else spec.stream_len_range(stream),
-               mixers[stream]) for stream in STREAMS]
+    len_ranges = {mode: getattr(spec, f"{mode}_len") for mode in MODES}
+    # the streams of one mode share one length; a mode with several streams
+    # draws it before any stream's own draws, which fixes the corpus bytes
+    shared = [mode for mode in MODES if len(MODE_STREAMS[mode]) > 1]
     scale, corr, own = spec.noise_scale, spec.correlation, 1.0 - spec.correlation
     dialogues = []
     for di in range(spec.num_dialogues):
@@ -245,10 +267,10 @@ def synth_generate(spec: SynthSpec) -> list:
             label = rng.categorical(spec.class_weights)
             latent = rng.normal_array((_LATENT_DIM,))
             feats = {}
-            video_rows = rand_len(rng, spec.video_len)
-            for stream, dim, len_range, mixer in layout:
-                rows = video_rows if len_range is None else rand_len(rng, len_range)
-                noise = rng.normal_array((rows, dim))
+            rows = {mode: rand_len(rng, len_ranges[mode]) for mode in shared}
+            for stream, mode, dim, mixer in layout:
+                n = rows[mode] if mode in rows else rand_len(rng, len_ranges[mode])
+                noise = rng.normal_array((n, dim))
                 feats[stream] = (centroids[(label, stream)] +
                                  scale * (corr * (latent @ mixer) + own * noise))
             utts.append(Utterance(

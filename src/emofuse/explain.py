@@ -213,13 +213,10 @@ def render_report(explanations, out_dir) -> list:
         stem = exp.utterance_id.replace(os.sep, "_")
         jpath = os.path.join(out_dir, f"{stem}.json")
         spath = os.path.join(out_dir, f"{stem}.svg")
-        try:
-            with open(jpath, "w", encoding="utf-8") as fh:
-                json.dump(exp.to_dict(), fh, indent=1, sort_keys=True)
-            with open(spath, "w", encoding="utf-8") as fh:
-                fh.write(explanation_svg(exp))
-        except OSError as e:
-            raise ContractError(f"render_report: cannot write {e.filename}: {e}") from None
+        with open(jpath, "w", encoding="utf-8") as fh:
+            json.dump(exp.to_dict(), fh, indent=1, sort_keys=True)
+        with open(spath, "w", encoding="utf-8") as fh:
+            fh.write(explanation_svg(exp))
         written.extend([jpath, spath])
         index.append({"utterance_id": exp.utterance_id, "json": os.path.basename(jpath),
                       "svg": os.path.basename(spath)})

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig
+from .config import RunConfig, read_json
 from .context import ContextParams, classify_dialogue, init_context, row_query
 from .data import Utterance
 from .encoders import MODES, encode_mode, init_encoders, pad_streams
@@ -306,15 +306,7 @@ class LoadedCheckpoint:
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise DataError(f"cannot read checkpoint {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise DataError(f"checkpoint {path} is not valid JSON: {e}") from None
-    except UnicodeDecodeError as e:
-        raise DataError(f"checkpoint {path} is not UTF-8 text: {e}") from None
+    doc = read_json(path, "checkpoint", DataError)
     try:
         return _checkpoint_from_doc(doc)
     except DataError as e:

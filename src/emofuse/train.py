@@ -12,6 +12,7 @@ and one JSON log record, and the whole loop is resumable bit-for-bit.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig
+from .config import RunConfig, read_text
 from .data import all_utterances
 from .encoders import MODES
 from .errors import ContractError, DataError, NumericError
@@ -284,21 +285,20 @@ def _truncate_log(path, stage: int, epoch: int) -> None:
     the two leaves a record that the resumed run writes again.
     """
     kept = []
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # a line cut short by the interruption
-                if not isinstance(rec, dict) or not all(
-                        isinstance(rec.get(k), int) and not isinstance(rec[k], bool)
-                        for k in ("stage", "epoch")):
-                    raise DataError(f"{path} line {line_no}: expected a log record "
-                                    f"with integer stage and epoch, got {line.strip():.60}")
-                if (rec["stage"], rec["epoch"]) > (stage, epoch):
-                    break
-                kept.append(line)
+    text = read_text(path, "training log", DataError) if os.path.exists(path) else ""
+    for line_no, line in enumerate(io.StringIO(text), start=1):
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:
+            break  # a line cut short by the interruption
+        if not isinstance(rec, dict) or not all(
+                isinstance(rec.get(k), int) and not isinstance(rec[k], bool)
+                for k in ("stage", "epoch")):
+            raise DataError(f"{path} line {line_no}: expected a log record "
+                            f"with integer stage and epoch, got {line.strip():.60}")
+        if (rec["stage"], rec["epoch"]) > (stage, epoch):
+            break
+        kept.append(line)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.writelines(kept)

@@ -198,6 +198,22 @@ def test_out_of_range_labels_are_data_error(workdir, tmp_path):
     assert rc == 3
 
 
+def test_out_of_range_label_in_last_dialogue_names_the_utterance(workdir, tmp_path,
+                                                                   capsys):
+    lines = (workdir["root"] / "data" / "dataset.jsonl").read_text().splitlines()
+    last = json.loads(lines[-1])
+    last["utterances"][-1]["label"] = 7
+    lines[-1] = json.dumps(last)
+    data = tmp_path / "bad.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    rc = main(["eval", "--checkpoint", str(workdir["run"] / "checkpoint.json"),
+               "--data", str(data), "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    uid = last["utterances"][-1]["utterance_id"]
+    assert f"utterance {uid}: label 7 outside configured 4 classes" in err
+
+
 def test_eval_nan_checkpoint_exits_numeric(workdir, tmp_path):
     blob = json.loads((workdir["run"] / "checkpoint.json").read_text())
     blob["params"]["enc.text.0"] = nan_fill(blob["params"]["enc.text.0"])
@@ -249,6 +265,69 @@ def test_malformed_log_line_on_resume_is_data_error(workdir, tmp_path, capsys, l
     assert rc == 3
     assert "train_log.jsonl line 2: expected a log record" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, problem", [
+    ("missing", "No such file"), ("directory", "Is a directory"),
+    ("not-utf8", "is not UTF-8 text"),
+])
+@pytest.mark.parametrize("flag", ["train --data", "train --val", "explain --input"])
+def test_unreadable_dataset_is_data_error(workdir, tmp_path, capsys, flag, kind, problem):
+    bad = tmp_path / "bad.jsonl"
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "not-utf8":
+        bad.write_bytes(b'{"dialogue_id": "\xff"}\n')
+    argv = {"train --data": ["train", "--data", str(bad)],
+            "train --val": ["train", "--data", workdir["data"], "--val", str(bad)],
+            "explain --input": ["explain", "--input", str(bad),
+                                "--checkpoint", str(workdir["run"] / "checkpoint.json")]}[flag]
+    rc = main(argv + ["--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"dataset {bad}" in err and problem in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which, code", [("config", 2), ("spec", 2), ("training log", 3)])
+def test_non_utf8_input_file_is_named(workdir, tmp_path, capsys, which, code):
+    out = tmp_path / "out"
+    bad = tmp_path / "bad.json"
+    if which == "config":
+        argv = ["train", "--data", workdir["data"], "--config", str(bad)]
+    elif which == "spec":
+        argv = ["synth", "--spec", str(bad)]
+    else:
+        out.mkdir()
+        bad = out / "train_log.jsonl"
+        ck = out / "checkpoint.json"
+        ck.write_bytes((workdir["run"] / "checkpoint.json").read_bytes())
+        argv = ["train", "--data", workdir["data"], "--resume", str(ck)]
+    bad.write_bytes(b'{"seed": "\xff"}\n')
+    rc = main(argv + ["--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert f"{which} {bad} is not UTF-8 text" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-file", "out-under-file"])
+@pytest.mark.parametrize("sub", ["synth", "train", "eval", "explain", "ablate"])
+def test_unwritable_out_is_usage_error(workdir, tmp_path, capsys, sub, under):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" if under else blocker
+    ck = str(workdir["run"] / "checkpoint.json")
+    uid = load_dataset(workdir["data"])[0].utterances[0].utterance_id
+    argv = {"synth": ["synth"],
+            "train": ["train", "--data", workdir["data"], "--config", workdir["config"]],
+            "eval": ["eval", "--checkpoint", ck, "--data", workdir["data"]],
+            "explain": ["explain", "--checkpoint", ck, "--input", workdir["data"],
+                        "--utterance", uid, "--samples", "4"],
+            "ablate": ["ablate", "--which", "alpha", "--data", workdir["data"],
+                       "--config", workdir["config"]]}[sub]
+    rc = main(argv + ["--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(out) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("spec, config, message", [

@@ -9,7 +9,7 @@ import pytest
 from emofuse.data import (STREAMS, Dialogue, SynthSpec, Utterance,
                           all_utterances, load_dataset, save_dataset, split,
                           synth_generate)
-from emofuse.errors import ContractError, DataError
+from emofuse.errors import ConfigError, ContractError, DataError
 from emofuse.rng import Rng
 
 
@@ -195,14 +195,31 @@ def test_informativeness_scales_signal():
 
 
 def test_spec_validation():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         tiny_spec(separation=0.0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         tiny_spec(correlation=1.5)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         tiny_spec(class_weights=[0.5, 0.5])  # wrong length for 3 classes
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         tiny_spec(class_weights=[0.5, 0.3, 0.3])
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("text_len", (0, 2), "text_len must be a list of two integers 1 <= lo <= hi, got (0, 2)"),
+    ("utterances_per_dialogue", (3, 2),
+     "utterances_per_dialogue must be a list of two integers 1 <= lo <= hi, got (3, 2)"),
+    ("num_dialogues", 2.5, "num_dialogues must be an integer, got 2.5"),
+    ("seed", -1, "seed must be a u64, got -1"),
+    ("seed", 2 ** 64, f"seed must be a u64, got {2 ** 64}"),
+    ("informativeness", (1.0, 0.5), "informativeness must be a list of 3 numbers"),
+    ("class_weights", [1.5, -0.5, 0.0], "class_weights entries must be >= 0, got -0.5"),
+], ids=["text-len-zero", "utterances-reversed", "float-dialogues", "seed-negative",
+        "seed-2**64", "informativeness-two", "class-weight-negative"])
+def test_spec_built_in_code_is_checked_like_json(key, value, message):
+    with pytest.raises(ConfigError) as e:
+        tiny_spec(**{key: value})
+    assert message in str(e.value)
 
 
 # ---------------------------------------------------------------------------
