@@ -21,15 +21,19 @@ Every output file is compared byte for byte and reported on one line.
 A differing file that parses as JSON or JSONL with the same structure on
 both sides (the same keys, lengths and strings) also gets the largest
 absolute difference between its paired numbers, so roundoff reads as
-such. The exit status is 1 if any file differs or exists on one side
-only. The worktree is removed at the end. Standard library only.
+such. A checkpoint's encoded arrays (``{"shape", "data"}`` objects) are
+decoded and compared element by element when their shapes match. The
+exit status is 1 if any file differs or exists on one side only. The
+worktree is removed at the end. Standard library only.
 """
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -87,9 +91,27 @@ def parse_json(path: Path):
         return None
 
 
+def encoded_floats(value):
+    """The float64 values of an encoded array (an object of exactly
+    ``shape`` and base64 little-endian ``data``), or None if it is not one."""
+    if not isinstance(value, dict) or set(value) != {"shape", "data"}:
+        return None
+    try:
+        raw = base64.b64decode(value["data"], validate=True)
+        return struct.unpack(f"<{len(raw) // 8}d", raw)
+    except (TypeError, ValueError, struct.error):
+        return None
+
+
 def max_abs_diff(a, b):
-    """Largest |a - b| over the paired numbers of two JSON values; None
-    when they differ in anything else."""
+    """Largest |a - b| over the paired numbers of two JSON values, the
+    elements of encoded arrays of one shape among them; None when they
+    differ in anything else."""
+    arrays = encoded_floats(a), encoded_floats(b)
+    if None not in arrays:
+        if a["shape"] != b["shape"] or len(arrays[0]) != len(arrays[1]):
+            return None
+        return max((abs(x - y) for x, y in zip(*arrays)), default=0.0)
     numbers = (int, float)
     if isinstance(a, numbers) and isinstance(b, numbers) and \
             not isinstance(a, bool) and not isinstance(b, bool):

@@ -121,6 +121,9 @@ def cmd_train(args) -> int:
         if args.config:
             require_same_config(resume.pipeline.config, load_config(args.config))
         config = resume.pipeline.config
+        if args.seed is not None and args.seed != config.seed:
+            raise ConfigError(f"--seed {args.seed} contradicts the checkpoint's seed "
+                              f"{config.seed}")
     else:
         config = _resolve_config(args)
     dialogues = load_dataset(args.data)
@@ -153,10 +156,9 @@ def cmd_eval(args) -> int:
     check_data_matches(ck.pipeline.config, dialogues)
     subset = _parse_subset(args.subset, ck.pipeline.config.num_classes) \
         if args.subset else None
-    report = evaluate(ck.pipeline, dialogues, subset=subset)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "metrics.json")
-    _write_json(path, report)
+    report = evaluate(ck.pipeline, dialogues, subset=subset)
+    _write_json(os.path.join(args.out, "metrics.json"), report)
     _say(args, json.dumps(report, sort_keys=True))
     return 0
 
@@ -175,9 +177,10 @@ def cmd_explain(args) -> int:
                     if args.utterance in ("all", u.utterance_id)]) for d in dialogues]
     if args.utterance != "all" and not any(indices for _, indices in targets):
         raise DataError(f"utterance {args.utterance!r} not found in {args.input}")
+    report_dir = os.path.join(args.out, "explanations")
+    os.makedirs(report_dir, exist_ok=True)
     explanations = [exp for d, indices in targets if indices
                     for exp in explain_dialogue(ck.pipeline, d, indices, pcfg)]
-    report_dir = os.path.join(args.out, "explanations")
     written = render_report(explanations, report_dir)
     _say(args, f"wrote {len(explanations)} explanations "
                f"({len(written)} files) to {report_dir}")

@@ -164,9 +164,9 @@ def row_query(fused_seq: T.Tensor, speaker_ids, index: int, params: ContextParam
                                                   if s == speaker_ids[index]]))
     # the branches' directions side by side, and their projections block-diagonal
     lstms = [lstm for lstm, _ in branches]
-    wx = T.concat_cols([w for lstm in lstms for w in (lstm.wx_f, lstm.wx_b)])
-    b = T.concat_cols([v for lstm in lstms for v in (lstm.b_f, lstm.b_b)])
-    wh = T.stack([w for lstm in lstms for w in (lstm.wh_f, lstm.wh_b)])
+    wx = T.concat_cols([lstm.wx for lstm in lstms])
+    b = T.concat_cols([lstm.b for lstm in lstms])
+    wh = T.concat_rows([lstm.wh for lstm in lstms])
     (ins, outs), nb = lstms[0].proj_w.values.shape, len(lstms)
     proj = T.place((nb * ins, nb * outs), [(lstm.proj_w, (slice(i * ins, (i + 1) * ins),
                                                           slice(i * outs, (i + 1) * outs)))

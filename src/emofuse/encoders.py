@@ -27,15 +27,13 @@ from .rng import Rng
 
 MODES = ("text", "video", "audio")
 
-# feature streams each mode consumes, in processing order
+# feature streams each mode consumes, in processing order; a mode's
+# streams share one length per utterance, and each has its own BiLSTM
 MODE_STREAMS = {
     "text": ("text",),
     "video": ("video_face", "video_back"),
     "audio": ("audio",),
 }
-# the BiLSTM of ModeEncoderParams.lstms that reads each stream
-_STREAM_LSTM = {"text": "main", "video_face": "face", "video_back": "back",
-                "audio": "main"}
 
 
 @dataclass
@@ -59,38 +57,36 @@ class EncoderConfig:
 
 @dataclass
 class BiLstmParams:
-    """One bidirectional LSTM plus the output projection.
-
-    Gate blocks along the weight columns are ordered input, forget,
-    candidate, output. Hidden states start at zero.
+    """One bidirectional LSTM plus the output projection, stored as
+    `tensor.lstm_scan` reads it: ``wx`` (din x 8H) and ``b`` (1 x 8H) hold
+    the forward then the backward direction's gate columns, and ``wh``
+    (2 x H x 4H) stacks the two directions' recurrent weights. Gate blocks
+    are ordered input, forget, candidate, output. Hidden states start at
+    zero.
     """
-    wx_f: T.Tensor
-    wh_f: T.Tensor
-    b_f: T.Tensor
-    wx_b: T.Tensor
-    wh_b: T.Tensor
-    b_b: T.Tensor
+    wx: T.Tensor
+    b: T.Tensor
+    wh: T.Tensor
     proj_w: T.Tensor
     proj_b: T.Tensor
 
     def tensors(self):
-        return [self.wx_f, self.wh_f, self.b_f, self.wx_b, self.wh_b, self.b_b,
-                self.proj_w, self.proj_b]
+        return [self.wx, self.b, self.wh, self.proj_w, self.proj_b]
 
 
 def init_bilstm(din: int, hidden: int, dout: int, rng: Rng) -> BiLstmParams:
-    def zeros(shape):
-        return T.Tensor(np.zeros(shape), requires_grad=True)
-
+    """Draws each direction's input then recurrent weight, forward then
+    backward, each with its own Xavier bound, then the projection."""
+    wx, wh = [], []
+    for _ in ("forward", "backward"):
+        wx.append(T.init_xavier((din, 4 * hidden), rng).values)
+        wh.append(T.init_xavier((hidden, 4 * hidden), rng).values)
     return BiLstmParams(
-        wx_f=T.init_xavier((din, 4 * hidden), rng),
-        wh_f=T.init_xavier((hidden, 4 * hidden), rng),
-        b_f=zeros((1, 4 * hidden)),
-        wx_b=T.init_xavier((din, 4 * hidden), rng),
-        wh_b=T.init_xavier((hidden, 4 * hidden), rng),
-        b_b=zeros((1, 4 * hidden)),
+        wx=T.Tensor(np.concatenate(wx, axis=1), requires_grad=True),
+        b=T.Tensor(np.zeros((1, 8 * hidden)), requires_grad=True),
+        wh=T.Tensor(np.stack(wh), requires_grad=True),
         proj_w=T.init_xavier((2 * hidden, dout), rng),
-        proj_b=zeros((1, dout)),
+        proj_b=T.Tensor(np.zeros((1, dout)), requires_grad=True),
     )
 
 
@@ -104,14 +100,12 @@ def bilstm_forward(params: BiLstmParams, seq: T.Tensor, lengths=None) -> T.Tenso
     sv = seq.values
     if sv.ndim not in (2, 3) or sv.shape[-2] < 1:
         raise ShapeError(f"bilstm_forward: need a nonempty sequence or batch, got shape {seq.shape}")
-    if sv.shape[-1] != params.wx_f.values.shape[0]:
+    if sv.shape[-1] != params.wx.values.shape[0]:
         raise ShapeError(
             f"bilstm_forward: input width {sv.shape[-1]} does not match "
-            f"parameter width {params.wx_f.values.shape[0]}")
+            f"parameter width {params.wx.values.shape[0]}")
     n = sv.shape[-2]
-    xg = T.affine(seq, T.concat_cols([params.wx_f, params.wx_b]),
-                  T.concat_cols([params.b_f, params.b_b]))
-    both = T.lstm_scan(xg, T.stack([params.wh_f, params.wh_b]),
+    both = T.lstm_scan(T.affine(seq, params.wx, params.b), params.wh,
                        (range(n), range(n - 1, -1, -1)), lengths)
     return T.affine(both, params.proj_w, params.proj_b)
 
@@ -122,11 +116,7 @@ class AttentionStackParams:
     layers: list = field(default_factory=list)  # [(weight d x d, bias 1 x d)]
 
     def tensors(self):
-        out = []
-        for w, b in self.layers:
-            out.append(w)
-            out.append(b)
-        return out
+        return [t for layer in self.layers for t in layer]
 
 
 def init_attention_stack(d: int, m_layers: int, rng: Rng) -> AttentionStackParams:
@@ -160,27 +150,21 @@ def self_attention_stack(params: AttentionStackParams, w0: T.Tensor,
 @dataclass
 class ModeEncoderParams:
     mode: str
-    lstms: dict
+    lstms: dict  # stream of MODE_STREAMS[mode] -> BiLstmParams
     attention: AttentionStackParams
 
     def tensors(self):
-        out = []
-        for key in sorted(self.lstms):
-            out.extend(self.lstms[key].tensors())
-        out.extend(self.attention.tensors())
-        return out
+        lstms = [t for stream in sorted(self.lstms) for t in self.lstms[stream].tensors()]
+        return lstms + self.attention.tensors()
 
 
 def init_encoders(config: EncoderConfig, rng: Rng) -> dict:
     """Build parameters for all modes, in canonical mode order."""
     encoders = {}
     for mode in MODES:
-        din = config.in_dim(mode)
-        if mode == "video":
-            lstms = {"face": init_bilstm(din, config.lstm_hidden, config.out, rng),
-                     "back": init_bilstm(din, config.lstm_hidden, config.out, rng)}
-        else:
-            lstms = {"main": init_bilstm(din, config.lstm_hidden, config.out, rng)}
+        lstms = {stream: init_bilstm(config.in_dim(mode), config.lstm_hidden,
+                                     config.out, rng)
+                 for stream in MODE_STREAMS[mode]}
         attention = init_attention_stack(config.out, config.attention_layers, rng)
         encoders[mode] = ModeEncoderParams(mode=mode, lstms=lstms, attention=attention)
     return encoders
@@ -194,7 +178,7 @@ def pad_streams(features, utt_ids) -> dict:
     sequence in the batch.
     """
     batch = {}
-    for stream in _STREAM_LSTM:
+    for stream in (s for streams in MODE_STREAMS.values() for s in streams):
         mats = []
         for feats, uid in zip(features, utt_ids):
             if stream not in feats:
@@ -205,11 +189,11 @@ def pad_streams(features, utt_ids) -> dict:
         for b, m in enumerate(mats):
             rows[b, :m.shape[0]] = m
         batch[stream] = (T.Tensor(rows), lengths)
-    face, back = batch["video_face"][1], batch["video_back"][1]
-    for uid, nf, nb in zip(utt_ids, face, back):
-        if nf != nb:
-            raise ContractError(f"utterance {uid}: video streams disagree on length "
-                                f"({nf} vs {nb})")
+    for mode, streams in MODE_STREAMS.items():
+        for uid, *lens in zip(utt_ids, *(batch[s][1] for s in streams)):
+            if len(set(lens)) > 1:
+                raise ContractError(f"utterance {uid}: {mode} streams disagree on length "
+                                    f"({' vs '.join(map(str, lens))})")
     return batch
 
 
@@ -223,7 +207,7 @@ def encode_mode(params: ModeEncoderParams, batch: dict):
     rows, masks = [], []
     for stream in MODE_STREAMS[params.mode]:
         x, lengths = batch[stream]
-        rows.append(bilstm_forward(params.lstms[_STREAM_LSTM[stream]], x, lengths))
+        rows.append(bilstm_forward(params.lstms[stream], x, lengths))
         masks.append(np.arange(x.values.shape[1])[None, :] < lengths[:, None])
     h = rows[0] if len(rows) == 1 else T.concat(rows, 1)
     mask = masks[0] if len(masks) == 1 else np.concatenate(masks, axis=1)

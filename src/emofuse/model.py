@@ -30,7 +30,7 @@ from .man import CrossAttendedDescriptor, init_man, man_forward
 from .metrics import confusion, metrics_report
 from .rng import Rng
 
-CHECKPOINT_FORMAT = "emofuse-checkpoint-v2"
+CHECKPOINT_FORMAT = "emofuse-checkpoint-v3"
 # required checkpoint keys and their JSON types (a bool is not an integer)
 _CHECKPOINT_KEYS = {"config": dict, "alphas": dict, "stage": int, "epoch": int,
                     "params": dict}

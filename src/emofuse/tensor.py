@@ -422,40 +422,39 @@ def _gate_affine(width: int):
     return half, 1.0 - half
 
 
-def lstm_scan(xg: Tensor, wh: Tensor, order, lengths=None, start=None,
+def lstm_scan(xg: Tensor, wh: Tensor, orders, lengths=None, start=None,
               carry: bool = False):
-    """LSTM directions over precomputed input projections.
+    """D LSTM directions stepped together over precomputed input projections.
 
-    ``xg`` is n x 4H for one sequence, or B x L x 4H for a batch padded
+    ``xg`` is n x 4DH for one sequence, or B x L x 4DH for a batch padded
     to L, with ``lengths`` the rows' real lengths (default: all L), or a
     B x D array of them, one per row and direction (B is 1 for one
     sequence).
-    ``wh`` is the H x 4H recurrent weight, with gate blocks ordered input,
-    forget, candidate, output; ``order`` visits every timestep once. A
-    D x H x 4H ``wh`` steps D directions in one loop: ``order`` then holds
-    one visit order per direction, and the columns of ``xg``, the output
-    and the state hold D blocks side by side. The state starts at
-    ``start``, an (h, c) pair of constant arrays shaped like one row of
-    the output (DH, or B x DH), or at zero. A padded step (t >= its row's
-    length) carries the state through unchanged, outputs zero and gets a
-    zero adjoint, so a reverse visit starts each row at its own last real
-    step. Returns the hidden states indexed by timestep, not visit order,
-    in the shape of ``xg`` with DH columns. The pull runs backpropagation
-    through time into ``xg`` and ``wh``.
+    ``wh`` is the D x H x 4H stack of the directions' recurrent weights,
+    with gate blocks ordered input, forget, candidate, output; ``orders``
+    holds one visit order per direction, each visiting every timestep
+    once. The columns of ``xg``, the output and the state hold D blocks
+    side by side. The state starts at ``start``, an (h, c) pair of
+    constant arrays shaped like one row of the output (DH, or B x DH), or
+    at zero. A padded step (t >= its row's length) carries the state
+    through unchanged, outputs zero and gets a zero adjoint, so a reverse
+    visit starts each row at its own last real step. Returns the hidden
+    states indexed by timestep, not visit order, in the shape of ``xg``
+    with DH columns. The pull runs backpropagation through time into
+    ``xg`` and ``wh``.
 
     With ``carry``, an untaped scan returns (hidden states, (h, c)), the
     state it ends in: a scan of the steps that follow, started from it,
     continues this one exactly.
     """
     xv, whv = xg.values, wh.values
-    dirs = whv.shape[0] if whv.ndim == 3 else 1
-    hid = whv.shape[-2]
+    if xv.ndim not in (2, 3) or whv.ndim != 3 or whv.shape[2] != 4 * whv.shape[1] or \
+            xv.shape[-1] != 4 * whv.shape[0] * whv.shape[1]:
+        raise ShapeError(f"lstm_scan: need n x 4DH or B x L x 4DH, and D x H x 4H, "
+                         f"got {xv.shape} and {whv.shape}")
+    dirs, hid = whv.shape[:2]
     width = dirs * hid
-    if xv.ndim not in (2, 3) or whv.ndim not in (2, 3) or \
-            whv.shape[-1] != 4 * hid or xv.shape[-1] != 4 * width:
-        raise ShapeError(f"lstm_scan: need n x 4DH or B x L x 4DH, and H x 4H or "
-                         f"D x H x 4H, got {xv.shape} and {whv.shape}")
-    orders = [list(o) for o in order] if whv.ndim == 3 else [list(order)]
+    orders = [list(o) for o in orders]
     if len(orders) != dirs or len({len(o) for o in orders}) != 1:
         raise ShapeError(f"lstm_scan: need {dirs} visit orders of one length")
     n, size = xv.shape[-2], xv.shape[0] if xv.ndim == 3 else 1

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from emofuse import cli
 from emofuse.cli import ALPHA_SETTINGS, main, run_ablation
 from emofuse.config import RunConfig
 from emofuse.data import SynthSpec, load_dataset
@@ -330,6 +331,42 @@ def test_unwritable_out_is_usage_error(workdir, tmp_path, capsys, sub, under):
     assert str(out) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("sub", ["eval", "explain"])
+def test_unwritable_out_is_found_before_the_work(workdir, tmp_path, capsys, monkeypatch,
+                                                 sub):
+    def never(*args, **kwargs):
+        raise AssertionError(f"{sub} did its work before checking --out")
+
+    monkeypatch.setattr(cli, "evaluate", never)
+    monkeypatch.setattr(cli, "explain_dialogue", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    ck = str(workdir["run"] / "checkpoint.json")
+    argv = {"eval": ["eval", "--checkpoint", ck, "--data", workdir["data"]],
+            "explain": ["explain", "--checkpoint", ck, "--input", workdir["data"],
+                        "--samples", "4"]}[sub]
+    rc = main(argv + ["--out", str(blocker), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(blocker) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed, code", [(99, 2), (TINY["seed"], 0)],
+                         ids=["contradicting", "matching"])
+def test_resume_seed_must_match_the_checkpoint(workdir, tmp_path, capsys, seed, code):
+    out = tmp_path / "r"
+    out.mkdir()
+    ck = out / "checkpoint.json"
+    ck.write_bytes((workdir["run"] / "checkpoint.json").read_bytes())
+    rc = main(["train", "--data", workdir["data"], "--resume", str(ck),
+               "--seed", str(seed), "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == code
+    if code:
+        assert f"--seed 99 contradicts the checkpoint's seed {TINY['seed']}" in err
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("spec, config, message", [
     ({"num_classes": "a"}, None, "num_classes must be an integer, got 'a'"),
     ({"text_len": 5}, None, "text_len must be a list of two integers"),
@@ -373,12 +410,14 @@ def _with_adam_m(blob, name, value):
      "parameter enc.text.0 is not a numeric array: bad base64"),
     (lambda b: _with_param_field(b, "enc.text.0",
                                  data=b["params"]["enc.text.0"]["data"][:-4]),
-     "parameter enc.text.0 is not a numeric array: 1533 bytes of data for "
-     "shape [6, 32], expected 8 x 192"),
+     "parameter enc.text.0 is not a numeric array: 3069 bytes of data for "
+     "shape [6, 64], expected 8 x 384"),
     (lambda b: _with_param_field(b, "enc.text.0", shape=[-1]),
      "parameter enc.text.0 is not a numeric array: bad shape [-1]"),
     (lambda b: dict(b, format="emofuse-checkpoint-v1"),
      "unknown format 'emofuse-checkpoint-v1'"),
+    (lambda b: dict(b, format="emofuse-checkpoint-v2"),
+     "unknown format 'emofuse-checkpoint-v2'"),
     (lambda b: dict(b, adam=5), "key 'adam' must be null or an object"),
     (lambda b: _with_adam_m(b, "enc.text.0", encode_array(np.zeros((1, 1)))),
      "adam.m entry enc.text.0 has shape (1, 1)"),
@@ -388,7 +427,7 @@ def _with_adam_m(blob, name, value):
      "key 'trainer_rng' must be null or five integers"),
 ], ids=["missing-key", "string-stage", "list-params", "unknown-alpha-key",
         "text-param", "bad-base64", "short-data", "bad-shape", "v1-format",
-        "adam-not-object", "adam-m-shape", "trainer-rng-four", "trainer-rng-string"])
+        "v2-format", "adam-not-object", "adam-m-shape", "trainer-rng-four", "trainer-rng-string"])
 def test_malformed_checkpoint_is_data_error(workdir, tmp_path, capsys, edit,
                                             message):
     blob = json.loads((workdir["run"] / "checkpoint.json").read_text())

@@ -48,19 +48,45 @@ def test_bilstm_matches_step_oracle():
     x = Rng(6).uniform_array((n, din), -1.0, 1.0)
     got = bilstm_forward(p, T.Tensor(x)).values
 
-    def direction(wx, wh, b, order):
+    def direction(d, order):
+        # direction d's gate columns of wx and b, and its recurrent weight
+        cols = slice(d * 4 * H, (d + 1) * 4 * H)
+        wx, wh, b = p.wx.values[:, cols], p.wh.values[d], p.b.values[0, cols]
         h, c = [0.0] * H, [0.0] * H
         states = [None] * n
         for t in order:
-            h, c = lstm_step(list(x[t]), h, c, wx.values, wh.values, b.values[0], H)
+            h, c = lstm_step(list(x[t]), h, c, wx, wh, b, H)
             states[t] = h
         return states
 
-    fwd = direction(p.wx_f, p.wh_f, p.b_f, range(n))
-    bwd = direction(p.wx_b, p.wh_b, p.b_b, range(n - 1, -1, -1))
+    fwd = direction(0, range(n))
+    bwd = direction(1, range(n - 1, -1, -1))
     concat = np.array([fwd[t] + bwd[t] for t in range(n)])
     want = matmul_loops(concat.tolist(), p.proj_w.values.tolist()) + p.proj_b.values
     assert np.allclose(got, want, atol=1e-10)
+
+
+def test_bilstm_stores_each_direction_as_drawn():
+    # the forward then the backward direction's input and recurrent weights
+    # are successive Xavier draws, then the projection; biases start at zero
+    din, H, dout = 3, 2, 4
+    p = init_bilstm(din, H, dout, Rng(11))
+    rng = Rng(11)
+    for block in (p.wx.values[:, :4 * H], p.wh.values[0],
+                  p.wx.values[:, 4 * H:], p.wh.values[1], p.proj_w.values):
+        assert np.array_equal(block, T.init_xavier(block.shape, rng).values)
+    assert p.wx.shape == (din, 8 * H) and p.wh.shape == (2, H, 4 * H)
+    assert np.all(p.b.values == 0.0) and p.b.shape == (1, 8 * H)
+    assert all(t.requires_grad for t in p.tensors())
+
+
+def test_bilstm_forward_is_three_records():
+    # input affine, one two-direction scan, output affine
+    p = init_bilstm(3, 2, 4, Rng(12))
+    tape = T.Tape()
+    with T.recording(tape):
+        bilstm_forward(p, seq_t(Rng(13), 5, 3))
+    assert len(tape) == 3
 
 
 def test_bilstm_dim_mismatch():
@@ -220,7 +246,7 @@ def test_encoder_gradients_pass_finite_diff():
     assert np.all(x.grad[1, 1:] == 0.0) and np.any(x.grad[0] != 0.0)
 
     # and through a parameter
-    w = enc["text"].lstms["main"].wx_f
+    w = enc["text"].lstms["text"].wx
 
     def head_w(t):
         full, mask = encode_mode(enc["text"], {"text": (x, lengths)})

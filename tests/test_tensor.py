@@ -63,16 +63,16 @@ def test_softmax_rows_properties(r, c, seed):
 
 def test_lstm_scan_saturated_gates_stable():
     # gate blocks input, forget, candidate, output; one hidden unit
-    wh = T.Tensor(np.zeros((1, 4)))
+    wh = T.Tensor(np.zeros((1, 1, 4)))
     # saturated: input 1, forget 0, candidate 1, output 1 -> c = 1, h = tanh(1)
-    h = T.lstm_scan(T.Tensor([[800.0, -800.0, 800.0, 800.0]]), wh, [0]).values
+    h = T.lstm_scan(T.Tensor([[800.0, -800.0, 800.0, 800.0]]), wh, [[0]]).values
     assert np.all(np.isfinite(h))
     assert h[0, 0] == pytest.approx(math.tanh(1.0), abs=1e-12)
     # closed input gate: c stays 0 whatever the candidate
-    h = T.lstm_scan(T.Tensor([[-800.0, 800.0, 800.0, 800.0]]), wh, [0]).values
+    h = T.lstm_scan(T.Tensor([[-800.0, 800.0, 800.0, 800.0]]), wh, [[0]]).values
     assert h[0, 0] == pytest.approx(0.0, abs=1e-12)
     # zero pre-activations give sigmoid gates of 0.5
-    h = T.lstm_scan(T.Tensor([[0.0, 0.0, 0.5, 0.0]]), wh, [0]).values
+    h = T.lstm_scan(T.Tensor([[0.0, 0.0, 0.5, 0.0]]), wh, [[0]]).values
     assert h[0, 0] == pytest.approx(0.5 * math.tanh(0.5 * math.tanh(0.5)), abs=1e-15)
 
 
@@ -258,26 +258,28 @@ def test_grad_lstm_scan(n, reverse):
     rng = Rng(46 + n)
     hid = 3
     xg = rand_t(rng, (n, 4 * hid), -1.5, 1.5)
-    wh = rand_t(rng, (hid, 4 * hid), -0.8, 0.8)
-    order = range(n - 1, -1, -1) if reverse else range(n)
+    wh = rand_t(rng, (1, hid, 4 * hid), -0.8, 0.8)
+    orders = [range(n - 1, -1, -1) if reverse else range(n)]
     r = readout(rng, (n, hid))
-    assert T.finite_diff_check(lambda t: r(T.lstm_scan(t, wh, order)), xg) < TOL
-    assert T.finite_diff_check(lambda t: r(T.lstm_scan(xg, t, order)), wh) < TOL
+    assert T.finite_diff_check(lambda t: r(T.lstm_scan(t, wh, orders)), xg) < TOL
+    assert T.finite_diff_check(lambda t: r(T.lstm_scan(xg, t, orders)), wh) < TOL
 
 
 def test_lstm_scan_is_one_record_and_untracked_off_tape():
     rng = Rng(47)
     xg = rand_t(rng, (5, 8))
-    wh = rand_t(rng, (2, 8))
+    wh = rand_t(rng, (1, 2, 8))
     tape = T.Tape()
     with T.recording(tape):
-        taped = T.lstm_scan(xg, wh, range(5))
+        taped = T.lstm_scan(xg, wh, [range(5)])
     assert len(tape) == 1 and taped.requires_grad
-    plain = T.lstm_scan(xg, wh, range(5))
+    plain = T.lstm_scan(xg, wh, [range(5)])
     assert not plain.requires_grad
     assert np.array_equal(plain.values, taped.values)
     with pytest.raises(ShapeError):
-        T.lstm_scan(xg, rand_t(rng, (3, 8)), range(5))
+        T.lstm_scan(xg, rand_t(rng, (1, 3, 8)), [range(5)])
+    with pytest.raises(ShapeError):  # an unstacked H x 4H weight
+        T.lstm_scan(xg, rand_t(rng, (2, 8)), [range(5)])
 
 
 def split_scan(xg, wh, t, reverse, lengths=None):
@@ -294,7 +296,7 @@ def split_scan(xg, wh, t, reverse, lengths=None):
         part = T.Tensor(xv[..., lo:hi, :])
         order = range(hi - lo - 1, -1, -1) if reverse else range(hi - lo)
         sub = None if lengths is None else np.clip(np.asarray(lengths) - lo, 0, hi - lo)
-        out, start = T.lstm_scan(part, wh, order, sub, start=start, carry=True)
+        out, start = T.lstm_scan(part, wh, [order], sub, start=start, carry=True)
         outs[lo, hi] = out.values
     return np.concatenate([outs[k] for k in sorted(outs)], axis=-2)
 
@@ -306,10 +308,10 @@ def test_lstm_scan_resumed_from_carried_state_is_bit_identical(reverse, lengths)
     hid, n = 3, 5
     shape = (n, 4 * hid) if lengths is None else (len(lengths), n, 4 * hid)
     xg = T.Tensor(rng.uniform_array(shape, -1.5, 1.5))
-    wh = T.Tensor(rng.uniform_array((hid, 4 * hid), -0.8, 0.8))
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    whole, (h, c) = T.lstm_scan(xg, wh, order, lengths, carry=True)
-    assert np.array_equal(whole.values, T.lstm_scan(xg, wh, order, lengths).values)
+    wh = T.Tensor(rng.uniform_array((1, hid, 4 * hid), -0.8, 0.8))
+    orders = [range(n - 1, -1, -1) if reverse else range(n)]
+    whole, (h, c) = T.lstm_scan(xg, wh, orders, lengths, carry=True)
+    assert np.array_equal(whole.values, T.lstm_scan(xg, wh, orders, lengths).values)
     assert h.shape == c.shape == shape[:-2] + (hid,)
     for t in range(n + 1):  # t = 0 and t = n split off an empty scan
         assert np.array_equal(split_scan(xg, wh, t, reverse, lengths), whole.values)
@@ -318,15 +320,15 @@ def test_lstm_scan_resumed_from_carried_state_is_bit_identical(reverse, lengths)
 def test_lstm_scan_state_validation():
     rng = Rng(62)
     xg = rand_t(rng, (4, 8))
-    wh = rand_t(rng, (2, 8))
+    wh = rand_t(rng, (1, 2, 8))
     with pytest.raises(ShapeError, match="start state"):
-        T.lstm_scan(xg, wh, range(4), start=(np.zeros(3), np.zeros(3)))
+        T.lstm_scan(xg, wh, [range(4)], start=(np.zeros(3), np.zeros(3)))
     with pytest.raises(ShapeError, match="start state"):
-        T.lstm_scan(T.Tensor(np.zeros((2, 4, 8))), wh, range(4),
+        T.lstm_scan(T.Tensor(np.zeros((2, 4, 8))), wh, [range(4)],
                     start=(np.zeros(2), np.zeros(2)))
     with T.recording(T.Tape()):
         with pytest.raises(ContractError, match="carry"):
-            T.lstm_scan(xg, wh, range(4), carry=True)
+            T.lstm_scan(xg, wh, [range(4)], carry=True)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -335,15 +337,15 @@ def test_grad_lstm_scan_from_start_state(reverse):
     rng = Rng(63)
     hid, n = 3, 4
     xg = rand_t(rng, (2, n, 4 * hid), -1.5, 1.5)
-    wh = rand_t(rng, (hid, 4 * hid), -0.8, 0.8)
+    wh = rand_t(rng, (1, hid, 4 * hid), -0.8, 0.8)
     start = (rng.uniform_array((2, hid), -0.9, 0.9), rng.uniform_array((2, hid), -2.0, 2.0))
-    order = range(n - 1, -1, -1) if reverse else range(n)
+    orders = [range(n - 1, -1, -1) if reverse else range(n)]
     lengths = [n, 2]
     r = readout(rng, (2, n, hid))
     assert T.finite_diff_check(
-        lambda t: r(T.lstm_scan(t, wh, order, lengths, start=start)), xg) < TOL
+        lambda t: r(T.lstm_scan(t, wh, orders, lengths, start=start)), xg) < TOL
     assert T.finite_diff_check(
-        lambda t: r(T.lstm_scan(xg, t, order, lengths, start=start)), wh) < TOL
+        lambda t: r(T.lstm_scan(xg, t, orders, lengths, start=start)), wh) < TOL
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -353,14 +355,14 @@ def test_grad_lstm_scan_batched_ragged(reverse):
     hid, n = 2, 4
     lengths = [4, 1, 3]
     xg = rand_t(rng, (3, n, 4 * hid), -1.5, 1.5)
-    wh = rand_t(rng, (hid, 4 * hid), -0.8, 0.8)
-    order = range(n - 1, -1, -1) if reverse else range(n)
+    wh = rand_t(rng, (1, hid, 4 * hid), -0.8, 0.8)
+    orders = [range(n - 1, -1, -1) if reverse else range(n)]
     r = readout(rng, (3, n, hid))
-    assert T.finite_diff_check(lambda t: r(T.lstm_scan(t, wh, order, lengths)), xg) < TOL
-    assert T.finite_diff_check(lambda t: r(T.lstm_scan(xg, t, order, lengths)), wh) < TOL
+    assert T.finite_diff_check(lambda t: r(T.lstm_scan(t, wh, orders, lengths)), xg) < TOL
+    assert T.finite_diff_check(lambda t: r(T.lstm_scan(xg, t, orders, lengths)), wh) < TOL
     tape = T.Tape()
     with T.recording(tape):
-        out = T.lstm_scan(xg, wh, order, lengths)
+        out = T.lstm_scan(xg, wh, orders, lengths)
         loss = r(out)
     assert len(tape) == 3  # the scan is one record however many rows
     T.backward(loss, tape)
@@ -370,7 +372,7 @@ def test_grad_lstm_scan_batched_ragged(reverse):
         assert np.all(xg.grad[b, m:] == 0.0)
         # every real row is the scan of that sequence alone
         alone = T.lstm_scan(T.Tensor(xg.values[b, :m]), wh,
-                            range(m - 1, -1, -1) if reverse else range(m))
+                            [range(m - 1, -1, -1) if reverse else range(m)])
         assert np.allclose(out.values[b, :m], alone.values, atol=1e-12)
 
 
@@ -668,11 +670,11 @@ def test_full_pipeline_bit_determinism():
 
 def directions(rng, shape, hid, dirs=2):
     """Gate inputs of ``dirs`` directions side by side, their stacked
-    recurrent weights, and each direction's own (xg, wh)."""
+    recurrent weights, and each direction's own (xg, 1 x H x 4H wh)."""
     xs = [rand_t(rng, shape + (4 * hid,), -1.5, 1.5) for _ in range(dirs)]
-    ws = [rand_t(rng, (hid, 4 * hid), -0.8, 0.8) for _ in range(dirs)]
+    ws = [rand_t(rng, (1, hid, 4 * hid), -0.8, 0.8) for _ in range(dirs)]
     return (T.Tensor(np.concatenate([x.values for x in xs], -1), requires_grad=True),
-            T.Tensor(np.stack([w.values for w in ws]), requires_grad=True),
+            T.Tensor(np.concatenate([w.values for w in ws]), requires_grad=True),
             tuple(zip(xs, ws)))
 
 
@@ -690,7 +692,7 @@ def test_two_direction_scan_equals_two_one_direction_scans(case):
                   for _ in orders]
     start = None if starts[0] is None else tuple(np.concatenate(s, -1) for s in zip(*starts))
     both, (h, c) = T.lstm_scan(xg, wh, orders, lengths, start, carry=True)
-    alone = [T.lstm_scan(x, w, order, lengths, s, carry=True)
+    alone = [T.lstm_scan(x, w, [order], lengths, s, carry=True)
              for (x, w), order, s in zip(((xf, wf), (xb, wb)), orders, starts)]
     for got, want in ((both.values, [out.values for out, _ in alone]),
                       (h, [hc[0] for _, hc in alone]), (c, [hc[1] for _, hc in alone])):
@@ -698,16 +700,16 @@ def test_two_direction_scan_equals_two_one_direction_scans(case):
     # the adjoints are the two directions' adjoints, side by side
     r = rng.uniform_array(both.shape, -1.0, 1.0)
     for parts in ([(xg, wh, orders, start, r)],
-                  [(x, w, order, s, part) for (x, w), order, s, part in zip(
+                  [(x, w, [order], s, part) for (x, w), order, s, part in zip(
                       ((xf, wf), (xb, wb)), orders, starts, np.split(r, 2, axis=-1))]):
         tape = T.Tape()
         with T.recording(tape):
-            terms = [T.sum_all(T.mul(T.lstm_scan(x, w, order, lengths, s), T.Tensor(part)))
-                     for x, w, order, s, part in parts]
+            terms = [T.sum_all(T.mul(T.lstm_scan(x, w, visits, lengths, s), T.Tensor(part)))
+                     for x, w, visits, s, part in parts]
             loss = terms[0] if len(terms) == 1 else T.add(*terms)
         T.backward(loss, tape)
     assert np.max(np.abs(xg.grad - np.concatenate([xf.grad, xb.grad], -1))) <= 1e-12
-    assert np.max(np.abs(wh.grad - np.stack([wf.grad, wb.grad]))) <= 1e-12
+    assert np.max(np.abs(wh.grad - np.concatenate([wf.grad, wb.grad]))) <= 1e-12
 
 
 @pytest.mark.parametrize("start", [False, True])
@@ -740,7 +742,7 @@ def test_scan_with_a_length_per_direction_equals_one_direction_scans(lengths):
               for _ in orders]
     start = tuple(np.concatenate(s, -1) for s in zip(*starts))
     out, (h, c) = T.lstm_scan(xg, wh, orders, lengths, start, carry=True)
-    runs = [T.lstm_scan(x, w, order, np.array(lengths)[:, d], s, carry=True)
+    runs = [T.lstm_scan(x, w, [order], np.array(lengths)[:, d], s, carry=True)
             for d, ((x, w), order, s) in enumerate(zip(alone, orders, starts))]
     for got, want in ((out.values, [o.values for o, _ in runs]),
                       (h, [hc[0] for _, hc in runs]), (c, [hc[1] for _, hc in runs])):
