@@ -15,7 +15,10 @@ its own output directory:
 - ``train --seed 5 --split 0.5,0.4,0.1`` for 1 + 2 epochs with batch
   size 3 and 2 cross-modal heads. Its alphas are learned on a
   validation split, so the alpha probe and the informative-sample
-  selection run.
+  selection run;
+- ``train --seed 7`` for 1 + 2 epochs with fixed alphas and the
+  ``dialogue`` context mode, so stage 2 runs without the probe and the
+  context classifier fills its speaker slot with zeros.
 
 Every output file is compared byte for byte and reported on one line.
 A differing file that parses as JSON or JSONL with the same structure on
@@ -44,6 +47,8 @@ RUNS = (
     ("run1", {"stage1_epochs": 2, "stage2_epochs": 2}, ["--seed", "3"]),
     ("run2", {"stage1_epochs": 1, "stage2_epochs": 2, "batch_size": 3, "man_heads": 2},
      ["--seed", "5", "--split", "0.5,0.4,0.1"]),
+    ("run3", {"stage1_epochs": 1, "stage2_epochs": 2, "alpha_mode": "fixed",
+              "eval_mode": "dialogue"}, ["--seed", "7"]),
 )
 SPEC = {"num_dialogues": 12, "informativeness": [1.0, 0.5, 0.25], "text_dim": 3,
         "video_dim": 4, "audio_dim": 2, "text_len": [2, 4], "video_len": [1, 3],

@@ -76,6 +76,7 @@ def load_dataset(path) -> list:
     """
     dialogues = []
     widths = {}
+    first_seen = {}  # utterance id -> the dialogue it first appeared in
     record = 0
     text = read_text(path, "dataset", DataError)
     for line_no, line in enumerate(io.StringIO(text), start=1):
@@ -102,6 +103,10 @@ def load_dataset(path) -> list:
                 label = u["label"]
             except KeyError as e:
                 raise DataError(f"line {line_no}, record {record}: missing field {e}") from None
+            if str(utt_id) in first_seen:
+                raise DataError(f"record {record}: duplicate utterance id {utt_id!r}, first "
+                                f"seen in dialogue {first_seen[str(utt_id)]!r}")
+            first_seen[str(utt_id)] = str(raw["dialogue_id"])
             if not isinstance(label, int) or isinstance(label, bool) or label < 0:
                 raise DataError(
                     f"record {record}, utterance {utt_id!r}: label must be a "

@@ -73,6 +73,14 @@ class AlphaState:
     def pairwise(self) -> dict:
         return pairwise_from_composed(self.composed())
 
+    def estimate(self, f: dict, grads: dict):
+        """One sample's (a1', a2') from its mode descriptors ``f`` and the
+        loss gradients ``grads`` at them: a1' weighs text against video,
+        a2' the current text/video mixture against audio."""
+        a1 = estimate_alpha_pair(f["text"], f["video"], grads["video"], self.epsilon)
+        mix = self.alpha_prime_1 * f["text"] + (1.0 - self.alpha_prime_1) * f["video"]
+        return a1, estimate_alpha_pair(mix, f["audio"], grads["audio"], self.epsilon)
+
     def to_dict(self) -> dict:
         return {"alpha_prime_1": self.alpha_prime_1, "alpha_prime_2": self.alpha_prime_2,
                 "epsilon": self.epsilon, "momentum": self.momentum}

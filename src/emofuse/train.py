@@ -26,13 +26,12 @@ from .config import RunConfig, read_text
 from .data import all_utterances
 from .encoders import MODES
 from .errors import ContractError, DataError, NumericError
-from .fusion import (adaptive_fuse, estimate_alpha_pair,
-                     select_informative_samples, update_alphas)
+from .fusion import adaptive_fuse, select_informative_samples, update_alphas
 from .losses import (ace_loss, averaged_focal, combined_loss, focal_mean,
                      sample_negative_ids)
 from .model import (AdamState, LoadedCheckpoint, Pipeline, classify_dialogues,
-                    evaluate, fuse_utterances, init_pipeline, named_parameters,
-                    pairwise_coefficients, save_checkpoint, stage1_parameters,
+                    evaluate, init_pipeline, named_parameters, pairwise_coefficients,
+                    require_same_config, save_checkpoint, stage1_parameters,
                     utterance_descriptors)
 from .rng import Rng
 
@@ -183,64 +182,46 @@ def per_mode_accuracy(pipeline: Pipeline, dialogues) -> dict:
 # ---------------------------------------------------------------------------
 # stage 2
 
-def _stage2_loss(pipeline: Pipeline, dialogues, pairwise: dict, config: RunConfig):
+def _stage2_loss(pipeline: Pipeline, dialogues, f_ca: dict, pairwise: dict,
+                 config: RunConfig):
     """The focal loss of the context classifier over consecutive dialogues,
-    one batch: (loss, mode -> CrossAttendedDescriptor of every utterance,
-    one DialoguePredictions per dialogue)."""
-    fused, descs = fuse_utterances(pipeline, all_utterances(dialogues), pairwise)
-    preds = classify_dialogues(pipeline, dialogues, fused, config.eval_mode)
+    one batch, from their utterances' mode descriptors ``f_ca`` (mode ->
+    one row per utterance): (loss, one DialoguePredictions per dialogue)."""
+    preds = classify_dialogues(pipeline, dialogues, adaptive_fuse(f_ca, pairwise),
+                               config.eval_mode)
     loss = focal_mean([(p.probs, [u.label for u in d.utterances])
                        for d, p in zip(dialogues, preds)],
                       config.gamma, config.focal_form)
-    return loss, descs, preds
-
-
-def _alpha_estimates(pipeline: Pipeline, val_dlgs, config: RunConfig):
-    """Per-validation-utterance coefficient estimates from loss gradients.
-
-    Returns (estimates: uid -> (a1, a2), labels: uid -> class predicted
-    under the current coefficients, cache: uid -> (its dialogue, that
-    dialogue's frozen mode -> n x d descriptors, its index there) for
-    cheap re-prediction under candidate coefficients).
-    """
-    estimates, labels, cache = {}, {}, {}
-    eps = pipeline.alphas.epsilon
-    cur_a1 = pipeline.alphas.alpha_prime_1
-    pairwise = pipeline.alphas.pairwise()
-    for d in val_dlgs:
-        _, descs, (preds,) = _taped(
-            f"running the alpha probe on validation dialogue {d.dialogue_id}",
-            lambda: _stage2_loss(pipeline, [d], pairwise, config))
-        f = {m: descs[m].f_ca for m in MODES}
-        grads = {m: f[m].grad if f[m].grad is not None else np.zeros_like(f[m].values)
-                 for m in MODES}
-        frozen = {m: f[m].values.copy() for m in MODES}
-        for i, utt in enumerate(d.utterances):
-            ft, fv, fa = (frozen[m][i] for m in ("text", "video", "audio"))
-            a1 = estimate_alpha_pair(ft, fv, grads["video"][i], eps)
-            # the second scalar weighs the text/video mixture against audio
-            mix = cur_a1 * ft + (1.0 - cur_a1) * fv
-            a2 = estimate_alpha_pair(mix, fa, grads["audio"][i], eps)
-            estimates[utt.utterance_id] = (a1, a2)
-            labels[utt.utterance_id] = preds.labels[i]
-            cache[utt.utterance_id] = (d, frozen, i)
-    # the probe steps nothing; its parameter gradients must not reach Adam
-    T.zero_grad(named_parameters(pipeline).values())
-    return estimates, labels, cache
+    return loss, preds
 
 
 def _update_alphas_from_val(pipeline: Pipeline, val_dlgs, config: RunConfig) -> dict:
-    estimates, labels, cache = _alpha_estimates(pipeline, val_dlgs, config)
+    """Fold into the coefficients the (a1', a2') estimates, from d loss /
+    d f_ca, of the validation utterances they flip. The descriptors are
+    leaves made off the tape: only fusion, context and loss are taped."""
     current = pipeline.alphas
+    pairwise = current.pairwise()
+    estimates, labels, cache = {}, {}, {}
+    for d in val_dlgs:
+        where = f"running the alpha probe on validation dialogue {d.dialogue_id}"
+        with _numeric_guard(where):
+            descs = utterance_descriptors(pipeline, d.utterances)
+            f = {m: T.Tensor(c.f_ca.values, requires_grad=True) for m, c in descs.items()}
+        _, (preds,) = _taped(where, lambda: _stage2_loss(pipeline, [d], f, pairwise, config))
+        for i, utt in enumerate(d.utterances):
+            estimates[utt.utterance_id] = current.estimate(
+                {m: t.values[i] for m, t in f.items()}, {m: t.grad[i] for m, t in f.items()})
+            labels[utt.utterance_id] = preds.labels[i]
+            cache[utt.utterance_id] = (d, f, i)
+    # the probe steps nothing; its context gradients must not reach Adam
+    T.zero_grad(pipeline.context.tensors())
 
     def predict(uid, alpha_state):
         if alpha_state == current:
             # the estimate pass already classified under these coefficients
             return labels[uid]
-        # re-predict from the dialogue's frozen descriptors
-        dialogue, frozen, index = cache[uid]
-        fused = adaptive_fuse({m: T.Tensor(frozen[m]) for m in MODES},
-                              alpha_state.pairwise())
+        dialogue, f, index = cache[uid]
+        fused = adaptive_fuse(f, alpha_state.pairwise())
         return classify_dialogues(pipeline, [dialogue], fused,
                                   config.eval_mode)[0].labels[index]
 
@@ -268,7 +249,9 @@ def _stage2_epoch(pipeline: Pipeline, adam: AdamState, rng: Rng,
              for name in params}
 
     def build(batch):
-        loss = _stage2_loss(pipeline, batch, pairwise, config)[0]
+        descs = utterance_descriptors(pipeline, all_utterances(batch))
+        loss = _stage2_loss(pipeline, batch, {m: c.f_ca for m, c in descs.items()},
+                            pairwise, config)[0]
         return loss, {"focal": loss}
 
     rec.update(_train_epoch(2, order, build, params, adam, config, scale))
@@ -313,26 +296,24 @@ class TrainResult:
 
 
 def run_training(config: RunConfig, train_dlgs, val_dlgs, out_dir=None,
-                 resume: LoadedCheckpoint = None, emit=None,
-                 stop_after: int = None) -> TrainResult:
+                 resume: LoadedCheckpoint = None, emit=None) -> TrainResult:
     """Run (or continue) both stages; checkpoint and log once per epoch.
 
-    ``stop_after`` bounds the number of epochs executed in this call,
-    simulating interruption; the saved checkpoint resumes exactly.
+    A ``resume`` checkpoint must have been written under ``config``.
     """
     if not train_dlgs:
         raise DataError("training requires at least one dialogue")
+    rng = Rng(config.seed).spawn(_TRAIN_STREAM)
     if resume is not None:
+        require_same_config(resume.pipeline.config, config)
         pipeline = resume.pipeline
         adam = resume.adam
-        rng = Rng(config.seed).spawn(_TRAIN_STREAM)
         if resume.trainer_rng:
             rng.set_state(resume.trainer_rng)
         stage, epoch = resume.stage, resume.epoch
     else:
         pipeline = init_pipeline(config)
         adam = AdamState()
-        rng = Rng(config.seed).spawn(_TRAIN_STREAM)
         stage, epoch = 1, 0
 
     logs = []
@@ -360,29 +341,23 @@ def run_training(config: RunConfig, train_dlgs, val_dlgs, out_dir=None,
                             adam.to_dict(), rng.get_state())
 
     pool = all_utterances(train_dlgs)
-    ran = 0
+    held_out = val_dlgs if val_dlgs else train_dlgs
     try:
-        while stage == 1 and epoch < config.stage1_epochs and \
-                (stop_after is None or ran < stop_after):
-            rec = _stage1_epoch(pipeline, adam, rng, train_dlgs, pool, config)
+        while True:
+            if stage == 1 and epoch >= config.stage1_epochs:
+                stage, epoch = 2, 0
+            if stage == 2 and epoch >= config.stage2_epochs:
+                break
+            if stage == 1:
+                rec = _stage1_epoch(pipeline, adam, rng, train_dlgs, pool, config)
+                rec["val_mode_accuracy"] = per_mode_accuracy(pipeline, held_out)
+            else:
+                rec = _stage2_epoch(pipeline, adam, rng, train_dlgs, val_dlgs, config)
+                report = evaluate(pipeline, held_out)
+                rec["val_accuracy"] = report["accuracy"]
+                rec["val_weighted_f1"] = report["weighted_f1"]
             epoch += 1
-            ran += 1
-            rec.update({"stage": 1, "epoch": epoch})
-            rec["val_mode_accuracy"] = per_mode_accuracy(
-                pipeline, val_dlgs if val_dlgs else train_dlgs)
-            _emit(rec)
-            _save()
-        if stage == 1 and epoch >= config.stage1_epochs:
-            stage, epoch = 2, 0
-        while stage == 2 and epoch < config.stage2_epochs and \
-                (stop_after is None or ran < stop_after):
-            rec = _stage2_epoch(pipeline, adam, rng, train_dlgs, val_dlgs, config)
-            epoch += 1
-            ran += 1
-            rec.update({"stage": 2, "epoch": epoch})
-            report = evaluate(pipeline, val_dlgs if val_dlgs else train_dlgs)
-            rec["val_accuracy"] = report["accuracy"]
-            rec["val_weighted_f1"] = report["weighted_f1"]
+            rec.update({"stage": stage, "epoch": epoch})
             _emit(rec)
             _save()
         _save()

@@ -106,15 +106,23 @@ def test_missing_stream_and_bad_label(tmp_path):
 
 
 def test_duplicate_utterance_ids_rejected(tmp_path):
-    rec = {"dialogue_id": "d0", "utterances": []}
-    for _ in range(2):
-        rec["utterances"].append({
-            "utterance_id": "same", "speaker_id": "s0", "label": 0,
+    def dialogue(dialogue_id, utterance_ids):
+        return json.dumps({"dialogue_id": dialogue_id, "utterances": [{
+            "utterance_id": uid, "speaker_id": "s0", "label": 0,
             "text_feat": [[1.0]], "video_face_feat": [[1.0]],
-            "video_back_feat": [[1.0]], "audio_feat": [[1.0]]})
+            "video_back_feat": [[1.0]], "audio_feat": [[1.0]]} for uid in utterance_ids]})
+
     p = tmp_path / "dup.jsonl"
-    p.write_text(json.dumps(rec) + "\n")
+    p.write_text(dialogue("d0", ["same", "same"]) + "\n")
     with pytest.raises(DataError, match="duplicate"):
+        load_dataset(p)
+    # an id repeated in another dialogue collides in every id-keyed table
+    # (negative pools, alpha estimates), so it is rejected too, and the
+    # message names the record, the id and where it first appeared
+    p.write_text(dialogue("d0", ["u0", "u1"]) + "\n" + dialogue("d1", ["u2", "u1"]) + "\n")
+    with pytest.raises(DataError,
+                       match=r"record 4: duplicate utterance id 'u1', first seen in "
+                             r"dialogue 'd0'"):
         load_dataset(p)
 
 

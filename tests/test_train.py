@@ -8,9 +8,11 @@ from emofuse import tensor as T
 from emofuse import train as train_mod
 from emofuse.config import RunConfig
 from emofuse.data import SynthSpec, split, synth_generate
-from emofuse.errors import ContractError, NumericError
+from emofuse.encoders import MODES
+from emofuse.errors import ConfigError, ContractError, NumericError
 from emofuse.fusion import AlphaState
-from emofuse.model import init_pipeline, load_checkpoint, named_parameters
+from emofuse.model import (init_pipeline, load_checkpoint, named_parameters,
+                           utterance_descriptors)
 from emofuse.train import (AdamState, adam_step, per_mode_accuracy,
                            run_training)
 
@@ -88,6 +90,22 @@ def test_adam_state_round_trip():
 # ---------------------------------------------------------------------------
 # training loop
 
+def run_interrupted(monkeypatch, saves, *args, **kwargs):
+    """``run_training`` killed right after its ``saves``-th checkpoint write."""
+    real_save, done = train_mod.save_checkpoint, []
+
+    def save_then_kill(*a, **k):
+        real_save(*a, **k)
+        done.append(1)
+        if len(done) == saves:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(train_mod, "save_checkpoint", save_then_kill)
+    with pytest.raises(KeyboardInterrupt):
+        run_training(*args, **kwargs)
+    monkeypatch.setattr(train_mod, "save_checkpoint", real_save)
+
+
 def test_training_deterministic():
     corpus = small_corpus()
     tr, va, _ = split(corpus, (0.7, 0.2, 0.1), 3)
@@ -125,7 +143,7 @@ def test_epoch_logs_written_as_json_lines(tmp_path):
     assert all("val_accuracy" in p for p in parsed if p["stage"] == 2)
 
 
-def test_resume_reproduces_uninterrupted_run(tmp_path):
+def test_resume_reproduces_uninterrupted_run(tmp_path, monkeypatch):
     corpus = small_corpus()
     tr, va, _ = split(corpus, (0.7, 0.2, 0.1), 3)
     cfg = small_config(stage1_epochs=2, stage2_epochs=1)
@@ -133,7 +151,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     full = run_training(cfg, tr, va, out_dir=str(tmp_path / "full"))
 
     part_dir = tmp_path / "part"
-    run_training(cfg, tr, va, out_dir=str(part_dir), stop_after=1)
+    run_interrupted(monkeypatch, 1, cfg, tr, va, out_dir=str(part_dir))
     ck = load_checkpoint(part_dir / "checkpoint.json")
     assert (ck.stage, ck.epoch) == (1, 1)
     resumed = run_training(cfg, tr, va, out_dir=str(part_dir), resume=ck)
@@ -179,12 +197,12 @@ def test_resume_after_kill_between_log_and_checkpoint(tmp_path, monkeypatch):
             (tmp_path / "full" / name).read_bytes(), name
 
 
-def test_resume_across_stage_boundary(tmp_path):
+def test_resume_across_stage_boundary(tmp_path, monkeypatch):
     corpus = small_corpus()
     tr, va, _ = split(corpus, (0.7, 0.2, 0.1), 3)
     cfg = small_config(stage1_epochs=1, stage2_epochs=2)
     full = run_training(cfg, tr, va)
-    run_training(cfg, tr, va, out_dir=str(tmp_path), stop_after=2)
+    run_interrupted(monkeypatch, 2, cfg, tr, va, out_dir=str(tmp_path))
     ck = load_checkpoint(tmp_path / "checkpoint.json")
     assert (ck.stage, ck.epoch) == (2, 1)
     resumed = run_training(cfg, tr, va, resume=ck)
@@ -192,6 +210,20 @@ def test_resume_across_stage_boundary(tmp_path):
     pa, pb = named_parameters(full.pipeline), named_parameters(resumed.pipeline)
     for name in pa:
         assert np.array_equal(pa[name].values, pb[name].values), name
+
+
+def test_resume_under_another_config_is_rejected_before_any_write(tmp_path):
+    tr, va, _ = split(small_corpus(), (0.7, 0.2, 0.1), 3)
+    cfg = small_config(stage1_epochs=1, stage2_epochs=1, lr=0.01)
+    run_training(cfg, tr, va, out_dir=str(tmp_path))
+    files = {name: (tmp_path / name).read_bytes()
+             for name in ("train_log.jsonl", "checkpoint.json")}
+    ck = load_checkpoint(tmp_path / "checkpoint.json")
+    other = small_config(stage1_epochs=1, stage2_epochs=3, lr=0.5)
+    with pytest.raises(ConfigError, match="different configuration"):
+        run_training(other, tr, va, out_dir=str(tmp_path), resume=ck)
+    for name, data in files.items():
+        assert (tmp_path / name).read_bytes() == data, name
 
 
 def test_stage1_loss_non_increasing_on_separable_data():
@@ -276,6 +308,53 @@ def test_numeric_abort_in_alpha_probe(monkeypatch):
                        match=rf"alpha probe on validation dialogue {va[0].dialogue_id}"):
         run_training(cfg, tr, va)
     assert len(calls) == 1
+
+
+def test_alpha_probe_tapes_no_encoder_or_man_parameter(monkeypatch):
+    # the probe differentiates the loss at f_ca only, so the encoders and
+    # MAN run off the tape and no parameter is left holding a gradient
+    _, va, _ = split(small_corpus(seed=11), (0.6, 0.3, 0.1), 1)
+    pipeline = init_pipeline(small_config(alpha_mode="learned"))
+    params = named_parameters(pipeline)
+    upstream = {id(t): name for name, t in params.items() if not name.startswith("ctx.")}
+    real_backward, taped = T.backward, []
+
+    def spy(loss, tape):
+        taped.append({id(inp) for _, pulls in tape.records for inp, _ in pulls})
+        real_backward(loss, tape)
+
+    monkeypatch.setattr(T, "backward", spy)
+    train_mod._update_alphas_from_val(pipeline, va, pipeline.config)
+    assert len(taped) == len(va)
+    assert sorted(upstream[i] for inputs in taped for i in inputs if i in upstream) == []
+    assert [name for name, t in params.items() if t.grad is not None] == []
+
+
+def test_probe_leaf_gradients_equal_the_fully_taped_ones():
+    _, va, _ = split(small_corpus(seed=11), (0.6, 0.3, 0.1), 1)
+    cfg = small_config()
+    pipeline = init_pipeline(cfg)
+    pairwise = pipeline.alphas.pairwise()
+    d = va[0]
+
+    def loss_and_grads(f, tape):
+        # ``tape`` may already hold the pass that produced ``f``
+        with T.recording(tape):
+            loss, _ = train_mod._stage2_loss(pipeline, [d], f, pairwise, cfg)
+        T.backward(loss, tape)
+        T.zero_grad(named_parameters(pipeline).values())
+        return loss.item(), {m: f[m].grad for m in MODES}
+
+    tape = T.Tape()
+    with T.recording(tape):
+        taped = {m: c.f_ca for m, c in utterance_descriptors(pipeline, d.utterances).items()}
+    leaves = {m: T.Tensor(c.f_ca.values, requires_grad=True)
+              for m, c in utterance_descriptors(pipeline, d.utterances).items()}
+    taped_loss, taped_grads = loss_and_grads(taped, tape)
+    leaf_loss, leaf_grads = loss_and_grads(leaves, T.Tape())
+    assert leaf_loss == taped_loss
+    for m in MODES:
+        assert np.array_equal(leaf_grads[m], taped_grads[m]), m
 
 
 def test_per_mode_accuracy_bounds():
