@@ -10,8 +10,10 @@ its own output directory:
 - ``synth --spec`` with a non-default spec: per-mode signal scales
   (informativeness) of 1, 0.5 and 0.25 and other per-mode widths and
   lengths, so a stream given the wrong mode changes the corpus bytes;
-- ``train --seed 3`` for 2 + 2 epochs, then ``eval`` and ``explain
-  --utterance d0000_u00 --samples 40`` on its checkpoint;
+- ``train --seed 3`` for 2 + 2 epochs, then ``eval``, ``eval --subset
+  0,1`` and ``explain --utterance d0000_u00 --samples 40`` on its
+  checkpoint, and a ``train --resume`` of that finished checkpoint into
+  a new directory, which loads it, trains no epoch and saves it again;
 - ``train --seed 5 --split 0.5,0.4,0.1`` for 1 + 2 epochs with batch
   size 3 and 2 cross-modal heads. Its alphas are learned on a
   validation split, so the alpha probe and the informative-sample
@@ -75,6 +77,10 @@ def produce(tree: Path, out: Path, configs: Path) -> None:
     checkpoint = str(out / "run1" / "checkpoint.json")
     cli(tree, "eval", "--checkpoint", checkpoint, "--data", str(data),
         "--out", str(out / "eval"))
+    cli(tree, "eval", "--checkpoint", checkpoint, "--data", str(data), "--subset", "0,1",
+        "--out", str(out / "eval-subset"))
+    cli(tree, "train", "--resume", checkpoint, "--data", str(data),
+        "--out", str(out / "resume"))
     cli(tree, "explain", "--checkpoint", checkpoint, "--input", str(data),
         "--utterance", "d0000_u00", "--samples", "40", "--out", str(out / "explain"))
 

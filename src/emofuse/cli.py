@@ -153,6 +153,8 @@ def cmd_eval(args) -> int:
     if args.config:
         require_same_config(ck.pipeline.config, load_config(args.config))
     dialogues = load_dataset(args.data)
+    if not dialogues:
+        raise DataError(f"{args.data} holds no dialogues to evaluate")
     check_data_matches(ck.pipeline.config, dialogues)
     subset = _parse_subset(args.subset, ck.pipeline.config.num_classes) \
         if args.subset else None

@@ -133,11 +133,11 @@ def classify_dialogue(fused_seq: T.Tensor, speaker_ids, utt_ids, params: Context
             index_map, rows = speaker_subsequence(fused_seq, speaker_ids, speaker)
             branches.append(bilstm_forward(params.speaker_lstm, rows))
             order.extend(index_map)
-        stacked = branches[0] if len(branches) == 1 else T.concat_rows(branches)
+        stacked = branches[0] if len(branches) == 1 else T.concat(branches, 0)
         s_states = T.take_rows(stacked, np.argsort(order))  # back to dialogue order
     else:
         s_states = T.Tensor(np.zeros(d_states.values.shape))
-    return predict_emotion(T.concat_cols([s_states, d_states]), params, utt_ids)
+    return predict_emotion(T.concat([s_states, d_states], -1), params, utt_ids)
 
 
 def row_query(fused_seq: T.Tensor, speaker_ids, index: int, params: ContextParams,
@@ -162,16 +162,12 @@ def row_query(fused_seq: T.Tensor, speaker_ids, index: int, params: ContextParam
     if eval_mode == "own":
         branches.insert(0, (params.speaker_lstm, [i for i, s in enumerate(speaker_ids)
                                                   if s == speaker_ids[index]]))
-    # the branches' directions side by side, and their projections block-diagonal
+    # the branches' directions side by side
     lstms = [lstm for lstm, _ in branches]
-    wx = T.concat_cols([lstm.wx for lstm in lstms])
-    b = T.concat_cols([lstm.b for lstm in lstms])
-    wh = T.concat_rows([lstm.wh for lstm in lstms])
-    (ins, outs), nb = lstms[0].proj_w.values.shape, len(lstms)
-    proj = T.place((nb * ins, nb * outs), [(lstm.proj_w, (slice(i * ins, (i + 1) * ins),
-                                                          slice(i * outs, (i + 1) * outs)))
-                                           for i, lstm in enumerate(lstms)])
-    proj_b = T.concat_cols([lstm.proj_b for lstm in lstms])
+    wx = T.concat([lstm.wx for lstm in lstms], -1)
+    b = T.concat([lstm.b for lstm in lstms], -1)
+    wh = T.concat([lstm.wh for lstm in lstms], 0)
+    ins, outs = lstms[0].proj_w.values.shape
 
     # each direction reads its branch's rows before the row, or after it
     # in reverse, from timestep 0; its padded steps carry its state on
@@ -181,17 +177,19 @@ def row_query(fused_seq: T.Tensor, speaker_ids, index: int, params: ContextParam
     xg = np.zeros((max(map(len, runs)), len(runs) * width))
     for d, run in enumerate(runs):
         xg[:len(run), d * width:(d + 1) * width] = gates[run, d * width:(d + 1) * width]
-    _, start = T.lstm_scan(T.Tensor(xg), wh, [range(len(xg))] * len(runs),
+    _, start = T.lstm_scan(T.Tensor(xg), wh, [False] * len(runs),
                            [[len(run) for run in runs]], carry=True)
 
     def probs(x) -> np.ndarray:
         rows = T.Tensor(np.reshape(x, (-1, 1, wx.values.shape[0])))  # rejects a non-finite row
         size = rows.values.shape[0]
-        states = T.lstm_scan(T.affine(rows, wx, b), wh, [[0]] * len(runs),
+        states = T.lstm_scan(T.affine(rows, wx, b), wh, [False] * len(runs),
                              start=tuple(np.repeat(s[None], size, axis=0) for s in start))
-        joined = T.affine(states, proj, proj_b)
-        if nb == 1:  # eval_mode "dialogue": the speaker slot is zero
-            joined = T.concat_cols([T.Tensor(np.zeros((size, 1, outs))), joined])
+        parts = [T.affine(T.slice_cols(states, i * ins, (i + 1) * ins), lstm.proj_w,
+                          lstm.proj_b) for i, lstm in enumerate(lstms)]
+        if len(lstms) == 1:  # eval_mode "dialogue": the speaker slot is zero
+            parts.insert(0, T.Tensor(np.zeros((size, 1, outs))))
+        joined = T.concat(parts, -1)
         return T.softmax_rows(T.affine(joined, params.head_w, params.head_b)).values[:, 0]
 
     return probs

@@ -104,9 +104,7 @@ def bilstm_forward(params: BiLstmParams, seq: T.Tensor, lengths=None) -> T.Tenso
         raise ShapeError(
             f"bilstm_forward: input width {sv.shape[-1]} does not match "
             f"parameter width {params.wx.values.shape[0]}")
-    n = sv.shape[-2]
-    both = T.lstm_scan(T.affine(seq, params.wx, params.b), params.wh,
-                       (range(n), range(n - 1, -1, -1)), lengths)
+    both = T.lstm_scan(T.affine(seq, params.wx, params.b), params.wh, (False, True), lengths)
     return T.affine(both, params.proj_w, params.proj_b)
 
 

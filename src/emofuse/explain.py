@@ -25,7 +25,6 @@ from .rng import Rng
 class PerturbationConfig:
     num_samples: int = 200
     mask_prob: float = 0.5
-    kernel_width: float = 0.0  # 0 means the 0.75 * sqrt(G) default
     ridge_lambda: float = 1e-3
     seed: int = 0
 
@@ -34,14 +33,8 @@ class PerturbationConfig:
             raise ContractError("PerturbationConfig.num_samples must be >= 2")
         if not 0.0 < self.mask_prob < 1.0:
             raise ContractError("PerturbationConfig.mask_prob must lie in (0, 1)")
-        if self.kernel_width < 0.0:
-            raise ContractError("PerturbationConfig.kernel_width must be >= 0")
         if self.ridge_lambda <= 0.0:
             raise ContractError("PerturbationConfig.ridge_lambda must be positive")
-
-    def kernel_for(self, num_groups: int) -> float:
-        return self.kernel_width if self.kernel_width > 0.0 else \
-            0.75 * math.sqrt(num_groups)
 
 
 @dataclass
@@ -104,7 +97,7 @@ def perturb_and_score(descriptor, predict_fn, groups, config: PerturbationConfig
     masks[1:][rng.uniform_array((config.num_samples - 1, g)) < config.mask_prob] = 0.0
     rows = masked_rows(x0, groups, masks)
     scores = np.array([float(predict_fn(rows[s:s + 1])) for s in range(config.num_samples)])
-    kernel = config.kernel_for(g)
+    kernel = 0.75 * math.sqrt(g)
     hamming = (masks == 0.0).sum(axis=1).astype(np.float64)
     weights = np.exp(-(hamming ** 2) / (kernel ** 2))
     return masks, scores, weights

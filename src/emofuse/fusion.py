@@ -116,7 +116,7 @@ def adaptive_fuse(descriptors: dict, alphas: dict) -> T.Tensor:
             term = T.add(T.scale(descriptors[m], a), T.scale(descriptors[mi], 1.0 - a))
             acc = term if acc is None else T.add(acc, term)
         blocks.append(T.scale(acc, 1.0 / n))
-    return T.concat_cols(blocks)
+    return T.concat(blocks, -1)
 
 
 def estimate_alpha_pair(f_a, f_b, grad_b, epsilon: float) -> float:

@@ -22,18 +22,12 @@ FOCAL_FORMS = ("canonical", "printed")
 NCE_FORMS = ("printed", "standard")
 
 
-def candidate_distribution(f_query: T.Tensor, candidates, tau: float) -> T.Tensor:
-    """Softmax over temperature-scaled cosine similarities, one row per query.
-
-    ``candidates`` is a list of 1 x d tensors shared by every query row,
-    or one N x K x d tensor holding each of the N query rows' own set.
-    """
+def candidate_distribution(f_query: T.Tensor, candidates: T.Tensor, tau: float) -> T.Tensor:
+    """Softmax over temperature-scaled cosine similarities, one row per
+    query: row i of N x d ``f_query`` against its own K candidates, row i
+    of the N x K x d ``candidates``."""
     if tau <= 0.0:
         raise ContractError("candidate_distribution: tau must be positive")
-    if isinstance(candidates, list):
-        if not candidates:
-            raise ContractError("candidate_distribution: empty candidate set")
-        candidates = T.concat_rows(candidates)
     row = T.cosine_rows(f_query, candidates)
     return T.softmax_rows(T.scale(row, 1.0 / tau))
 
@@ -56,14 +50,12 @@ def nce_loss(f_query: T.Tensor, f_positive: T.Tensor, negatives, nu: float,
         raise ContractError("nce_loss: nu must be positive")
     if form not in NCE_FORMS:
         raise ContractError(f"nce_loss: unknown form {form!r}")
-    if listed:
-        candidates = [f_positive] + list(negatives)
-    else:
-        n, d = f_positive.values.shape
-        candidates = T.concat([T.reshape(f_positive, (n, 1, d)), T.Tensor(negatives)], 1)
+    n, d = f_positive.values.shape
+    negs = [T.reshape(t, (n, 1, d)) for t in negatives] if listed else [T.Tensor(negatives)]
+    candidates = T.concat([T.reshape(f_positive, (n, 1, d))] + negs, 1)
     dist = candidate_distribution(f_query, candidates, tau)
     if form == "standard":
-        return T.neg(T.mean_all(T.log(T.slice_cols(dist, 0, 1))))
+        return T.scale(T.mean_all(T.log(T.slice_cols(dist, 0, 1))), -1.0)
     ratios = T.log(T.div(dist, T.add_scalar(dist, nu)))
     signs = np.ones(dist.values.shape[1])
     signs[0] = -1.0
@@ -94,8 +86,8 @@ def ace_loss(descriptors: dict, negatives: dict, pool_size: int, tau: float,
         raise ContractError("ace_loss: need at least 2 modes")
     pairs = [(m, mi) for m in modes for mi in modes if mi != m]
     negs = np.concatenate([negatives[mi] for _, mi in pairs])
-    return nce_loss(T.concat_rows([descriptors[m] for m, _ in pairs]),
-                    T.concat_rows([descriptors[mi] for _, mi in pairs]),
+    return nce_loss(T.concat([descriptors[m] for m, _ in pairs], 0),
+                    T.concat([descriptors[mi] for _, mi in pairs], 0),
                     negs, negs.shape[1] / pool_size, tau, form)
 
 
@@ -116,7 +108,7 @@ def _stack_utterances(descriptors: dict, negatives: dict):
                                 f"expected {count}")
 
     def rows(parts):
-        return parts[0] if len(parts) == 1 else T.concat_rows(parts)
+        return parts[0] if len(parts) == 1 else T.concat(parts, 0)
 
     return ({m: rows([descriptors[uid][m] for uid in uids]) for m in modes},
             {m: np.stack([[n[m].values[0] for n in negatives[uid]] for uid in uids])
@@ -138,12 +130,12 @@ def focal_loss(p_c, gamma: float, form: str = "canonical") -> T.Tensor:
     if outside.any():
         raise ContractError(f"focal_loss: probability {float(p.values[outside][0])} "
                             f"outside [0, 1]")
-    modulator = T.powf(T.add_scalar(T.neg(p), 1.0), gamma)
+    modulator = T.powf(T.add_scalar(T.scale(p, -1.0), 1.0), gamma)
     if form == "printed":
         return T.mul(modulator, p)
     if form != "canonical":
         raise ContractError(f"focal_loss: unknown form {form!r}")
-    ce = T.neg(T.log(T.maximum_scalar(p, 1e-12)))
+    ce = T.scale(T.log(T.maximum_scalar(p, 1e-12)), -1.0)
     return T.mul(modulator, ce)
 
 
@@ -168,7 +160,7 @@ def focal_mean(pairs: list, gamma: float, form: str = "canonical") -> T.Tensor:
                 raise ContractError(f"focal_mean: label {label} out of range for "
                                     f"{probs.values.shape[1]} classes")
         classes.extend(labels)
-    probs = pairs[0][0] if len(pairs) == 1 else T.concat_rows([p for p, _ in pairs])
+    probs = pairs[0][0] if len(pairs) == 1 else T.concat([p for p, _ in pairs], 0)
     onehot = np.zeros(probs.values.shape)
     onehot[np.arange(len(classes)), classes] = 1.0
     column = T.sum_axis(T.mul(probs, T.Tensor(onehot)), 1)

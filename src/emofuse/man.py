@@ -224,7 +224,7 @@ def man_forward(encoded: dict, params: dict, trace=None, masks=None) -> dict:
         g = T.affine(g, _stack([p.dense[layer][0] for p in ps], (1, 1, g.values.shape[-1], d)),
                      _stack([p.dense[layer][1] for p in ps], (1, 1, 1, d)))
         if layer < n_layers - 1:
-            g = T.relu(g)
+            g = T.maximum_scalar(g, 0.0)
         dense_out = g
         g = cross_attend_layer(
             g, tuple(T.take_rows(t, layer) for t in (keys, values)),

@@ -12,7 +12,6 @@ from .errors import ContractError
 @dataclass
 class ConfusionMatrix:
     counts: np.ndarray  # rows = gold, cols = predicted
-    class_names: list
 
     @property
     def num_classes(self) -> int:
@@ -23,7 +22,7 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
-def confusion(golds, preds, num_classes: int, class_names=None) -> ConfusionMatrix:
+def confusion(golds, preds, num_classes: int) -> ConfusionMatrix:
     golds, preds = list(golds), list(preds)
     if len(golds) != len(preds):
         raise ContractError("confusion: golds and preds must have equal length")
@@ -34,11 +33,7 @@ def confusion(golds, preds, num_classes: int, class_names=None) -> ConfusionMatr
         if not (0 <= g < num_classes and 0 <= p < num_classes):
             raise ContractError(f"confusion: label pair ({g}, {p}) out of range")
         counts[g, p] += 1
-    names = list(class_names) if class_names is not None else \
-        [str(i) for i in range(num_classes)]
-    if len(names) != num_classes:
-        raise ContractError("confusion: one class name per class required")
-    return ConfusionMatrix(counts=counts, class_names=names)
+    return ConfusionMatrix(counts=counts)
 
 
 def per_class_f1(cm: ConfusionMatrix) -> list:
@@ -83,10 +78,13 @@ def metrics_report(cm: ConfusionMatrix, subset=None) -> dict:
         "weighted_f1": weighted_f1(cm),
         "accuracy": accuracy(cm),
         "confusion": cm.counts.tolist(),
-        "class_names": list(cm.class_names),
+        "class_names": [str(c) for c in range(cm.num_classes)],
         "total": cm.total,
     }
     if subset is not None:
         rep["subset_classes"] = list(subset)
-        rep["subset_weighted_f1"] = weighted_f1(cm, subset)
+        gold = cm.counts.sum(axis=1)
+        # no gold label in the subset leaves its F1 nothing to weight by
+        unsupported = all(0 <= c < cm.num_classes and gold[c] == 0 for c in subset)
+        rep["subset_weighted_f1"] = None if subset and unsupported else weighted_f1(cm, subset)
     return rep

@@ -326,6 +326,10 @@ def _checkpoint_from_doc(doc) -> LoadedCheckpoint:
             raise DataError(f"key {key!r} must be a JSON "
                             f"{'object' if kind is dict else 'integer'}, "
                             f"got {type(doc[key]).__name__}")
+    if doc["stage"] not in (1, 2):
+        raise DataError(f"key 'stage' must be 1 or 2, got {doc['stage']}")
+    if doc["epoch"] < 0:
+        raise DataError(f"key 'epoch' must not be negative, got {doc['epoch']}")
     config = RunConfig.from_dict(doc["config"])
     if doc.get("config_hash") != config.hash():
         raise DataError("config hash mismatch")
@@ -387,6 +391,9 @@ def _trainer_rng_from_doc(state):
                 for x in state)):
         raise DataError(f"key 'trainer_rng' must be null or five integers in "
                         f"[0, 2**64), got {state!r:.60}")
+    if state is not None and not any(state[1:]):
+        raise DataError("key 'trainer_rng' holds the all-zero generator state, "
+                        "from which xoshiro256++ never leaves")
     return state
 
 

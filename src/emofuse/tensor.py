@@ -219,10 +219,6 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
     return _result(a.values + c, ((a, lambda g: g),))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _result(-a.values, ((a, lambda g: -g),))
-
-
 def maximum_scalar(a: Tensor, c: float) -> Tensor:
     """Elementwise lower clamp; gradient passes only where a > c."""
     av = a.values
@@ -242,11 +238,6 @@ def powf(a: Tensor, p: float) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
-
-def relu(a: Tensor) -> Tensor:
-    av = a.values
-    return _result(np.maximum(av, 0.0), ((a, lambda g: g * (av > 0.0)),))
-
 
 def log(a: Tensor) -> Tensor:
     av = a.values
@@ -309,15 +300,6 @@ def concat(parts, axis: int) -> Tensor:
         pulls.append((t, lambda g, s=lead + (slice(off, off + n),): g[s]))
         off += n
     return _result(out, tuple(pulls))
-
-
-def concat_rows(parts) -> Tensor:
-    return concat(parts, 0)
-
-
-def concat_cols(parts) -> Tensor:
-    """Join along the last axis."""
-    return concat(parts, -1)
 
 
 def stack(parts) -> Tensor:
@@ -422,7 +404,7 @@ def _gate_affine(width: int):
     return half, 1.0 - half
 
 
-def lstm_scan(xg: Tensor, wh: Tensor, orders, lengths=None, start=None,
+def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None, start=None,
               carry: bool = False):
     """D LSTM directions stepped together over precomputed input projections.
 
@@ -431,17 +413,17 @@ def lstm_scan(xg: Tensor, wh: Tensor, orders, lengths=None, start=None,
     B x D array of them, one per row and direction (B is 1 for one
     sequence).
     ``wh`` is the D x H x 4H stack of the directions' recurrent weights,
-    with gate blocks ordered input, forget, candidate, output; ``orders``
-    holds one visit order per direction, each visiting every timestep
-    once. The columns of ``xg``, the output and the state hold D blocks
-    side by side. The state starts at ``start``, an (h, c) pair of
-    constant arrays shaped like one row of the output (DH, or B x DH), or
-    at zero. A padded step (t >= its row's length) carries the state
-    through unchanged, outputs zero and gets a zero adjoint, so a reverse
-    visit starts each row at its own last real step. Returns the hidden
-    states indexed by timestep, not visit order, in the shape of ``xg``
-    with DH columns. The pull runs backpropagation through time into
-    ``xg`` and ``wh``.
+    with gate blocks ordered input, forget, candidate, output; ``reverse``
+    holds one flag per direction: a reverse direction visits the
+    timesteps last to first, the others first to last. The columns of
+    ``xg``, the output and the state hold D blocks side by side. The
+    state starts at ``start``, an (h, c) pair of constant arrays shaped
+    like one row of the output (DH, or B x DH), or at zero. A padded step
+    (t >= its row's length) carries the state through unchanged, outputs
+    zero and gets a zero adjoint, so a reverse visit starts each row at
+    its own last real step. Returns the hidden states indexed by
+    timestep, not visit order, in the shape of ``xg`` with DH columns.
+    The pull runs backpropagation through time into ``xg`` and ``wh``.
 
     With ``carry``, an untaped scan returns (hidden states, (h, c)), the
     state it ends in: a scan of the steps that follow, started from it,
@@ -454,16 +436,15 @@ def lstm_scan(xg: Tensor, wh: Tensor, orders, lengths=None, start=None,
                          f"got {xv.shape} and {whv.shape}")
     dirs, hid = whv.shape[:2]
     width = dirs * hid
-    orders = [list(o) for o in orders]
-    if len(orders) != dirs or len({len(o) for o in orders}) != 1:
-        raise ShapeError(f"lstm_scan: need {dirs} visit orders of one length")
+    if len(reverse) != dirs:
+        raise ShapeError(f"lstm_scan: need {dirs} reverse flags, got {len(reverse)}")
     n, size = xv.shape[-2], xv.shape[0] if xv.ndim == 3 else 1
     # steps run on (feature, row) arrays with features ordered (gate,
     # direction, unit), so each gate of every direction is one leading
     # slice and one block-diagonal matrix steps all directions
-    visit = np.array(orders, dtype=np.intp).reshape(dirs, -1).T  # step -> timesteps
+    visit = np.array([range(n - 1, -1, -1) if r else range(n) for r in reverse],
+                     dtype=np.intp).T  # step -> timesteps
     across = np.arange(dirs)
-    steps = len(visit)
     live = None
     if lengths is not None:
         lens = np.asarray(lengths)
@@ -473,23 +454,23 @@ def lstm_scan(xg: Tensor, wh: Tensor, orders, lengths=None, start=None,
         live = np.arange(n)[:, None, None] < lens.reshape(size, -1).T  # t x (1 | D) x B
         live = np.repeat(live[visit, across] if live.shape[1] > 1 else live[visit, 0],
                          hid, axis=1)
-    partial = [live is not None and not live[k].all() for k in range(steps)]
+    partial = [live is not None and not live[k].all() for k in range(n)]
     half, rest = _gate_affine(width)
     wt = np.zeros((4, dirs, hid, dirs, hid))  # (gate, direction, out, direction, in)
     wt[:, across, :, across] = whv.reshape(dirs, hid, 4, hid).transpose(0, 2, 3, 1)
     wt = wt.reshape(4 * width, width)
     # z * half is exact, so the inputs and recurrent weight take it up front
     xs = xv.reshape(size, n, dirs, 4, hid).transpose(1, 2, 3, 4, 0)[visit, across] \
-        .swapaxes(1, 2).reshape(steps, 4 * width, size) * half
+        .swapaxes(1, 2).reshape(n, 4 * width, size) * half
     wt_half = wt * half
     # the per-step caches feed only the pull, so an untaped scan skips them
     keep = _TAPE is not None and (xg.requires_grad or wh.requires_grad)
     if carry and keep:
         raise ContractError("lstm_scan: a taped scan cannot carry its state out")
-    hs = np.zeros((steps, width, size))
+    hs = np.zeros((n, width, size))
     if keep:
-        gates = np.empty((steps, 4 * width, size))
-        tanh_c, c_prev, h_prev = (np.empty((steps, width, size)) for _ in range(3))
+        gates = np.empty((n, 4 * width, size))
+        tanh_c, c_prev, h_prev = (np.empty((n, width, size)) for _ in range(3))
     state = xv.shape[:-2] + (width,)  # one row of the output
     if start is None:
         h = c = np.zeros((width, size))
@@ -499,7 +480,7 @@ def lstm_scan(xg: Tensor, wh: Tensor, orders, lengths=None, start=None,
             raise ShapeError(f"lstm_scan: start state needs shape {state}, got "
                              f"{h.shape} and {c.shape}")
         h, c = (np.ascontiguousarray(s.reshape(size, width).T) for s in (h, c))
-    for k in range(steps):
+    for k in range(n):
         a = np.tanh(xs[k] + wt_half @ h) * half + rest
         if keep:
             gates[k] = a
@@ -523,7 +504,7 @@ def lstm_scan(xg: Tensor, wh: Tensor, orders, lengths=None, start=None,
         t[visit, across] = a
         return t.transpose(3, 0, 1, 2).reshape(xv.shape[:-1] + (a.shape[1] * a.shape[2],))
 
-    out = by_time(hs.reshape(steps, dirs, hid, size))
+    out = by_time(hs.reshape(n, dirs, hid, size))
     if carry:
         return _wrap(out), tuple(s.T.reshape(state) for s in (h, c))
     if not keep:
@@ -531,14 +512,14 @@ def lstm_scan(xg: Tensor, wh: Tensor, orders, lengths=None, start=None,
 
     def adjoint(g):
         gs = g.reshape(size, n, width).transpose(1, 2, 0).reshape(n, dirs, hid, size)
-        gs = gs[visit, across].reshape(steps, width, size)
+        gs = gs[visit, across].reshape(n, width, size)
         slope = gates * (1.0 - gates)
         slope[:, 2 * width:3 * width] = 1.0 - gates[:, 2 * width:3 * width] ** 2
-        dz_all = np.zeros((steps, 4 * width, size))
+        dz_all = np.zeros((n, 4 * width, size))
         da = np.empty((4 * width, size))
         dh = dc = np.zeros((width, size))
         back = np.ascontiguousarray(wt.T)
-        for k in reversed(range(steps)):
+        for k in reversed(range(n)):
             a, tc = gates[k], tanh_c[k]
             dh_t = dh + gs[k]
             dc_t = dc + dh_t * a[3 * width:] * (1.0 - tc * tc)
@@ -561,8 +542,8 @@ def lstm_scan(xg: Tensor, wh: Tensor, orders, lengths=None, start=None,
         full = h_prev.transpose(1, 0, 2).reshape(width, -1) @ \
             dz_all.transpose(0, 2, 1).reshape(-1, 4 * width)
         dwh = np.einsum("ahgae->ahge", full.reshape(dirs, hid, 4, dirs, hid))
-        dz_t = dz_all.reshape(steps, 4, dirs, hid, size).swapaxes(1, 2)
-        return by_time(dz_t.reshape(steps, dirs, 4 * hid, size)), dwh.reshape(whv.shape)
+        dz_t = dz_all.reshape(n, 4, dirs, hid, size).swapaxes(1, 2)
+        return by_time(dz_t.reshape(n, dirs, 4 * hid, size)), dwh.reshape(whv.shape)
 
     return _result(out, _joint_pulls((xg, wh), adjoint))
 
@@ -615,31 +596,28 @@ def attend(q: Tensor, k: Tensor, v: Tensor, inv: float,
 
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of each row of P x d ``a`` with its candidates, as P x K.
-
-    ``b`` is K x d (one candidate set shared by every row) or P x K x d
-    (a set per row). A zero vector has no direction: its similarity is
-    defined as 0 and passes no gradient.
+    """Cosine similarity of each row of P x d ``a`` with its own K
+    candidates, the rows of P x K x d ``b``, as P x K. A zero vector has
+    no direction: its similarity is defined as 0 and passes no gradient.
     """
     av, bv = a.values, b.values
-    if av.ndim != 2 or bv.ndim not in (2, 3) or bv.shape[-1] != av.shape[1] or \
-            (bv.ndim == 3 and bv.shape[0] != av.shape[0]):
-        raise ShapeError(f"cosine_rows: need P x d and K x d or P x K x d, "
+    if av.ndim != 2 or bv.ndim != 3 or bv.shape[0] != av.shape[0] or \
+            bv.shape[2] != av.shape[1]:
+        raise ShapeError(f"cosine_rows: need P x d and P x K x d, "
                          f"got {av.shape} and {bv.shape}")
-    b3 = bv if bv.ndim == 3 else bv[None]
     na = np.sqrt((av * av).sum(axis=1))[:, None]
-    nb = np.sqrt((b3 * b3).sum(axis=2))
+    nb = np.sqrt((bv * bv).sum(axis=2))
     live = (nb > 0.0) & (na > 0.0)
     denom = np.where(live, na * nb, 1.0)
-    cos = np.where(live, (b3 @ av[:, :, None])[..., 0] / denom, 0.0)
+    cos = np.where(live, (bv @ av[:, :, None])[..., 0] / denom, 0.0)
 
     def adjoint(g):
         w = np.where(live, g / denom, 0.0)
         gc = (g * cos).sum(axis=1, keepdims=True)
-        da = (w[:, :, None] * b3).sum(axis=1) - gc / np.where(na > 0.0, na * na, 1.0) * av
+        da = (w[:, :, None] * bv).sum(axis=1) - gc / np.where(na > 0.0, na * na, 1.0) * av
         db = w[:, :, None] * av[:, None, :] - \
-            (g * cos / np.where(live, nb * nb, 1.0))[:, :, None] * b3
-        return da, _sum_to(db, bv.shape)
+            (g * cos / np.where(live, nb * nb, 1.0))[:, :, None] * bv
+        return da, db
 
     return _result(cos, _joint_pulls((a, b), adjoint))
 

@@ -180,6 +180,34 @@ def test_eval_subset_flag(workdir, tmp_path):
     assert "subset_weighted_f1" in rep
 
 
+def test_eval_subset_without_gold_support_reports_null(workdir, tmp_path):
+    # no utterance of the data is labelled 2, so the subset has no weights
+    lines = []
+    for line in (workdir["root"] / "data" / "dataset.jsonl").read_text().splitlines():
+        dialogue = json.loads(line)
+        for utt in dialogue["utterances"]:
+            utt["label"] = 0 if utt["label"] == 2 else utt["label"]
+        lines.append(json.dumps(dialogue))
+    data = tmp_path / "no-class-2.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--checkpoint", str(workdir["run"] / "checkpoint.json"),
+                 "--data", str(data), "--subset", "2", "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    text = (tmp_path / "metrics.json").read_text()
+    assert '"subset_weighted_f1":null' in text
+    assert json.loads(text)["subset_classes"] == [2]
+
+
+def test_eval_on_a_dataset_without_dialogues_is_data_error(workdir, tmp_path, capsys):
+    data = tmp_path / "empty.jsonl"
+    data.write_text("\n")
+    rc = main(["eval", "--checkpoint", str(workdir["run"] / "checkpoint.json"),
+               "--data", str(data), "--out", str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"{data} holds no dialogues" in err and "Traceback" not in err
+
+
 def test_eval_config_mismatch_is_usage_error(workdir, tmp_path):
     other = write_json(tmp_path / "other.json", dict(TINY, gamma=2.0))
     rc = main(["eval", "--checkpoint", str(workdir["run"] / "checkpoint.json"),
@@ -425,9 +453,15 @@ def _with_adam_m(blob, name, value):
      "key 'trainer_rng' must be null or five integers"),
     (lambda b: dict(b, trainer_rng="abc"),
      "key 'trainer_rng' must be null or five integers"),
+    (lambda b: dict(b, stage=3), "key 'stage' must be 1 or 2, got 3"),
+    (lambda b: dict(b, stage=0), "key 'stage' must be 1 or 2, got 0"),
+    (lambda b: dict(b, epoch=-4), "key 'epoch' must not be negative, got -4"),
+    (lambda b: dict(b, trainer_rng=[b["trainer_rng"][0], 0, 0, 0, 0]),
+     "key 'trainer_rng' holds the all-zero generator state"),
 ], ids=["missing-key", "string-stage", "list-params", "unknown-alpha-key",
         "text-param", "bad-base64", "short-data", "bad-shape", "v1-format",
-        "v2-format", "adam-not-object", "adam-m-shape", "trainer-rng-four", "trainer-rng-string"])
+        "v2-format", "adam-not-object", "adam-m-shape", "trainer-rng-four", "trainer-rng-string",
+        "stage-3", "stage-0", "negative-epoch", "trainer-rng-all-zero"])
 def test_malformed_checkpoint_is_data_error(workdir, tmp_path, capsys, edit,
                                             message):
     blob = json.loads((workdir["run"] / "checkpoint.json").read_text())

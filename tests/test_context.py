@@ -186,7 +186,7 @@ def test_gradient_through_context_classifier():
     x = T.Tensor(seq.values[:1].copy(), requires_grad=True)
 
     def f(t):
-        preds = classify_dialogue(T.concat_rows([t, T.slice_rows(seq, 1, 2)]),
+        preds = classify_dialogue(T.concat([t, T.slice_rows(seq, 1, 2)], 0),
                                   ["a", "b"], ["u0", "u1"], p)
         return T.pick(preds[0].probs, 0, 1)
 

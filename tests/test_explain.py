@@ -86,8 +86,6 @@ def test_config_validation():
         PerturbationConfig(mask_prob=1.0)
     with pytest.raises(ContractError):
         PerturbationConfig(ridge_lambda=0.0)
-    with pytest.raises(ContractError):
-        PerturbationConfig(kernel_width=-1.0)
 
 
 def test_surrogate_matches_ridge_oracle():

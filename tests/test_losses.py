@@ -25,12 +25,17 @@ def rvec(rng, d=3):
     return T.Tensor(rng.uniform_array((1, d), -1.0, 1.0))
 
 
+def candidates(vecs):
+    """1 x d tensors as the 1 x K x d candidate set of one query row."""
+    return T.Tensor(np.stack([v.values for v in vecs], axis=1))
+
+
 # ---------------------------------------------------------------------------
 # probability model
 
 def positive_probability(query, key, negatives, tau):
     """Mass the candidate softmax puts on the positive key (entry [0, 0])."""
-    return candidate_distribution(query, [key] + negatives, tau).values[0, 0]
+    return candidate_distribution(query, candidates([key] + negatives), tau).values[0, 0]
 
 
 def test_single_candidate_probability_one():
@@ -56,17 +61,17 @@ def test_identical_positive_and_negative():
 
 def test_zero_vector_similarity_is_zero():
     # a zero candidate scores cosine 0, as does every candidate of a zero query
-    dist = candidate_distribution(vec([1.0, 2.0]), [vec([0.0, 0.0]), vec([2.0, 4.0])],
+    dist = candidate_distribution(vec([1.0, 2.0]), candidates([vec([0.0, 0.0]), vec([2.0, 4.0])]),
                                   tau=1.0).values[0]
     assert dist == pytest.approx([1.0 / (1.0 + math.e), math.e / (1.0 + math.e)], abs=1e-12)
-    dist = candidate_distribution(vec([0.0, 0.0]), [vec([1.0, 2.0]), vec([0.0, 0.0])],
+    dist = candidate_distribution(vec([0.0, 0.0]), candidates([vec([1.0, 2.0]), vec([0.0, 0.0])]),
                                   tau=0.1).values[0]
     assert list(dist) == [0.5, 0.5]
 
 
 def test_distribution_sums_to_one():
     rng = Rng(3)
-    dist = candidate_distribution(rvec(rng), [rvec(rng) for _ in range(5)], tau=0.1)
+    dist = candidate_distribution(rvec(rng), candidates([rvec(rng) for _ in range(5)]), tau=0.1)
     assert dist.values.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -100,7 +105,7 @@ def test_nce_small_nu_first_term_vanishes():
     negs = [vec([0.0, 1.0])]
     tiny = nce_loss(q, pos, negs, nu=1e-12, tau=1.0).item()
     # first term ~0; remainder is sum log(P_k/(P_k+nu)) - 1 ~ 0 - 1
-    dist = candidate_distribution(q, [pos] + negs, 1.0).values[0]
+    dist = candidate_distribution(q, candidates([pos] + negs), 1.0).values[0]
     want = -math.log(dist[0] / (dist[0] + 1e-12)) + math.log(dist[1] / (dist[1] + 1e-12)) - 1.0
     assert tiny == pytest.approx(want, abs=1e-9)
     assert abs(-math.log(dist[0] / (dist[0] + 1e-12))) < 1e-9
@@ -110,7 +115,7 @@ def test_nce_standard_form():
     q, pos = rvec(Rng(5)), rvec(Rng(6))
     negs = [rvec(Rng(7)), rvec(Rng(8))]
     got = nce_loss(q, pos, negs, nu=0.1, tau=0.3, form="standard").item()
-    dist = candidate_distribution(q, [pos] + negs, 0.3)
+    dist = candidate_distribution(q, candidates([pos] + negs), 0.3)
     assert got == pytest.approx(-math.log(dist.values[0, 0]), abs=1e-12)
 
 

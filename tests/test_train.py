@@ -7,11 +7,11 @@ import pytest
 from emofuse import tensor as T
 from emofuse import train as train_mod
 from emofuse.config import RunConfig
-from emofuse.data import SynthSpec, split, synth_generate
+from emofuse.data import SynthSpec, all_utterances, split, synth_generate
 from emofuse.encoders import MODES
 from emofuse.errors import ConfigError, ContractError, NumericError
 from emofuse.fusion import AlphaState
-from emofuse.model import (init_pipeline, load_checkpoint, named_parameters,
+from emofuse.model import (evaluate, init_pipeline, load_checkpoint, named_parameters,
                            utterance_descriptors)
 from emofuse.train import (AdamState, adam_step, per_mode_accuracy,
                            run_training)
@@ -127,6 +127,19 @@ def test_zero_epochs_checkpoints_initial_weights(tmp_path):
     for name, t in named_parameters(init).items():
         assert np.array_equal(t.values, named_parameters(loaded.pipeline)[name].values)
     assert loaded.stage == 2 and loaded.epoch == 0
+
+
+def test_subset_absent_from_validation_reports_null():
+    # stage 2 evaluates on the validation dialogues every epoch; none of
+    # them holds a class-3 utterance, so the subset's weighted F1 is null
+    corpus = small_corpus()
+    val = [d for d in corpus if all(u.label != 3 for u in d.utterances)]
+    assert val and any(u.label == 3 for u in all_utterances(corpus))
+    cfg = small_config(stage1_epochs=0, stage2_epochs=1, subset_classes=[3])
+    result = run_training(cfg, corpus, val)
+    assert [rec["stage"] for rec in result.logs] == [2]
+    report = evaluate(result.pipeline, val)
+    assert report["subset_classes"] == [3] and report["subset_weighted_f1"] is None
 
 
 def test_epoch_logs_written_as_json_lines(tmp_path):
