@@ -120,8 +120,7 @@ def fuse_dialogue(pipeline: Pipeline, dialogue, pairwise=None):
                     for m, d in descs.items()} for i in range(fused.shape[0])]
 
 
-def classify_dialogues(pipeline: Pipeline, dialogues, fused: T.Tensor,
-                       eval_mode=None) -> list:
+def classify_dialogues(pipeline: Pipeline, dialogues, fused: T.Tensor) -> list:
     """One DialoguePredictions per dialogue, each classified on its own
     rows of ``fused`` (consecutive dialogues; a lone one owns every row)."""
     out = []
@@ -131,8 +130,7 @@ def classify_dialogues(pipeline: Pipeline, dialogues, fused: T.Tensor,
         rows = fused if len(dialogues) == 1 else T.slice_rows(fused, start, stop)
         out.append(classify_dialogue(rows, [u.speaker_id for u in d.utterances],
                                      [u.utterance_id for u in d.utterances],
-                                     pipeline.context,
-                                     eval_mode or pipeline.config.eval_mode))
+                                     pipeline.context, pipeline.config.eval_mode))
         start = stop
     return out
 

@@ -8,8 +8,9 @@ points that the rest of the package relies on:
   them (``finite_diff_check`` is the one sanctioned exception; it
   restores what it perturbs),
 * gradients are recorded only inside a ``recording(tape)`` block, and
-  ``backward`` replays the tape once, in reverse execution order, so
-  accumulation order is fixed and runs are bit-reproducible,
+  ``backward`` replays the tape once, in reverse execution order, calling
+  each record's adjoint once and adding its contributions in input
+  order, so accumulation order is fixed and runs are bit-reproducible,
 * after ``backward`` every tensor that requires grad and lies upstream
   of the loss holds its full adjoint in ``.grad``; leaf grads accumulate
   across calls until ``zero_grad``,
@@ -17,8 +18,7 @@ points that the rest of the package relies on:
   directions stepped together), ``attend`` (scaled dot-product attention
   with an optional score affine) and ``cosine_rows`` (query rows' cosines
   against candidates). Each runs its forward pass in numpy and records
-  exactly one tape entry, whose pulls compute the hand-written adjoint
-  once and share it between the inputs,
+  exactly one tape entry with its hand-written adjoint,
 * the batch axis is leading: ``lstm_scan`` takes a B x L batch with
   per-row lengths, ``attend`` any leading batch axes with a key mask, and
   ``matmul`` and ``affine`` a weight with leading batch axes, so one
@@ -28,6 +28,7 @@ points that the rest of the package relies on:
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 
 import numpy as np
@@ -75,9 +76,9 @@ def _wrap(arr, requires_grad=False):
 class Tape:
     """Ordered record of executed differentiable ops.
 
-    Each record is ``(out, pulls)`` where ``pulls`` is a tuple of
-    ``(input_tensor, fn)`` and ``fn`` maps the adjoint of ``out`` to the
-    adjoint contribution for that input.
+    Each record is ``(out, inputs, adjoint)``: ``adjoint`` maps the
+    adjoint of ``out`` to one contribution per input, in the order of
+    ``inputs``, each shaped like its input.
     """
 
     __slots__ = ("records",)
@@ -89,30 +90,23 @@ class Tape:
         return len(self.records)
 
 
-class recording:
-    """Context manager that activates a tape for op recording."""
-
-    def __init__(self, tape: Tape):
-        self.tape = tape
-        self._prev = None
-
-    def __enter__(self):
-        global _TAPE
-        self._prev = _TAPE
-        _TAPE = self.tape
-        return self.tape
-
-    def __exit__(self, *exc):
-        global _TAPE
-        _TAPE = self._prev
-        return False
+@contextlib.contextmanager
+def recording(tape):
+    """Record ops on ``tape`` (None: on no tape) inside the block; the
+    tape active before it is active again after it, however it ends."""
+    global _TAPE
+    prev, _TAPE = _TAPE, tape
+    try:
+        yield tape
+    finally:
+        _TAPE = prev
 
 
-def _result(values, pulls):
+def _result(values, inputs, adjoint):
     tape = _TAPE
-    if tape is not None and any(t.requires_grad for t, _ in pulls):
+    if tape is not None and any(t.requires_grad for t in inputs):
         out = _wrap(values, True)
-        tape.records.append((out, pulls))
+        tape.records.append((out, inputs, adjoint))
         return out
     return _wrap(values, False)
 
@@ -120,24 +114,24 @@ def _result(values, pulls):
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate ``.grad`` for every requires-grad tensor upstream of loss.
 
-    Intermediate grads are cleared first; leaf grads accumulate, which is
-    what per-utterance micro-batching relies on.
+    Intermediate grads are cleared first; leaf grads accumulate across
+    calls until ``zero_grad`` (the alpha probe sums its validation
+    dialogues' context gradients this way, then clears them).
     """
     if loss.values.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
-    for out, _ in tape.records:
+    for out, _, _ in tape.records:
         out.grad = None
     loss.grad = np.ones_like(loss.values)
-    for out, pulls in reversed(tape.records):
+    for out, inputs, adjoint in reversed(tape.records):
         g = out.grad
         if g is None:
             continue
-        for inp, pull in pulls:
+        for inp, contrib in zip(inputs, adjoint(g)):
             if not inp.requires_grad:
                 continue
-            contrib = pull(g)
             if inp.grad is None:
-                # a copy, never the pull's array: pulls may return g itself
+                # a copy, never the adjoint's array: it may be g itself
                 # or a read-only broadcast view
                 inp.grad = np.array(contrib, dtype=np.float64)
             else:
@@ -162,12 +156,11 @@ def _sum_to(g, shape):
 # ---------------------------------------------------------------------------
 # binary ops
 
-def _matmul_pulls(x: Tensor, w: Tensor):
-    """Pulls of ``x @ w``, each summed over the axes its input broadcast along."""
-    xv, wv = x.values, w.values
-    pull_w = (lambda g: xv.reshape(-1, wv.shape[0]).T @ g.reshape(-1, wv.shape[1])) \
-        if wv.ndim == 2 else (lambda g: _sum_to(np.swapaxes(xv, -1, -2) @ g, wv.shape))
-    return ((x, lambda g: _sum_to(g @ np.swapaxes(wv, -1, -2), xv.shape)), (w, pull_w))
+def _matmul_adjoint(xv, wv, g):
+    """Adjoints of ``xv @ wv``, each summed over the axes its input broadcast along."""
+    dw = xv.reshape(-1, wv.shape[0]).T @ g.reshape(-1, wv.shape[1]) if wv.ndim == 2 \
+        else _sum_to(np.swapaxes(xv, -1, -2) @ g, wv.shape)
+    return _sum_to(g @ np.swapaxes(wv, -1, -2), xv.shape), dw
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -177,7 +170,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     if av.ndim < 2 or bv.ndim < 2 or av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {av.shape} x {bv.shape}")
-    return _result(av @ bv, _matmul_pulls(a, b))
+    return _result(av @ bv, (a, b), lambda g: _matmul_adjoint(av, bv, g))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -187,53 +180,53 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if xv.ndim < 2 or wv.ndim < 2 or xv.shape[-1] != wv.shape[-2] or \
             bv.shape[-1] != wv.shape[-1]:
         raise ShapeError(f"affine: incompatible shapes {xv.shape} x {wv.shape} + {bv.shape}")
-    return _result(xv @ wv + bv, _matmul_pulls(x, w) + ((b, lambda g: _sum_to(g, bv.shape)),))
+    return _result(xv @ wv + bv, (x, w, b),
+                   lambda g: _matmul_adjoint(xv, wv, g) + (_sum_to(g, bv.shape),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
-    return _result(av + bv, ((a, lambda g: _sum_to(g, av.shape)),
-                             (b, lambda g: _sum_to(g, bv.shape))))
+    return _result(av + bv, (a, b), lambda g: (_sum_to(g, av.shape), _sum_to(g, bv.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
-    return _result(av * bv, ((a, lambda g: _sum_to(g * bv, av.shape)),
-                             (b, lambda g: _sum_to(g * av, bv.shape))))
+    return _result(av * bv, (a, b),
+                   lambda g: (_sum_to(g * bv, av.shape), _sum_to(g * av, bv.shape)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
-    return _result(av / bv, ((a, lambda g: _sum_to(g / bv, av.shape)),
-                             (b, lambda g: _sum_to(-g * av / (bv * bv), bv.shape))))
+    return _result(av / bv, (a, b), lambda g: (_sum_to(g / bv, av.shape),
+                                               _sum_to(-g * av / (bv * bv), bv.shape)))
 
 
 # ---------------------------------------------------------------------------
 # scalar-parameter ops
 
 def scale(a: Tensor, c: float) -> Tensor:
-    return _result(a.values * c, ((a, lambda g: g * c),))
+    return _result(a.values * c, (a,), lambda g: (g * c,))
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
-    return _result(a.values + c, ((a, lambda g: g),))
+    return _result(a.values + c, (a,), lambda g: (g,))
 
 
 def maximum_scalar(a: Tensor, c: float) -> Tensor:
     """Elementwise lower clamp; gradient passes only where a > c."""
     av = a.values
-    return _result(np.maximum(av, c), ((a, lambda g: g * (av > c)),))
+    return _result(np.maximum(av, c), (a,), lambda g: (g * (av > c),))
 
 
 def powf(a: Tensor, p: float) -> Tensor:
     """Elementwise a**p for a >= 0; gradient is 0 where the base is 0."""
     av = a.values
     if p == 0.0:
-        return _result(np.ones_like(av), ((a, lambda g: np.zeros_like(av)),))
+        return _result(np.ones_like(av), (a,), lambda g: (np.zeros_like(av),))
     out = av ** p
     safe = np.where(av > 0.0, av, 1.0)
     dmask = np.where(av > 0.0, p * safe ** (p - 1.0), 0.0)
-    return _result(out, ((a, lambda g: g * dmask),))
+    return _result(out, (a,), lambda g: (g * dmask,))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +234,7 @@ def powf(a: Tensor, p: float) -> Tensor:
 
 def log(a: Tensor) -> Tensor:
     av = a.values
-    return _result(np.log(av), ((a, lambda g: g / av),))
+    return _result(np.log(av), (a,), lambda g: (g / av,))
 
 
 # ---------------------------------------------------------------------------
@@ -249,20 +242,20 @@ def log(a: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     av = a.values
-    return _result(np.asarray(av.sum()), ((a, lambda g: np.full_like(av, float(g))),))
+    return _result(np.asarray(av.sum()), (a,), lambda g: (np.full_like(av, float(g)),))
 
 
 def mean_all(a: Tensor) -> Tensor:
     av = a.values
     n = av.size
-    return _result(np.asarray(av.mean()), ((a, lambda g: np.full_like(av, float(g) / n)),))
+    return _result(np.asarray(av.mean()), (a,), lambda g: (np.full_like(av, float(g) / n),))
 
 
 def sum_axis(a: Tensor, axis) -> Tensor:
     """Sum over one axis or a tuple of axes, which are dropped."""
     av = a.values
-    return _result(av.sum(axis=axis),
-                   ((a, lambda g: np.broadcast_to(np.expand_dims(g, axis), av.shape)),))
+    return _result(av.sum(axis=axis), (a,),
+                   lambda g: (np.broadcast_to(np.expand_dims(g, axis), av.shape),))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -273,10 +266,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     e = np.exp(xv - xv.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
 
-    def pull(g):
-        return y * (g - (g * y).sum(axis=-1, keepdims=True))
-
-    return _result(y, ((x, pull),))
+    return _result(y, (x,), lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
 
 
 # ---------------------------------------------------------------------------
@@ -284,63 +274,55 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     orig = a.values.shape
-    return _result(a.values.reshape(shape), ((a, lambda g: g.reshape(orig)),))
+    return _result(a.values.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
 def concat(parts, axis: int) -> Tensor:
     """Join tensors along one axis (negative counts from the end)."""
-    parts = list(parts)
-    vs = [t.values for t in parts]
-    out = np.concatenate(vs, axis=axis)
-    lead = (slice(None),) * (axis % out.ndim)
-    pulls = []
-    off = 0
-    for t in parts:
-        n = t.values.shape[axis]
-        pulls.append((t, lambda g, s=lead + (slice(off, off + n),): g[s]))
-        off += n
-    return _result(out, tuple(pulls))
+    parts = tuple(parts)
+    cuts = np.cumsum([t.values.shape[axis] for t in parts])[:-1]
+    return _result(np.concatenate([t.values for t in parts], axis=axis), parts,
+                   lambda g: tuple(np.split(g, cuts, axis=axis)))
 
 
 def stack(parts) -> Tensor:
     """Stack equal-shaped tensors along a new leading axis."""
-    parts = list(parts)
-    return _result(np.stack([t.values for t in parts]),
-                   tuple((t, lambda g, i=i: g[i]) for i, t in enumerate(parts)))
+    parts = tuple(parts)
+    return _result(np.stack([t.values for t in parts]), parts, tuple)
 
 
 def place(shape, parts) -> Tensor:
     """Zeros of ``shape`` with each (tensor, index) of ``parts`` written at
     that numpy index (the slots must not overlap): pads and stacks as one record."""
+    parts = tuple(parts)
     out = np.zeros(shape)
     for t, index in parts:
         out[index] = t.values
-    return _result(out, tuple((t, lambda g, i=i, s=t.values.shape: g[i].reshape(s))
-                              for t, i in parts))
+    return _result(out, tuple(t for t, _ in parts),
+                   lambda g: tuple(g[i].reshape(t.values.shape) for t, i in parts))
+
+
+def _select(a: Tensor, index) -> Tensor:
+    """``a`` at a basic numpy ``index``; the adjoint writes g back there
+    into zeros."""
+    av = a.values
+
+    def adjoint(g):
+        z = np.zeros_like(av)
+        z[index] = g
+        return (z,)
+
+    return _result(np.asarray(av[index]), (a,), adjoint)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     """Slice along the leading axis."""
-    av = a.values
-
-    def pull(g):
-        z = np.zeros_like(av)
-        z[start:stop] = g
-        return z
-
-    return _result(av[start:stop], ((a, pull),))
+    return _select(a, slice(start, stop))
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     """Slice along the last axis."""
-    av = a.values
-
-    def pull(g):
-        z = np.zeros_like(av)
-        z[..., start:stop] = g
-        return z
-
-    return _result(av[..., start:stop], ((a, pull),))
+    return _select(a, (Ellipsis, slice(start, stop)))
 
 
 def take_rows(a: Tensor, index) -> Tensor:
@@ -349,7 +331,7 @@ def take_rows(a: Tensor, index) -> Tensor:
     av = a.values
     index = np.asarray(index, dtype=np.intp)
 
-    def pull(g):
+    def adjoint(g):
         z = np.zeros_like(av)
         rows = index.reshape(-1) % max(len(av), 1)
         if len(set(rows.tolist())) == len(rows):
@@ -357,42 +339,18 @@ def take_rows(a: Tensor, index) -> Tensor:
         else:  # in index order, so the sums round as np.add.at's do
             for i, gi in zip(rows, g.reshape((-1,) + av.shape[1:])):
                 z[i] += gi
-        return z
+        return (z,)
 
-    return _result(av[index], ((a, pull),))
+    return _result(av[index], (a,), adjoint)
 
 
 def pick(a: Tensor, i: int, j: int) -> Tensor:
     """Extract one entry of a matrix as a scalar tensor."""
-    av = a.values
-
-    def pull(g):
-        z = np.zeros_like(av)
-        z[i, j] = float(g)
-        return z
-
-    return _result(np.asarray(av[i, j]), ((a, pull),))
+    return _select(a, (i, j))
 
 
 # ---------------------------------------------------------------------------
-# fused ops: one record each, adjoint computed once for all inputs
-
-def _joint_pulls(inputs, adjoint):
-    """Pulls for inputs whose adjoints come from one shared computation.
-
-    ``adjoint(g)`` returns one array per input. It runs once per
-    upstream gradient, however many of the inputs ask for theirs.
-    """
-    memo = [None, None]  # (g, adjoint(g))
-
-    def pull_for(i):
-        def pull(g):
-            if memo[0] is not g:
-                memo[0], memo[1] = g, adjoint(g)
-            return memo[1][i]
-        return pull
-
-    return tuple((t, pull_for(i)) for i, t in enumerate(inputs))
+# fused ops: one record per model block, with a hand-written adjoint
 
 
 @functools.lru_cache(maxsize=None)
@@ -423,7 +381,7 @@ def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None, start=None,
     zero and gets a zero adjoint, so a reverse visit starts each row at
     its own last real step. Returns the hidden states indexed by
     timestep, not visit order, in the shape of ``xg`` with DH columns.
-    The pull runs backpropagation through time into ``xg`` and ``wh``.
+    The adjoint runs backpropagation through time into ``xg`` and ``wh``.
 
     With ``carry``, an untaped scan returns (hidden states, (h, c)), the
     state it ends in: a scan of the steps that follow, started from it,
@@ -438,6 +396,9 @@ def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None, start=None,
     width = dirs * hid
     if len(reverse) != dirs:
         raise ShapeError(f"lstm_scan: need {dirs} reverse flags, got {len(reverse)}")
+    for i, r in enumerate(reverse):
+        if not isinstance(r, (bool, np.bool_)):
+            raise ShapeError(f"lstm_scan: reverse flag {i} must be a bool, got {r!r}")
     n, size = xv.shape[-2], xv.shape[0] if xv.ndim == 3 else 1
     # steps run on (feature, row) arrays with features ordered (gate,
     # direction, unit), so each gate of every direction is one leading
@@ -463,7 +424,7 @@ def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None, start=None,
     xs = xv.reshape(size, n, dirs, 4, hid).transpose(1, 2, 3, 4, 0)[visit, across] \
         .swapaxes(1, 2).reshape(n, 4 * width, size) * half
     wt_half = wt * half
-    # the per-step caches feed only the pull, so an untaped scan skips them
+    # the per-step caches feed only the adjoint, so an untaped scan skips them
     keep = _TAPE is not None and (xg.requires_grad or wh.requires_grad)
     if carry and keep:
         raise ContractError("lstm_scan: a taped scan cannot carry its state out")
@@ -545,7 +506,7 @@ def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None, start=None,
         dz_t = dz_all.reshape(n, 4, dirs, hid, size).swapaxes(1, 2)
         return by_time(dz_t.reshape(n, dirs, 4 * hid, size)), dwh.reshape(whv.shape)
 
-    return _result(out, _joint_pulls((xg, wh), adjoint))
+    return _result(out, (xg, wh), adjoint)
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, inv: float,
@@ -592,7 +553,7 @@ def attend(q: Tensor, k: Tensor, v: Tensor, inv: float,
         return (_sum_to(ds @ kv, qv.shape), _sum_to(np.swapaxes(ds, -1, -2) @ qv, kv.shape),
                 _sum_to(np.swapaxes(p, -1, -2) @ g, vv.shape)) + extra
 
-    return _result(p @ vv, _joint_pulls(inputs, adjoint))
+    return _result(p @ vv, inputs, adjoint)
 
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -619,7 +580,7 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
             (g * cos / np.where(live, nb * nb, 1.0))[:, :, None] * bv
         return da, db
 
-    return _result(cos, _joint_pulls((a, b), adjoint))
+    return _result(cos, (a, b), adjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -645,10 +606,7 @@ def finite_diff_check(f, x: Tensor, step: float = 1e-5) -> float:
     """
     if step <= 0:
         raise ContractError("finite_diff_check: step must be positive")
-    global _TAPE
-    saved_tape = _TAPE
     saved_rg = x.requires_grad
-    _TAPE = None
     try:
         x.requires_grad = True
         tape = Tape()
@@ -661,19 +619,19 @@ def finite_diff_check(f, x: Tensor, step: float = 1e-5) -> float:
         worst = 0.0
         flat = x.values.reshape(-1)
         aflat = analytic.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            fp = f(x).item()
-            flat[i] = orig - step
-            fm = f(x).item()
-            flat[i] = orig
-            numeric = (fp - fm) / (2.0 * step)
-            a = aflat[i]
-            rel = abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12)
-            if rel > worst:
-                worst = rel
+        with recording(None):
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + step
+                fp = f(x).item()
+                flat[i] = orig - step
+                fm = f(x).item()
+                flat[i] = orig
+                numeric = (fp - fm) / (2.0 * step)
+                a = aflat[i]
+                rel = abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12)
+                if rel > worst:
+                    worst = rel
         return worst
     finally:
         x.requires_grad = saved_rg
-        _TAPE = saved_tape

@@ -187,8 +187,7 @@ def _stage2_loss(pipeline: Pipeline, dialogues, f_ca: dict, pairwise: dict,
     """The focal loss of the context classifier over consecutive dialogues,
     one batch, from their utterances' mode descriptors ``f_ca`` (mode ->
     one row per utterance): (loss, one DialoguePredictions per dialogue)."""
-    preds = classify_dialogues(pipeline, dialogues, adaptive_fuse(f_ca, pairwise),
-                               config.eval_mode)
+    preds = classify_dialogues(pipeline, dialogues, adaptive_fuse(f_ca, pairwise))
     loss = focal_mean([(p.probs, [u.label for u in d.utterances])
                        for d, p in zip(dialogues, preds)],
                       config.gamma, config.focal_form)
@@ -222,8 +221,7 @@ def _update_alphas_from_val(pipeline: Pipeline, val_dlgs, config: RunConfig) -> 
             return labels[uid]
         dialogue, f, index = cache[uid]
         fused = adaptive_fuse(f, alpha_state.pairwise())
-        return classify_dialogues(pipeline, [dialogue], fused,
-                                  config.eval_mode)[0].labels[index]
+        return classify_dialogues(pipeline, [dialogue], fused)[0].labels[index]
 
     chosen = select_informative_samples(
         list(estimates), predict, lambda uid: estimates[uid],
@@ -315,6 +313,10 @@ def run_training(config: RunConfig, train_dlgs, val_dlgs, out_dir=None,
         pipeline = init_pipeline(config)
         adam = AdamState()
         stage, epoch = 1, 0
+    pool = all_utterances(train_dlgs)
+    if stage == 1 and epoch < config.stage1_epochs and len(pool) < 2:
+        raise DataError(f"stage 1 draws each utterance's negatives from the other "
+                        f"training utterances, so it needs at least 2; got {len(pool)}")
 
     logs = []
     ckpt_path = os.path.join(out_dir, "checkpoint.json") if out_dir else None
@@ -340,7 +342,6 @@ def run_training(config: RunConfig, train_dlgs, val_dlgs, out_dir=None,
             save_checkpoint(ckpt_path, pipeline, stage, epoch,
                             adam.to_dict(), rng.get_state())
 
-    pool = all_utterances(train_dlgs)
     held_out = val_dlgs if val_dlgs else train_dlgs
     try:
         while True:

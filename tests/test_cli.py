@@ -280,6 +280,25 @@ def test_malformed_dataset_is_data_error(tmp_path, capsys, record, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("stage1_epochs, code", [(1, 3), (0, 0)])
+def test_stage1_on_one_training_utterance_is_data_error(tmp_path, capsys, stage1_epochs,
+                                                         code):
+    # stage 1 draws negatives from the other training utterances; stage 2 alone runs
+    spec = write_json(tmp_path / "spec.json", {"num_dialogues": 1,
+                                               "utterances_per_dialogue": [1, 1]})
+    assert main(["synth", "--spec", spec, "--out", str(tmp_path / "d"), "--quiet"]) == 0
+    cfg = write_json(tmp_path / "cfg.json", dict(TINY, stage1_epochs=stage1_epochs))
+    out = tmp_path / "r"
+    rc = main(["train", "--data", str(tmp_path / "d" / "dataset.jsonl"), "--config", cfg,
+               "--split", "1,0,0", "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == code
+    if code:
+        assert "data error: stage 1" in err and "at least 2; got 1" in err
+        assert not (out / "train_log.jsonl").exists()
+        assert not (out / "checkpoint.json").exists()
+
+
 @pytest.mark.parametrize("line", ['{"x": 1}', "5"], ids=["no-stage", "bare-number"])
 def test_malformed_log_line_on_resume_is_data_error(workdir, tmp_path, capsys, line):
     out = tmp_path / "r"

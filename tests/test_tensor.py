@@ -1,6 +1,8 @@
 """Autodiff core: forward values against loop oracles, gradients against
 central differences, recording semantics, and bit-level determinism."""
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -578,7 +580,7 @@ def test_shared_subexpression_grad():
 
 
 def test_first_gradient_contribution_is_copied():
-    # add() pulls return g itself and sum_axis() a read-only broadcast view;
+    # add()'s adjoint returns g itself and sum_axis()'s a read-only broadcast view;
     # a later contribution to one input must not leak into its sibling
     x = T.Tensor([[1.0, -2.0]], requires_grad=True)
     tape = T.Tape()
@@ -627,6 +629,25 @@ def test_finite_diff_restores_input_and_tape_state():
     assert np.array_equal(x.values, before)
     assert x.requires_grad is False
     assert y.requires_grad is True  # outer tape became active again
+    assert len(outer) == 1  # and it holds only that op
+
+
+def test_recording_restores_the_outer_tape_when_nested_or_raising():
+    x = T.Tensor([[1.0]], requires_grad=True)
+    outer, inner = T.Tape(), T.Tape()
+    with T.recording(outer):
+        with T.recording(inner) as active:
+            assert active is inner
+            T.log(x)
+        T.log(x)
+        with pytest.raises(RuntimeError, match="inside"):
+            with T.recording(inner):
+                raise RuntimeError("inside")
+        with T.recording(None):
+            assert T.log(x).requires_grad is False
+        T.log(x)
+    assert T.log(x).requires_grad is False
+    assert (len(outer), len(inner)) == (2, 1)
 
 
 def test_init_xavier_bounds_and_determinism():
@@ -720,6 +741,17 @@ def test_grad_two_direction_scan_ragged(start):
         T.lstm_scan(xg, wh, flags[:1], lengths)
 
 
+@pytest.mark.parametrize("flag", [range(3), 1, "yes"], ids=["range", "int", "str"])
+def test_lstm_scan_rejects_a_reverse_flag_that_is_not_a_bool(flag):
+    # a truthy visit order such as range(n) must not silently reverse
+    xg, wh, _ = directions(Rng(66), (2, 3), 2)
+    with pytest.raises(ShapeError, match=re.escape(f"reverse flag 1 must be a bool, "
+                                                   f"got {flag!r}")):
+        T.lstm_scan(xg, wh, (False, flag))
+    assert np.array_equal(T.lstm_scan(xg, wh, (False, np.bool_(True))).values,
+                          T.lstm_scan(xg, wh, (False, True)).values)
+
+
 @pytest.mark.parametrize("lengths", [[[3, 0, 4, 1]], [[4, 0, 2, 2], [1, 3, 0, 4]]])
 def test_scan_with_a_length_per_direction_equals_one_direction_scans(lengths):
     # one sequence (a 1 x D table) or a batch of two; each direction stops
@@ -749,7 +781,7 @@ def test_scan_with_a_length_per_direction_equals_one_direction_scans(lengths):
 
 @pytest.mark.parametrize("index", [[3, 0, 2], [1, 0, 1, 1, 3, 1], [[2, 0], [0, 3], [2, 2]], 2])
 def test_take_rows_adjoint_adds_as_np_add_at(index):
-    # unique, repeated and 2-D indices: the pull sums repeated rows in
+    # unique, repeated and 2-D indices: the adjoint sums repeated rows in
     # the order np.add.at does, bit for bit
     rng = Rng(68)
     a = rand_t(rng, (4, 3))
@@ -778,3 +810,105 @@ def test_grad_matmul_and_affine_with_batched_weight(x_shape, w_shape):
         assert T.finite_diff_check(lambda _: r(T.matmul(x, w)), probe) < TOL
     for probe in (x, w, b):
         assert T.finite_diff_check(lambda _: r(T.affine(x, w, b)), probe) < TOL
+
+
+# ---------------------------------------------------------------------------
+# the record form: every op records (out, inputs, adjoint)
+
+# op name (a suffix after "-" marks a second form) -> (input shapes, op)
+RECORDED_OPS = {
+    "matmul": ([(2, 3, 4), (4, 2)], T.matmul),
+    "affine": ([(3, 4), (2, 4, 2), (1, 2)], T.affine),
+    "add": ([(3, 2), (1, 2)], T.add),
+    "mul": ([(3, 2), (3, 1)], T.mul),
+    "div": ([(3, 2), (2,)], T.div),
+    "scale": ([(3, 2)], lambda a: T.scale(a, -1.5)),
+    "add_scalar": ([(3, 2)], lambda a: T.add_scalar(a, 0.5)),
+    "maximum_scalar": ([(3, 2)], lambda a: T.maximum_scalar(a, 1.0)),
+    "powf": ([(3, 2)], lambda a: T.powf(a, 1.5)),
+    "powf-zero": ([(3, 2)], lambda a: T.powf(a, 0.0)),
+    "log": ([(3, 2)], T.log),
+    "sum_all": ([(3, 2)], T.sum_all),
+    "mean_all": ([(3, 2)], T.mean_all),
+    "sum_axis": ([(3, 2, 4)], lambda a: T.sum_axis(a, (0, 2))),
+    "softmax_rows": ([(3, 4)], T.softmax_rows),
+    "reshape": ([(3, 4)], lambda a: T.reshape(a, (2, 6))),
+    "concat": ([(2, 3), (2, 1), (2, 2)], lambda *p: T.concat(p, -1)),
+    "stack": ([(2, 3), (2, 3)], lambda *p: T.stack(p)),
+    "place": ([(2, 3), (3,)], lambda a, b: T.place((3, 2, 3), [(a, 0), (b, (2, 1))])),
+    "slice_rows": ([(4, 2)], lambda a: T.slice_rows(a, 1, 3)),
+    "slice_cols": ([(2, 3, 4)], lambda a: T.slice_cols(a, 1, 3)),
+    "take_rows": ([(4, 2)], lambda a: T.take_rows(a, [2, 0, 2])),
+    "pick": ([(3, 2)], lambda a: T.pick(a, 2, 1)),
+    "lstm_scan": ([(2, 3, 16), (2, 2, 8)],
+                  lambda x, w: T.lstm_scan(x, w, (False, True), [3, 1])),
+    "attend": ([(2, 3, 4), (2, 5, 4), (5, 3)], lambda q, k, v: T.attend(q, k, v, 0.5)),
+    "attend-affine": ([(2, 3, 4), (2, 5, 4), (2, 5, 3), (2, 1, 1), (1, 1, 1)],
+                      lambda q, k, v, sc, bi: T.attend(
+                          q, k, v, 0.5, sc, bi, mask=np.array([1, 1, 0, 1, 0], bool))),
+    "cosine_rows": ([(3, 4), (3, 2, 4)], T.cosine_rows),
+}
+NOT_OPS = {"recording", "backward", "zero_grad", "init_xavier", "finite_diff_check"}
+
+
+def test_record_table_covers_every_op():
+    public = {name for name, f in vars(T).items() if inspect.isfunction(f)
+              and f.__module__ == T.__name__ and not name.startswith("_")}
+    assert public - NOT_OPS == {name.split("-")[0] for name in RECORDED_OPS}
+
+
+def run_op(name, off=None):
+    """The op on fresh inputs in [0.5, 1.5] (every input requires grad but
+    the one at position ``off``), recorded on its own tape."""
+    shapes, op = RECORDED_OPS[name]
+    rng = Rng(80)
+    ins = [T.Tensor(rng.uniform_array(s, 0.5, 1.5), requires_grad=i != off)
+           for i, s in enumerate(shapes)]
+    tape = T.Tape()
+    with T.recording(tape):
+        out = op(*ins)
+    return ins, tape, out
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_OPS))
+def test_every_op_records_one_triple_with_one_contribution_per_input(name):
+    ins, tape, out = run_op(name)
+    assert len(tape) == 1
+    rec_out, inputs, adjoint = tape.records[0]
+    assert rec_out is out and [id(t) for t in inputs] == [id(t) for t in ins]
+    contribs = adjoint(Rng(81).uniform_array(out.shape, -1.0, 1.0))
+    assert len(contribs) == len(inputs)
+    assert [np.shape(c) for c in contribs] == [t.shape for t in inputs]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_OPS))
+def test_an_input_that_requires_no_grad_gets_none(name):
+    for off in range(len(RECORDED_OPS[name][0])):
+        ins, tape, out = run_op(name, off)
+        if len(ins) == 1:  # nothing left to differentiate
+            assert len(tape) == 0 and not out.requires_grad
+            continue
+        with T.recording(tape):
+            loss = T.sum_all(T.mul(out, T.Tensor(Rng(82).uniform_array(out.shape, -1, 1))))
+        T.backward(loss, tape)
+        assert [t.grad is None for t in ins] == [i == off for i in range(len(ins))]
+        assert all(t.grad.shape == t.shape for t in ins if t.grad is not None)
+
+
+def test_backward_calls_a_multi_input_adjoint_once():
+    w = rand_t(Rng(83), (3, 4))
+    tape = T.Tape()
+    with T.recording(tape):
+        loss = T.sum_all(T.attend(w, w, w, 0.5))
+    out, inputs, adjoint = tape.records[0]
+    seen = []
+
+    def spy(g):
+        seen.append(g)
+        return adjoint(g)
+
+    tape.records[0] = (out, inputs, spy)
+    T.backward(loss, tape)
+    assert len(seen) == 1 and len(inputs) == 3
+    dq, dk, dv = adjoint(seen[0])
+    assert np.array_equal(w.grad, dq + dk + dv)

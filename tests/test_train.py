@@ -333,7 +333,7 @@ def test_alpha_probe_tapes_no_encoder_or_man_parameter(monkeypatch):
     real_backward, taped = T.backward, []
 
     def spy(loss, tape):
-        taped.append({id(inp) for _, pulls in tape.records for inp, _ in pulls})
+        taped.append({id(inp) for _, inputs, _ in tape.records for inp in inputs})
         real_backward(loss, tape)
 
     monkeypatch.setattr(T, "backward", spy)
