@@ -8,8 +8,11 @@ The parent ref (default HEAD) is checked out with ``git worktree add
 (seed, seed + 1, ...), and alternates which side goes first. For every
 end-to-end metric of BENCHMARK.json the script then prints the median and
 quartiles of each side, the ratio of the medians, how many pairs the
-change won, and whether the median gap exceeds the parent's interquartile
-range. The worktree is removed at the end. Standard library only.
+change won, whether the median gap exceeds the parent's interquartile
+range, and whether the metric is resolved at all: it is not when the
+parent's interquartile range is wider than the metric's ``bound`` times
+the parent's median, so a change of that size cannot be told from noise.
+The worktree is removed at the end. Standard library only.
 """
 from __future__ import annotations
 
@@ -50,12 +53,18 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(pairs, declared) -> None:
+def summarize(pairs, declared) -> list:
+    """Print one row per declared metric that both sides report, and
+    return the rows as dicts."""
     def cell(q):
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
+    def yes(flag):
+        return "yes" if flag else "no"
+
     print(f"{'metric':22} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
-          f"{'ratio':>7} {'won':>6} {'gap>IQR':>7}")
+          f"{'ratio':>7} {'won':>6} {'gap>IQR':>7} {'resolved':>8}")
+    rows = []
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
         both = [(p[name], c[name]) for p, c in pairs if name in p and name in c]
@@ -66,8 +75,14 @@ def summarize(pairs, declared) -> None:
         won = sum((c < p) if lower else (c > p) for p, c in both)
         gap = (pq[1] - cq[1]) if lower else (cq[1] - pq[1])
         ratio = cq[1] / pq[1] if pq[1] else float("nan")
+        row = {"metric": name, "parent": pq, "change": cq, "ratio": ratio, "won": won,
+               "pairs": len(both), "gap_above_iqr": gap > pq[2] - pq[0],
+               "resolved": pq[2] - pq[0] <= metric["bound"] * abs(pq[1])}
+        rows.append(row)
         print(f"{name:22} {cell(pq):>30} {cell(cq):>30} {ratio:>7.3f} "
-              f"{won:>3}/{len(both):<2} {'yes' if gap > pq[2] - pq[0] else 'no':>7}")
+              f"{won:>3}/{len(both):<2} {yes(row['gap_above_iqr']):>7} "
+              f"{yes(row['resolved']):>8}")
+    return rows
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .config import RunConfig, read_json
 from .context import ContextParams, classify_dialogue, init_context, row_query
-from .data import Utterance
+from .data import Utterance, all_utterances
 from .encoders import MODES, encode_mode, init_encoders, pad_streams
 from .errors import ConfigError, ContractError, DataError
 from .explain import (Explanation, PerturbationConfig, explain_instance, masked_rows,
@@ -135,21 +135,24 @@ def classify_dialogues(pipeline: Pipeline, dialogues, fused: T.Tensor) -> list:
     return out
 
 
-def predict_dialogue(pipeline: Pipeline, dialogue):
-    """Classify every utterance of a dialogue; returns DialoguePredictions."""
-    fused, _ = fuse_utterances(pipeline, dialogue.utterances)
-    return classify_dialogues(pipeline, [dialogue], fused)[0]
+def chunks(seq, size):
+    """Consecutive slices of ``seq`` of ``size`` items; the last may be shorter."""
+    for i in range(0, len(seq), size):
+        yield seq[i:i + size]
 
 
 def evaluate(pipeline: Pipeline, dialogues, subset=None) -> dict:
-    """Full-corpus metrics report; read-only on the parameters."""
+    """Full-corpus metrics report; read-only on the parameters. Each chunk
+    of ``batch_size`` dialogues is one fuse and one `classify_dialogues`."""
     if subset is None:
         subset = pipeline.config.subset_classes
     golds = []
     preds = []
-    for d in dialogues:
-        golds.extend(u.label for u in d.utterances)
-        preds.extend(predict_dialogue(pipeline, d).labels)
+    for part in chunks(list(dialogues), pipeline.config.batch_size):
+        utts = all_utterances(part)
+        golds.extend(u.label for u in utts)
+        for p in classify_dialogues(pipeline, part, fuse_utterances(pipeline, utts)[0]):
+            preds.extend(p.labels)
     cm = confusion(golds, preds, pipeline.config.num_classes)
     return metrics_report(cm, subset=subset)
 

@@ -2,12 +2,12 @@
 
 Stage 1 fits the encoders and cross-modal networks with the combined
 contrastive + focal objective, resampling a stop-gradient negative pool
-every epoch. Every forward pass covers a micro-batch of dialogues at
-once, and untaped passes over a whole corpus go in chunks of the same
-size, so memory stays bounded. Stage 2 freezes into fine-tuning: interpolation
-coefficients update from validation gradients on informative samples,
-while the context classifier trains with the focal loss and stage-1
-parameters move at a reduced rate. Every epoch ends with a checkpoint
+every epoch. Every training step covers a micro-batch of dialogues, and
+the negative cache, evaluation and the alpha probe go over a corpus in
+chunks of the same size, so memory stays bounded. Stage 2 freezes into
+fine-tuning: interpolation coefficients update from validation gradients
+on informative samples, while the context classifier trains with the
+focal loss and stage-1 parameters move at a reduced rate. Every epoch ends with a checkpoint
 and one JSON log record, and the whole loop is resumable bit-for-bit.
 """
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import ContractError, DataError, NumericError
 from .fusion import adaptive_fuse, select_informative_samples, update_alphas
 from .losses import (ace_loss, averaged_focal, combined_loss, focal_mean,
                      sample_negative_ids)
-from .model import (AdamState, LoadedCheckpoint, Pipeline, classify_dialogues,
+from .model import (AdamState, LoadedCheckpoint, Pipeline, chunks, classify_dialogues,
                     evaluate, init_pipeline, named_parameters, pairwise_coefficients,
                     require_same_config, save_checkpoint, stage1_parameters,
                     utterance_descriptors)
@@ -64,11 +64,6 @@ def adam_step(params: dict, state: AdamState, lr: float, scale: dict = None) -> 
         s = 1.0 if scale is None else scale.get(name, 1.0)
         p.values = p.values - lr * s * mhat / (np.sqrt(vhat) + ADAM_EPS)
         p.grad = None
-
-
-def _chunks(seq, size):
-    for i in range(0, len(seq), size):
-        yield seq[i:i + size]
 
 
 @contextmanager
@@ -106,7 +101,7 @@ def _train_epoch(stage: int, order, build, params: dict, adam: AdamState,
     the epoch mean of every logged scalar.
     """
     sums = {}
-    for bi, batch in enumerate(_chunks(order, config.batch_size)):
+    for bi, batch in enumerate(chunks(order, config.batch_size)):
         _, logged = _taped(f"training stage {stage} batch {bi} "
                            f"(dialogues {[d.dialogue_id for d in batch]})",
                            lambda: build(batch))
@@ -127,7 +122,7 @@ def _negative_cache(pipeline: Pipeline, dialogues, k: int, rng: Rng, chunk: int)
     dialogues at a time.
     """
     cache = {m: [] for m in MODES}
-    for part in _chunks(dialogues, chunk):
+    for part in chunks(dialogues, chunk):
         descs = utterance_descriptors(pipeline, all_utterances(part))
         for m in MODES:
             cache[m].append(descs[m].f_ca.values)
@@ -167,7 +162,7 @@ def per_mode_accuracy(pipeline: Pipeline, dialogues) -> dict:
     """Accuracy of each mode's own classification head, pre-fusion."""
     correct = {m: 0 for m in MODES}
     n = 0
-    for part in _chunks(list(dialogues), pipeline.config.batch_size):
+    for part in chunks(list(dialogues), pipeline.config.batch_size):
         utts = all_utterances(part)
         labels = np.array([u.label for u in utts])
         descs = utterance_descriptors(pipeline, utts)
@@ -196,22 +191,31 @@ def _stage2_loss(pipeline: Pipeline, dialogues, f_ca: dict, pairwise: dict,
 
 def _update_alphas_from_val(pipeline: Pipeline, val_dlgs, config: RunConfig) -> dict:
     """Fold into the coefficients the (a1', a2') estimates, from d loss /
-    d f_ca, of the validation utterances they flip. The descriptors are
-    leaves made off the tape: only fusion, context and loss are taped."""
+    d f_ca, of the validation utterances they flip. Each chunk of
+    ``batch_size`` dialogues is one descriptor pass, made off the tape into
+    leaves, and one taped loss: only fusion, context and loss are taped.
+    The chunk loss scales each dialogue's gradient rows by one factor,
+    which an estimate does not depend on."""
     current = pipeline.alphas
     pairwise = current.pairwise()
     estimates, labels, cache = {}, {}, {}
-    for d in val_dlgs:
-        where = f"running the alpha probe on validation dialogue {d.dialogue_id}"
+    for part in chunks(list(val_dlgs), config.batch_size):
+        where = (f"running the alpha probe on validation dialogues "
+                 f"{[d.dialogue_id for d in part]}")
         with _numeric_guard(where):
-            descs = utterance_descriptors(pipeline, d.utterances)
+            descs = utterance_descriptors(pipeline, all_utterances(part))
             f = {m: T.Tensor(c.f_ca.values, requires_grad=True) for m, c in descs.items()}
-        _, (preds,) = _taped(where, lambda: _stage2_loss(pipeline, [d], f, pairwise, config))
-        for i, utt in enumerate(d.utterances):
-            estimates[utt.utterance_id] = current.estimate(
-                {m: t.values[i] for m, t in f.items()}, {m: t.grad[i] for m, t in f.items()})
-            labels[utt.utterance_id] = preds.labels[i]
-            cache[utt.utterance_id] = (d, f, i)
+        _, preds = _taped(where, lambda: _stage2_loss(pipeline, part, f, pairwise, config))
+        start = 0
+        for d, p in zip(part, preds):
+            rows = {m: T.Tensor(t.values[start:start + len(d.utterances)]) for m, t in f.items()}
+            for i, utt in enumerate(d.utterances):
+                estimates[utt.utterance_id] = current.estimate(
+                    {m: t.values[i] for m, t in rows.items()},
+                    {m: t.grad[start + i] for m, t in f.items()})
+                labels[utt.utterance_id] = p.labels[i]
+                cache[utt.utterance_id] = (d, rows, i)
+            start += len(d.utterances)
     # the probe steps nothing; its context gradients must not reach Adam
     T.zero_grad(pipeline.context.tensors())
 

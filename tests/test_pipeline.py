@@ -17,18 +17,25 @@ from emofuse.explain import (PerturbationConfig, explain_instance, fit_surrogate
 from emofuse.fusion import AlphaState
 from emofuse.rng import Rng
 from emofuse.losses import ace_loss, averaged_focal, combined_loss
+from emofuse.metrics import confusion, metrics_report
 from emofuse.model import (classify_dialogues, encode_array, evaluate, explain_dialogue,
                            explain_utterance,
                            fuse_dialogue, fuse_utterances, init_pipeline,
                            load_checkpoint,
                            named_parameters, pairwise_coefficients,
-                           predict_dialogue, require_same_config,
+                           require_same_config,
                            save_checkpoint, stage1_parameters,
                            utterance_descriptors)
 
 from oracles import rerun_predict_fn
 
 SPEC = SynthSpec(num_dialogues=6, utterances_per_dialogue=(2, 3), seed=9)
+
+
+def dialogue_labels(pipeline, dialogue):
+    """The labels of one dialogue fused and classified on its own."""
+    fused, _ = fuse_utterances(pipeline, dialogue.utterances)
+    return classify_dialogues(pipeline, [dialogue], fused)[0].labels
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +130,7 @@ def test_fused_width_and_prediction_count(pipeline, corpus):
     assert fused.shape == (len(d.utterances), 3 * pipeline.config.descriptor_dim)
     assert all(dd[m].f_ca.shape == (1, pipeline.config.descriptor_dim)
                for dd in descs for m in MODES)
-    preds = predict_dialogue(pipeline, d)
+    preds = classify_dialogues(pipeline, [d], fused)[0]
     assert [p.utterance_id for p in preds] == \
         [u.utterance_id for u in d.utterances]
 
@@ -151,12 +158,43 @@ def test_evaluate_report_structure(pipeline, corpus):
     assert report["total"] == total
 
 
+def test_evaluate_in_chunks_equals_each_dialogue_alone(monkeypatch):
+    # 7 dialogues in chunks of 3: two full chunks and a ragged one, each one
+    # descriptor pass whose fused rows are the dialogues' own to roundoff
+    dialogues = synth_generate(SynthSpec(num_dialogues=7, utterances_per_dialogue=(2, 5),
+                                         seed=12))
+    pl = init_pipeline(RunConfig(seed=4, batch_size=3))
+    alone = [fuse_utterances(pl, d.utterances)[0].values for d in dialogues]
+    golds = [u.label for d in dialogues for u in d.utterances]
+    preds = [label for d in dialogues for label in dialogue_labels(pl, d)]
+    real_fuse, real_descriptors, fused, passes = (model.fuse_utterances,
+                                                  model.utterance_descriptors, [], [])
+
+    def fuse_spy(*a, **k):
+        out = real_fuse(*a, **k)
+        fused.append(out[0].values)
+        return out
+
+    def descriptors_spy(*a, **k):
+        passes.append(len(a[1]))
+        return real_descriptors(*a, **k)
+
+    monkeypatch.setattr(model, "fuse_utterances", fuse_spy)
+    monkeypatch.setattr(model, "utterance_descriptors", descriptors_spy)
+    report = evaluate(pl, dialogues)
+    assert passes == [sum(len(d.utterances) for d in part)
+                      for part in (dialogues[:3], dialogues[3:6], dialogues[6:])]
+    assert np.abs(np.concatenate(fused) - np.concatenate(alone)).max() <= 1e-12
+    assert report == metrics_report(confusion(golds, preds, pl.config.num_classes),
+                                    subset=pl.config.subset_classes)
+
+
 def test_inference_ignores_tape(pipeline, corpus):
     # prediction inside a recording context must not differ or leak records
-    base = [p.label for p in predict_dialogue(pipeline, corpus[0])]
+    base = dialogue_labels(pipeline, corpus[0])
     tape = T.Tape()
     with T.recording(tape):
-        again = [p.label for p in predict_dialogue(pipeline, corpus[0])]
+        again = dialogue_labels(pipeline, corpus[0])
     assert base == again
 
 
@@ -173,8 +211,8 @@ def test_checkpoint_round_trip(tmp_path, corpus):
     for name, t in named_parameters(pl).items():
         assert np.array_equal(t.values, named_parameters(loaded.pipeline)[name].values)
     # behaviour identical, not just storage
-    want = [p.label for p in predict_dialogue(pl, corpus[0])]
-    got = [p.label for p in predict_dialogue(loaded.pipeline, corpus[0])]
+    want = dialogue_labels(pl, corpus[0])
+    got = dialogue_labels(loaded.pipeline, corpus[0])
     assert want == got
 
 

@@ -11,7 +11,7 @@ from emofuse.data import SynthSpec, all_utterances, split, synth_generate
 from emofuse.encoders import MODES
 from emofuse.errors import ConfigError, ContractError, NumericError
 from emofuse.fusion import AlphaState
-from emofuse.model import (evaluate, init_pipeline, load_checkpoint, named_parameters,
+from emofuse.model import (chunks, evaluate, init_pipeline, load_checkpoint, named_parameters,
                            utterance_descriptors)
 from emofuse.train import (AdamState, adam_step, per_mode_accuracy,
                            run_training)
@@ -305,8 +305,9 @@ def test_numeric_abort_in_negative_cache(monkeypatch):
 
 
 def test_numeric_abort_in_alpha_probe(monkeypatch):
-    # the probe builds the stage-2 loss on each validation dialogue; a NaN
-    # there must stop training and name the probe and the dialogue
+    # the probe builds the stage-2 loss on each chunk of validation
+    # dialogues; a NaN there must stop training and name the probe and
+    # every dialogue of the chunk
     tr, va, _ = split(small_corpus(seed=11), (0.6, 0.3, 0.1), 1)
     cfg = small_config(stage1_epochs=0, stage2_epochs=1, alpha_mode="learned")
     real, calls = train_mod.focal_mean, []
@@ -317,10 +318,10 @@ def test_numeric_abort_in_alpha_probe(monkeypatch):
         return T.scale(loss, float("nan")) if len(calls) == 1 else loss
 
     monkeypatch.setattr(train_mod, "focal_mean", nan_on_first_call)
-    with pytest.raises(NumericError,
-                       match=rf"alpha probe on validation dialogue {va[0].dialogue_id}"):
+    with pytest.raises(NumericError, match=r"alpha probe on validation dialogues \[") as err:
         run_training(cfg, tr, va)
     assert len(calls) == 1
+    assert all(d.dialogue_id in str(err.value) for d in va[:cfg.batch_size])
 
 
 def test_alpha_probe_tapes_no_encoder_or_man_parameter(monkeypatch):
@@ -338,7 +339,7 @@ def test_alpha_probe_tapes_no_encoder_or_man_parameter(monkeypatch):
 
     monkeypatch.setattr(T, "backward", spy)
     train_mod._update_alphas_from_val(pipeline, va, pipeline.config)
-    assert len(taped) == len(va)
+    assert len(taped) == len(list(chunks(va, pipeline.config.batch_size)))
     assert sorted(upstream[i] for inputs in taped for i in inputs if i in upstream) == []
     assert [name for name, t in params.items() if t.grad is not None] == []
 
@@ -368,6 +369,57 @@ def test_probe_leaf_gradients_equal_the_fully_taped_ones():
     assert leaf_loss == taped_loss
     for m in MODES:
         assert np.array_equal(leaf_grads[m], taped_grads[m]), m
+
+
+def test_alpha_probe_in_chunks_equals_each_dialogue_alone(monkeypatch):
+    # 7 validation dialogues in chunks of 3: one descriptor pass and one tape
+    # per chunk, and every estimate and base label as the dialogue alone gives
+    va = synth_generate(SynthSpec(num_dialogues=7, utterances_per_dialogue=(2, 5), seed=12))
+    cfg = small_config(batch_size=3, alpha_mode="learned")
+    pipeline = init_pipeline(cfg)
+    current = pipeline.alphas
+    pairwise = current.pairwise()
+    want_estimates, want_labels = {}, {}
+    for d in va:
+        f = {m: T.Tensor(c.f_ca.values, requires_grad=True)
+             for m, c in utterance_descriptors(pipeline, d.utterances).items()}
+        tape = T.Tape()
+        with T.recording(tape):
+            loss, (preds,) = train_mod._stage2_loss(pipeline, [d], f, pairwise, cfg)
+        T.backward(loss, tape)
+        for i, utt in enumerate(d.utterances):
+            want_estimates[utt.utterance_id] = current.estimate(
+                {m: t.values[i] for m, t in f.items()}, {m: t.grad[i] for m, t in f.items()})
+            want_labels[utt.utterance_id] = preds.labels[i]
+    T.zero_grad(named_parameters(pipeline).values())
+
+    real_select, real_descriptors, real_backward = (
+        train_mod.select_informative_samples, train_mod.utterance_descriptors, T.backward)
+    passes, tapes, got = [], [], {}
+
+    def select_spy(ids, predict, estimate, state, budget):
+        got.update({uid: (estimate(uid), predict(uid, state)) for uid in ids})
+        return real_select(ids, predict, estimate, state, budget)
+
+    def descriptors_spy(pl, utts):
+        passes.append(len(utts))
+        return real_descriptors(pl, utts)
+
+    def backward_spy(loss, tape):
+        tapes.append(len(tape.records))
+        real_backward(loss, tape)
+
+    monkeypatch.setattr(train_mod, "select_informative_samples", select_spy)
+    monkeypatch.setattr(train_mod, "utterance_descriptors", descriptors_spy)
+    monkeypatch.setattr(T, "backward", backward_spy)
+    train_mod._update_alphas_from_val(pipeline, va, cfg)
+    assert passes == [sum(len(d.utterances) for d in part)
+                      for part in (va[:3], va[3:6], va[6:])]
+    assert len(tapes) == 3
+    assert list(got) == list(want_estimates)
+    for uid, (estimate, label) in got.items():
+        assert np.allclose(estimate, want_estimates[uid], rtol=0.0, atol=1e-12), uid
+        assert label == want_labels[uid], uid
 
 
 def test_per_mode_accuracy_bounds():
