@@ -9,9 +9,9 @@ one matmul.
 
 An explanation asks for one utterance's probability with that
 utterance's descriptor replaced, many times over (`row_query`). Only
-that row changes, so one scan of every branch and direction up to the
-row's neighbours serves every query, and a batch of replacement rows
-is one recurrent step from the states that scan carries in.
+that row's state is read, so every branch direction is laid out to end
+at the row, and a batch of replacement rows is one forward scan of all
+directions at once, read at its last step.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoders import BiLstmParams, bilstm_forward, init_bilstm
-from .errors import ContractError, DataError
+from .errors import ContractError
 from .rng import Rng
 
 
@@ -60,17 +60,6 @@ def init_context(config: ContextConfig, rng: Rng) -> ContextParams:
         head_w=T.init_xavier((2 * config.state_dim, config.num_classes), rng),
         head_b=T.Tensor(np.zeros((1, config.num_classes)), requires_grad=True),
     )
-
-
-def speaker_subsequence(fused: T.Tensor, speaker_ids, speaker_id: str):
-    """One speaker's utterances: (dialogue positions, their rows of ``fused``)."""
-    if fused.values.shape[0] != len(speaker_ids):
-        raise ContractError("speaker_subsequence: one speaker id per descriptor required")
-    index_map = [i for i, s in enumerate(speaker_ids) if s == speaker_id]
-    if not index_map:
-        known = sorted(set(speaker_ids))
-        raise DataError(f"unknown speaker {speaker_id!r}; dialogue has speakers {known}")
-    return index_map, T.take_rows(fused, index_map)
 
 
 @dataclass
@@ -130,8 +119,9 @@ def classify_dialogue(fused_seq: T.Tensor, speaker_ids, utt_ids, params: Context
     if eval_mode == "own":
         order, branches = [], []
         for speaker in dict.fromkeys(speaker_ids):  # first-appearance order
-            index_map, rows = speaker_subsequence(fused_seq, speaker_ids, speaker)
-            branches.append(bilstm_forward(params.speaker_lstm, rows))
+            index_map = [i for i, s in enumerate(speaker_ids) if s == speaker]
+            branches.append(bilstm_forward(params.speaker_lstm,
+                                           T.take_rows(fused_seq, index_map)))
             order.extend(index_map)
         stacked = branches[0] if len(branches) == 1 else T.concat(branches, 0)
         s_states = T.take_rows(stacked, np.argsort(order))  # back to dialogue order
@@ -146,12 +136,13 @@ def row_query(fused_seq: T.Tensor, speaker_ids, index: int, params: ContextParam
     utterance ``index`` when its fused row is replaced by a row of the
     k x D array ``x``, as k x num_classes, one row per row of ``x``.
 
-    The scans up to the row's neighbours run once, here: one scan of
-    every direction of the dialogue branch and (eval_mode "own") the
-    row's speaker branch, each direction stopping at its own neighbour.
-    The (h, c) they carry live only in the returned function, which
-    steps every direction for all k rows in one scan step from them and
-    reads the head once.
+    Every direction of the dialogue branch and (eval_mode "own") the
+    row's speaker branch reads the row last: a forward direction after
+    the branch's rows before it, a backward one after the rows after it
+    in reverse. So each call is one forward scan of all directions for
+    all k rows, and the head reads its last step. The scan is as long as
+    the longest of these runs plus one; a shorter run starts after zero
+    gate rows, which hold the zero start state at exactly zero.
     """
     if eval_mode not in ("own", "dialogue"):
         raise ContractError(f"row_query: unknown eval_mode {eval_mode!r}")
@@ -169,22 +160,22 @@ def row_query(fused_seq: T.Tensor, speaker_ids, index: int, params: ContextParam
     wh = T.concat([lstm.wh for lstm in lstms], 0)
     ins, outs = lstms[0].proj_w.values.shape
 
-    # each direction reads its branch's rows before the row, or after it
-    # in reverse, from timestep 0; its padded steps carry its state on
+    # every direction's run of neighbours, aligned to end just before the row
     runs = [run for _, rows in branches for pos in [rows.index(index)]
             for run in (rows[:pos], rows[:pos:-1])]
     gates, width = T.affine(fused_seq, wx, b).values, wh.values.shape[-1]
-    xg = np.zeros((max(map(len, runs)), len(runs) * width))
+    steps = max(map(len, runs))
+    lead = np.zeros((steps, len(runs) * width))
     for d, run in enumerate(runs):
-        xg[:len(run), d * width:(d + 1) * width] = gates[run, d * width:(d + 1) * width]
-    _, start = T.lstm_scan(T.Tensor(xg), wh, [False] * len(runs),
-                           [[len(run) for run in runs]], carry=True)
+        cols = slice(d * width, (d + 1) * width)
+        lead[steps - len(run):, cols] = gates[run, cols]
 
     def probs(x) -> np.ndarray:
         rows = T.Tensor(np.reshape(x, (-1, 1, wx.values.shape[0])))  # rejects a non-finite row
         size = rows.values.shape[0]
-        states = T.lstm_scan(T.affine(rows, wx, b), wh, [False] * len(runs),
-                             start=tuple(np.repeat(s[None], size, axis=0) for s in start))
+        xg = np.concatenate([np.broadcast_to(lead, (size,) + lead.shape),
+                             T.affine(rows, wx, b).values], axis=1)
+        states = T.Tensor(T.lstm_scan(T.Tensor(xg), wh, [False] * len(runs)).values[:, -1:])
         parts = [T.affine(T.slice_cols(states, i * ins, (i + 1) * ins), lstm.proj_w,
                           lstm.proj_b) for i, lstm in enumerate(lstms)]
         if len(lstms) == 1:  # eval_mode "dialogue": the speaker slot is zero

@@ -141,9 +141,11 @@ def chunks(seq, size):
         yield seq[i:i + size]
 
 
+@T.recording(None)
 def evaluate(pipeline: Pipeline, dialogues, subset=None) -> dict:
-    """Full-corpus metrics report; read-only on the parameters. Each chunk
-    of ``batch_size`` dialogues is one fuse and one `classify_dialogues`."""
+    """Full-corpus metrics report; read-only on the parameters and on any
+    active tape. Each chunk of ``batch_size`` dialogues is one fuse and
+    one `classify_dialogues`."""
     if subset is None:
         subset = pipeline.config.subset_classes
     golds = []
@@ -160,14 +162,16 @@ def evaluate(pipeline: Pipeline, dialogues, subset=None) -> dict:
 # ---------------------------------------------------------------------------
 # explanations
 
+@T.recording(None)
 def explain_dialogue(pipeline: Pipeline, dialogue, indices,
                      pcfg: PerturbationConfig) -> list:
     """Surrogate explanations of utterances ``indices`` of one dialogue,
-    from one fuse of it. Each masks mode blocks of the utterance's fused
-    descriptor; a query is the frozen context classifier's probability of
-    the class the unmasked descriptor gets. A sample can only be one of
-    the 2^G mode masks, so one `context.row_query` call scores all of
-    them and each query looks its row up, however many samples there are.
+    from one fuse of it, recorded on no tape. Each masks mode blocks of
+    the utterance's fused descriptor; a query is the frozen context
+    classifier's probability of the class the unmasked descriptor gets.
+    A sample can only be one of the 2^G mode masks, so one
+    `context.row_query` call scores all of them and each query looks its
+    row up, however many samples there are.
     """
     for index in indices:
         if not 0 <= index < len(dialogue.utterances):

@@ -66,20 +66,14 @@ class Rng:
         u = (self.u64() >> 11) * _TWO_POW_NEG53  # [0, 1)
         return lo + u * (hi - lo)
 
-    def normal(self) -> float:
-        # Box-Muller; the sine partner is discarded on the scalar path.
-        u1 = ((self.u64() >> 11) + 1) * _TWO_POW_NEG53  # (0, 1]
-        u2 = (self.u64() >> 11) * _TWO_POW_NEG53
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
     def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         k = np.array(self._u64s(math.prod(shape)), dtype=np.uint64) >> np.uint64(11)
         # same operation order as uniform(): lo + (k * 2**-53) * span
         return (lo + k.astype(np.float64) * _TWO_POW_NEG53 * (hi - lo)).reshape(shape)
 
     def normal_array(self, shape) -> np.ndarray:
-        # Box-Muller pairs as in normal(), keeping both partners; an odd
-        # count drops the last sine partner.
+        # Box-Muller pairs, u1 in (0, 1] and u2 in [0, 1), keeping both
+        # partners; an odd count drops the last sine partner.
         n = math.prod(shape)
         raw = self._u64s(2 * ((n + 1) // 2))
         vals = []

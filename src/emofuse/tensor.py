@@ -362,30 +362,27 @@ def _gate_affine(width: int):
     return half, 1.0 - half
 
 
-def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None, start=None,
-              carry: bool = False):
+def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None):
     """D LSTM directions stepped together over precomputed input projections.
 
     ``xg`` is n x 4DH for one sequence, or B x L x 4DH for a batch padded
-    to L, with ``lengths`` the rows' real lengths (default: all L), or a
-    B x D array of them, one per row and direction (B is 1 for one
-    sequence).
+    to L, with ``lengths`` the rows' real lengths, one per row (default:
+    all L; B is 1 for one sequence).
     ``wh`` is the D x H x 4H stack of the directions' recurrent weights,
     with gate blocks ordered input, forget, candidate, output; ``reverse``
     holds one flag per direction: a reverse direction visits the
     timesteps last to first, the others first to last. The columns of
     ``xg``, the output and the state hold D blocks side by side. The
-    state starts at ``start``, an (h, c) pair of constant arrays shaped
-    like one row of the output (DH, or B x DH), or at zero. A padded step
-    (t >= its row's length) carries the state through unchanged, outputs
-    zero and gets a zero adjoint, so a reverse visit starts each row at
-    its own last real step. Returns the hidden states indexed by
-    timestep, not visit order, in the shape of ``xg`` with DH columns.
-    The adjoint runs backpropagation through time into ``xg`` and ``wh``.
+    state starts at zero. A padded step (t >= its row's length) carries
+    the state through unchanged, outputs zero and gets a zero adjoint, so
+    a reverse visit starts each row at its own last real step. Returns
+    the hidden states indexed by timestep, not visit order, in the shape
+    of ``xg`` with DH columns. The adjoint runs backpropagation through
+    time into ``xg`` and ``wh``.
 
-    With ``carry``, an untaped scan returns (hidden states, (h, c)), the
-    state it ends in: a scan of the steps that follow, started from it,
-    continues this one exactly.
+    A step whose gate input is zero leaves the zero state at exactly
+    zero (every gate is a half and the candidate zero), so zero gate rows
+    in front of a sequence change none of its states.
     """
     xv, whv = xg.values, wh.values
     if xv.ndim not in (2, 3) or whv.ndim != 3 or whv.shape[2] != 4 * whv.shape[1] or \
@@ -409,12 +406,10 @@ def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None, start=None,
     live = None
     if lengths is not None:
         lens = np.asarray(lengths)
-        if lens.size not in (size, size * dirs):
-            raise ShapeError(f"lstm_scan: need one length per row or per row and "
-                             f"direction, got {lens.shape}")
-        live = np.arange(n)[:, None, None] < lens.reshape(size, -1).T  # t x (1 | D) x B
-        live = np.repeat(live[visit, across] if live.shape[1] > 1 else live[visit, 0],
-                         hid, axis=1)
+        if lens.size != size:
+            raise ShapeError(f"lstm_scan: need one length per row, got {lens.shape}")
+        live = np.repeat((np.arange(n)[:, None] < lens.reshape(size))[visit], hid,
+                         axis=1)  # step x DH x B
     partial = [live is not None and not live[k].all() for k in range(n)]
     half, rest = _gate_affine(width)
     wt = np.zeros((4, dirs, hid, dirs, hid))  # (gate, direction, out, direction, in)
@@ -426,21 +421,11 @@ def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None, start=None,
     wt_half = wt * half
     # the per-step caches feed only the adjoint, so an untaped scan skips them
     keep = _TAPE is not None and (xg.requires_grad or wh.requires_grad)
-    if carry and keep:
-        raise ContractError("lstm_scan: a taped scan cannot carry its state out")
     hs = np.zeros((n, width, size))
     if keep:
         gates = np.empty((n, 4 * width, size))
         tanh_c, c_prev, h_prev = (np.empty((n, width, size)) for _ in range(3))
-    state = xv.shape[:-2] + (width,)  # one row of the output
-    if start is None:
-        h = c = np.zeros((width, size))
-    else:
-        h, c = (np.asarray(s, dtype=np.float64) for s in start)
-        if h.shape != state or c.shape != state:
-            raise ShapeError(f"lstm_scan: start state needs shape {state}, got "
-                             f"{h.shape} and {c.shape}")
-        h, c = (np.ascontiguousarray(s.reshape(size, width).T) for s in (h, c))
+    h = c = np.zeros((width, size))
     for k in range(n):
         a = np.tanh(xs[k] + wt_half @ h) * half + rest
         if keep:
@@ -466,8 +451,6 @@ def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None, start=None,
         return t.transpose(3, 0, 1, 2).reshape(xv.shape[:-1] + (a.shape[1] * a.shape[2],))
 
     out = by_time(hs.reshape(n, dirs, hid, size))
-    if carry:
-        return _wrap(out), tuple(s.T.reshape(state) for s in (h, c))
     if not keep:
         return _wrap(out)
 

@@ -1,5 +1,5 @@
-"""Dialogue/speaker context classifier: subsequence extraction, dual
-recurrent states, prediction head, speaker-relabeling invariance."""
+"""Dialogue/speaker context classifier: dual recurrent states, prediction
+head, speaker-relabeling invariance, explanation queries."""
 import math
 
 import numpy as np
@@ -8,10 +8,9 @@ import pytest
 from emofuse import context
 from emofuse import tensor as T
 from emofuse.context import (ContextConfig, ContextParams, classify_dialogue,
-                             init_context, predict_emotion, row_query,
-                             speaker_subsequence)
+                             init_context, predict_emotion, row_query)
 from emofuse.encoders import bilstm_forward
-from emofuse.errors import ContractError, DataError
+from emofuse.errors import ContractError
 from emofuse.rng import Rng
 
 
@@ -22,29 +21,6 @@ def fused(rng, n, d=4):
 def params(d=4, seed=1, c=3, state=3):
     return init_context(ContextConfig(input_dim=d, num_classes=c, state_dim=state,
                                       lstm_hidden=2), Rng(seed))
-
-
-# ---------------------------------------------------------------------------
-# subsequence extraction
-
-def test_single_speaker_subsequence_is_whole_dialogue():
-    seq = fused(Rng(2), 3)
-    index_map, rows = speaker_subsequence(seq, ["s1", "s1", "s1"], "s1")
-    assert index_map == [0, 1, 2]
-    assert np.array_equal(rows.values, seq.values)
-
-
-def test_absent_speaker_lists_known():
-    seq = fused(Rng(3), 2)
-    with pytest.raises(DataError, match="ghost.*s1.*s2"):
-        speaker_subsequence(seq, ["s1", "s2"], "ghost")
-
-
-def test_alternating_speakers_indices():
-    seq = fused(Rng(4), 4)
-    index_map, rows = speaker_subsequence(seq, ["a", "b", "a", "b"], "a")
-    assert index_map == [0, 2]
-    assert np.array_equal(rows.values, seq.values[[0, 2]])
 
 
 # ---------------------------------------------------------------------------
@@ -219,30 +195,30 @@ def test_row_query_matches_classifying_the_swapped_dialogue(eval_mode, speakers)
 
 
 def test_row_query_never_reruns_a_bilstm(monkeypatch):
-    # the scans up to the row's neighbours are one scan of every direction,
-    # run when the query is built; scoring a batch of rows is one step
+    # building the query scans nothing; each call is one forward scan of
+    # every direction for all k rows, as long as the longest run plus one
     p = params(seed=24)
     seq = fused(Rng(25), 6)
     scans = []
     real_scan = T.lstm_scan
 
-    def counted(xg, wh, order, lengths=None, **kwargs):
+    def counted(xg, wh, reverse, lengths=None):
         scans.append((wh.values.shape[0], xg.values.shape[:-1], lengths))
-        return real_scan(xg, wh, order, lengths, **kwargs)
+        assert not any(reverse)
+        return real_scan(xg, wh, reverse, lengths)
 
     monkeypatch.setattr(context, "bilstm_forward", None)
     monkeypatch.setattr(T, "lstm_scan", counted)
     query = row_query(seq, list("abaabb"), 3, p)
+    assert scans == []
     # speaker "a" holds rows 0, 2, 3: two rows before row 3, none after it;
     # the dialogue has three before it and two after
-    assert scans == [(4, (3,), [[2, 0, 3, 2]])]
-    scans.clear()
     query(np.zeros((5, 4)))
     query(seq.values[3:4])
-    assert scans == [(4, (5, 1), None), (4, (1, 1), None)]
+    assert scans == [(4, (5, 4), None), (4, (1, 4), None)]
     scans.clear()
     row_query(seq, list("abaabb"), 3, p, "dialogue")(np.zeros((2, 4)))
-    assert scans == [(2, (3,), [[3, 2]]), (2, (2, 1), None)]
+    assert scans == [(2, (2, 4), None)]
 
 
 def test_row_query_validates():

@@ -190,12 +190,16 @@ def test_evaluate_in_chunks_equals_each_dialogue_alone(monkeypatch):
 
 
 def test_inference_ignores_tape(pipeline, corpus):
-    # prediction inside a recording context must not differ or leak records
-    base = dialogue_labels(pipeline, corpus[0])
+    # evaluation and explanation inside a recording context give what they
+    # give outside it and leave no record on the caller's tape
+    pcfg = PerturbationConfig(num_samples=12, seed=3)
+    base = (evaluate(pipeline, corpus[:3]), explain_utterance(pipeline, corpus[0], 1, pcfg))
     tape = T.Tape()
     with T.recording(tape):
-        again = dialogue_labels(pipeline, corpus[0])
-    assert base == again
+        again = (evaluate(pipeline, corpus[:3]),
+                 explain_utterance(pipeline, corpus[0], 1, pcfg))
+    assert again == base
+    assert len(tape) == 0
 
 
 def test_checkpoint_round_trip(tmp_path, corpus):

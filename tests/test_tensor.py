@@ -278,67 +278,33 @@ def test_lstm_scan_is_one_record_and_untracked_off_tape():
         T.lstm_scan(xg, rand_t(rng, (2, 8)), [False])
 
 
-def split_scan(xg, wh, t, reverse, lengths=None):
-    """The scan of ``xg`` as two scans split at step ``t``, the second
-    started from the (h, c) the first carries out."""
-    xv = xg.values
-    n = xv.shape[-2]
-    if reverse:  # steps n-1..t, then t-1..0
-        parts = [(t, n), (0, t)]
-    else:
-        parts = [(0, t), (t, n)]
-    start, outs = None, {}
-    for lo, hi in parts:
-        part = T.Tensor(xv[..., lo:hi, :])
-        sub = None if lengths is None else np.clip(np.asarray(lengths) - lo, 0, hi - lo)
-        out, start = T.lstm_scan(part, wh, [reverse], sub, start=start, carry=True)
-        outs[lo, hi] = out.values
-    return np.concatenate([outs[k] for k in sorted(outs)], axis=-2)
-
-
-@pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("lengths", [None, [5, 1, 3, 0]], ids=["one-sequence", "ragged"])
-def test_lstm_scan_resumed_from_carried_state_is_bit_identical(reverse, lengths):
+@pytest.mark.parametrize("lead", [1, 3])
+@pytest.mark.parametrize("case", ["one-sequence", "ragged", "two-forward"])
+def test_lstm_scan_after_zero_gate_rows_is_bit_identical(case, lead):
+    # a step with zero gate input keeps the zero state at exactly zero, so
+    # the last n steps of the longer scan are the scan of xg itself
     rng = Rng(61)
-    hid, n = 3, 5
-    shape = (n, 4 * hid) if lengths is None else (len(lengths), n, 4 * hid)
-    xg = T.Tensor(rng.uniform_array(shape, -1.5, 1.5))
-    wh = T.Tensor(rng.uniform_array((1, hid, 4 * hid), -0.8, 0.8))
-    whole, (h, c) = T.lstm_scan(xg, wh, [reverse], lengths, carry=True)
-    assert np.array_equal(whole.values, T.lstm_scan(xg, wh, [reverse], lengths).values)
-    assert h.shape == c.shape == shape[:-2] + (hid,)
-    for t in range(n + 1):  # t = 0 and t = n split off an empty scan
-        assert np.array_equal(split_scan(xg, wh, t, reverse, lengths), whole.values)
+    hid, n, dirs = 3, 5, 2 if case == "two-forward" else 1
+    lengths = [5, 1, 3, 0] if case == "ragged" else None
+    shape = (n,) if lengths is None else (len(lengths), n)
+    xg = T.Tensor(rng.uniform_array(shape + (4 * dirs * hid,), -1.5, 1.5))
+    wh = T.Tensor(rng.uniform_array((dirs, hid, 4 * hid), -0.8, 0.8))
+    flags = [False] * dirs
+    padded = np.concatenate([np.zeros(shape[:-1] + (lead, 4 * dirs * hid)), xg.values], -2)
+    shifted = None if lengths is None else [length + lead for length in lengths]
+    whole = T.lstm_scan(T.Tensor(padded), wh, flags, shifted).values
+    assert not whole[..., :lead, :].any()
+    assert np.array_equal(whole[..., lead:, :], T.lstm_scan(xg, wh, flags, lengths).values)
 
 
-def test_lstm_scan_state_validation():
+def test_lstm_scan_wants_one_length_per_row():
     rng = Rng(62)
-    xg = rand_t(rng, (4, 8))
-    wh = rand_t(rng, (1, 2, 8))
-    with pytest.raises(ShapeError, match="start state"):
-        T.lstm_scan(xg, wh, [False], start=(np.zeros(3), np.zeros(3)))
-    with pytest.raises(ShapeError, match="start state"):
-        T.lstm_scan(T.Tensor(np.zeros((2, 4, 8))), wh, [False],
-                    start=(np.zeros(2), np.zeros(2)))
-    with T.recording(T.Tape()):
-        with pytest.raises(ContractError, match="carry"):
-            T.lstm_scan(xg, wh, [False], carry=True)
-
-
-@pytest.mark.parametrize("reverse", [False, True])
-def test_grad_lstm_scan_from_start_state(reverse):
-    # the start state is a constant: gradients reach xg and wh through it
-    rng = Rng(63)
-    hid, n = 3, 4
-    xg = rand_t(rng, (2, n, 4 * hid), -1.5, 1.5)
-    wh = rand_t(rng, (1, hid, 4 * hid), -0.8, 0.8)
-    start = (rng.uniform_array((2, hid), -0.9, 0.9), rng.uniform_array((2, hid), -2.0, 2.0))
-    lengths = [n, 2]
-    r = readout(rng, (2, n, hid))
-    assert T.finite_diff_check(
-        lambda t: r(T.lstm_scan(t, wh, [reverse], lengths, start=start)), xg) < TOL
-    assert T.finite_diff_check(
-        lambda t: r(T.lstm_scan(xg, t, [reverse], lengths, start=start)), wh) < TOL
+    xg = rand_t(rng, (2, 4, 16))
+    wh = rand_t(rng, (2, 2, 8))
+    with pytest.raises(ShapeError, match="one length per row"):
+        T.lstm_scan(xg, wh, [False, True], [[4, 4], [2, 2]])
+    with pytest.raises(ShapeError, match="one length per row"):
+        T.lstm_scan(rand_t(rng, (4, 16)), wh, [False, True], [4, 4])
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -690,7 +656,7 @@ def directions(rng, shape, hid, dirs=2):
             tuple(zip(xs, ws)))
 
 
-@pytest.mark.parametrize("case", ["one-sequence", "ragged", "ragged-start"])
+@pytest.mark.parametrize("case", ["one-sequence", "ragged"])
 def test_two_direction_scan_equals_two_one_direction_scans(case):
     rng = Rng(64)
     hid, n = 3, 5
@@ -698,45 +664,35 @@ def test_two_direction_scan_equals_two_one_direction_scans(case):
     shape = (n,) if lengths is None else (len(lengths), n)
     xg, wh, ((xf, wf), (xb, wb)) = directions(rng, shape, hid)
     flags = (False, True)
-    starts = [None, None]
-    if case == "ragged-start":
-        starts = [tuple(rng.uniform_array(shape[:-1] + (hid,), -0.9, 0.9) for _ in "hc")
-                  for _ in flags]
-    start = None if starts[0] is None else tuple(np.concatenate(s, -1) for s in zip(*starts))
-    both, (h, c) = T.lstm_scan(xg, wh, flags, lengths, start, carry=True)
-    alone = [T.lstm_scan(x, w, [flag], lengths, s, carry=True)
-             for (x, w), flag, s in zip(((xf, wf), (xb, wb)), flags, starts)]
-    for got, want in ((both.values, [out.values for out, _ in alone]),
-                      (h, [hc[0] for _, hc in alone]), (c, [hc[1] for _, hc in alone])):
-        assert np.max(np.abs(got - np.concatenate(want, -1))) <= 1e-12
+    both = T.lstm_scan(xg, wh, flags, lengths)
+    alone = [T.lstm_scan(x, w, [flag], lengths)
+             for (x, w), flag in zip(((xf, wf), (xb, wb)), flags)]
+    assert np.max(np.abs(both.values - np.concatenate([out.values for out in alone], -1))) \
+        <= 1e-12
     # the adjoints are the two directions' adjoints, side by side
     r = rng.uniform_array(both.shape, -1.0, 1.0)
-    for parts in ([(xg, wh, flags, start, r)],
-                  [(x, w, [flag], s, part) for (x, w), flag, s, part in zip(
-                      ((xf, wf), (xb, wb)), flags, starts, np.split(r, 2, axis=-1))]):
+    for parts in ([(xg, wh, flags, r)],
+                  [(x, w, [flag], part) for (x, w), flag, part in zip(
+                      ((xf, wf), (xb, wb)), flags, np.split(r, 2, axis=-1))]):
         tape = T.Tape()
         with T.recording(tape):
-            terms = [T.sum_all(T.mul(T.lstm_scan(x, w, rev, lengths, s), T.Tensor(part)))
-                     for x, w, rev, s, part in parts]
+            terms = [T.sum_all(T.mul(T.lstm_scan(x, w, rev, lengths), T.Tensor(part)))
+                     for x, w, rev, part in parts]
             loss = terms[0] if len(terms) == 1 else T.add(*terms)
         T.backward(loss, tape)
     assert np.max(np.abs(xg.grad - np.concatenate([xf.grad, xb.grad], -1))) <= 1e-12
     assert np.max(np.abs(wh.grad - np.concatenate([wf.grad, wb.grad]))) <= 1e-12
 
 
-@pytest.mark.parametrize("start", [False, True])
-def test_grad_two_direction_scan_ragged(start):
+@pytest.mark.parametrize("backward_first", [False, True])
+def test_grad_two_direction_scan_ragged(backward_first):
     rng = Rng(65)
     hid, n, lengths = 2, 4, [4, 1, 3]
     xg, wh, _ = directions(rng, (3, n), hid)
-    flags = (False, True)
-    state = (rng.uniform_array((3, 2 * hid), -0.9, 0.9),
-             rng.uniform_array((3, 2 * hid), -2.0, 2.0)) if start else None
+    flags = (True, False) if backward_first else (False, True)
     r = readout(rng, (3, n, 2 * hid))
-    assert T.finite_diff_check(
-        lambda t: r(T.lstm_scan(t, wh, flags, lengths, state)), xg) < TOL
-    assert T.finite_diff_check(
-        lambda t: r(T.lstm_scan(xg, t, flags, lengths, state)), wh) < TOL
+    assert T.finite_diff_check(lambda t: r(T.lstm_scan(t, wh, flags, lengths)), xg) < TOL
+    assert T.finite_diff_check(lambda t: r(T.lstm_scan(xg, t, flags, lengths)), wh) < TOL
     with pytest.raises(ShapeError, match="reverse flags"):
         T.lstm_scan(xg, wh, flags[:1], lengths)
 
@@ -750,33 +706,6 @@ def test_lstm_scan_rejects_a_reverse_flag_that_is_not_a_bool(flag):
         T.lstm_scan(xg, wh, (False, flag))
     assert np.array_equal(T.lstm_scan(xg, wh, (False, np.bool_(True))).values,
                           T.lstm_scan(xg, wh, (False, True)).values)
-
-
-@pytest.mark.parametrize("lengths", [[[3, 0, 4, 1]], [[4, 0, 2, 2], [1, 3, 0, 4]]])
-def test_scan_with_a_length_per_direction_equals_one_direction_scans(lengths):
-    # one sequence (a 1 x D table) or a batch of two; each direction stops
-    # at its own length, a reverse visit at its own last real step
-    rng = Rng(67)
-    hid, n, dirs = 2, 4, 4
-    shape = (n,) if len(lengths) == 1 else (len(lengths), n)
-    xg, wh, alone = directions(rng, shape, hid, dirs)
-    flags = [False, True] * 2
-    starts = [tuple(rng.uniform_array(shape[:-1] + (hid,), -0.9, 0.9) for _ in "hc")
-              for _ in flags]
-    start = tuple(np.concatenate(s, -1) for s in zip(*starts))
-    out, (h, c) = T.lstm_scan(xg, wh, flags, lengths, start, carry=True)
-    runs = [T.lstm_scan(x, w, [flag], np.array(lengths)[:, d], s, carry=True)
-            for d, ((x, w), flag, s) in enumerate(zip(alone, flags, starts))]
-    for got, want in ((out.values, [o.values for o, _ in runs]),
-                      (h, [hc[0] for _, hc in runs]), (c, [hc[1] for _, hc in runs])):
-        assert np.max(np.abs(got - np.concatenate(want, -1))) <= 1e-12
-    r = readout(rng, out.shape)
-    assert T.finite_diff_check(
-        lambda t: r(T.lstm_scan(t, wh, flags, lengths, start)), xg) < TOL
-    assert T.finite_diff_check(
-        lambda t: r(T.lstm_scan(xg, t, flags, lengths, start)), wh) < TOL
-    with pytest.raises(ShapeError, match="one length per row"):
-        T.lstm_scan(xg, wh, flags, [[n] * (dirs - 1)] * len(lengths))
 
 
 @pytest.mark.parametrize("index", [[3, 0, 2], [1, 0, 1, 1, 3, 1], [[2, 0], [0, 3], [2, 2]], 2])
