@@ -6,13 +6,15 @@ streams (face and background); each stream gets its own LSTM parameters
 and the row-concatenated pair feeds one shared attention stack, so face
 rows can attend to background rows.
 
-Encoders run on a batch of utterances: every stream is zero-padded to
-its longest sequence in the batch (``pad_streams``), a BiLSTM's two
-directions step together in one ``tensor.lstm_scan`` record and each
-attention layer is one masked ``tensor.attend`` record, so the tape
-grows by a fixed count per batch whatever its size and lengths. The
-context classifier reuses ``bilstm_forward`` on single sequences for its
-speaker and dialogue branches.
+Encoders run on a batch of utterances: every stream is zero-padded on
+the right to its longest sequence in the batch (``pad_streams``), and one
+boolean mask of the real rows is the only form the padding takes. A
+BiLSTM zeroes its padded gate rows and steps its two directions together
+in one ``tensor.lstm_scan`` record; each attention layer is one masked
+``tensor.attend`` record. So the tape grows by a fixed count per batch
+whatever its size and lengths. The context classifier reuses
+``bilstm_forward`` on single sequences for its speaker and dialogue
+branches.
 """
 from __future__ import annotations
 
@@ -90,12 +92,14 @@ def init_bilstm(din: int, hidden: int, dout: int, rng: Rng) -> BiLstmParams:
     )
 
 
-def bilstm_forward(params: BiLstmParams, seq: T.Tensor, lengths=None) -> T.Tensor:
+def bilstm_forward(params: BiLstmParams, seq: T.Tensor, mask=None) -> T.Tensor:
     """Both directions concatenated, then projected to dout columns.
 
-    ``seq`` is one len x din sequence, or a B x L x din batch padded to L
-    with ``lengths`` its rows' real lengths; padded steps carry no state
-    and get no gradient. The directions step together in one scan.
+    ``seq`` is one len x din sequence, or a B x L x din batch padded on
+    the right, ``mask`` (B x L boolean) marking its real steps. The
+    directions step together in one scan, which a padded step enters as
+    a zero gate row: so no padded row of ``seq`` gets gradient. Outputs
+    at padded steps are not zero; every consumer masks them.
     """
     sv = seq.values
     if sv.ndim not in (2, 3) or sv.shape[-2] < 1:
@@ -104,7 +108,10 @@ def bilstm_forward(params: BiLstmParams, seq: T.Tensor, lengths=None) -> T.Tenso
         raise ShapeError(
             f"bilstm_forward: input width {sv.shape[-1]} does not match "
             f"parameter width {params.wx.values.shape[0]}")
-    both = T.lstm_scan(T.affine(seq, params.wx, params.b), params.wh, (False, True), lengths)
+    xg = T.affine(seq, params.wx, params.b)
+    if mask is not None:
+        xg = T.mul(xg, T.Tensor(mask[..., None]))
+    both = T.lstm_scan(xg, params.wh, (False, True))
     return T.affine(both, params.proj_w, params.proj_b)
 
 
@@ -172,8 +179,8 @@ def pad_streams(features, utt_ids) -> dict:
     """Zero-pad a batch's feature matrices, stream by stream.
 
     ``features`` holds one stream -> matrix dict per utterance. Returns
-    stream -> (B x L x din tensor, lengths), L being that stream's longest
-    sequence in the batch.
+    stream -> (B x L x din tensor, B x L boolean mask of the real rows), L
+    being that stream's longest sequence in the batch.
     """
     batch = {}
     for stream in (s for streams in MODE_STREAMS.values() for s in streams):
@@ -186,9 +193,9 @@ def pad_streams(features, utt_ids) -> dict:
         rows = np.zeros((len(mats), lengths.max(), mats[0].shape[1]))
         for b, m in enumerate(mats):
             rows[b, :m.shape[0]] = m
-        batch[stream] = (T.Tensor(rows), lengths)
+        batch[stream] = (T.Tensor(rows), np.arange(rows.shape[1]) < lengths[:, None])
     for mode, streams in MODE_STREAMS.items():
-        for uid, *lens in zip(utt_ids, *(batch[s][1] for s in streams)):
+        for uid, *lens in zip(utt_ids, *(batch[s][1].sum(axis=1) for s in streams)):
             if len(set(lens)) > 1:
                 raise ContractError(f"utterance {uid}: {mode} streams disagree on length "
                                     f"({' vs '.join(map(str, lens))})")
@@ -202,11 +209,8 @@ def encode_mode(params: ModeEncoderParams, batch: dict):
     rows are the face rows then the background rows, each padded to the
     batch's longest video.
     """
-    rows, masks = [], []
-    for stream in MODE_STREAMS[params.mode]:
-        x, lengths = batch[stream]
-        rows.append(bilstm_forward(params.lstms[stream], x, lengths))
-        masks.append(np.arange(x.values.shape[1])[None, :] < lengths[:, None])
+    streams = MODE_STREAMS[params.mode]
+    rows = [bilstm_forward(params.lstms[s], *batch[s]) for s in streams]
     h = rows[0] if len(rows) == 1 else T.concat(rows, 1)
-    mask = masks[0] if len(masks) == 1 else np.concatenate(masks, axis=1)
+    mask = np.concatenate([batch[s][1] for s in streams], axis=1)
     return self_attention_stack(params.attention, h, mask), mask

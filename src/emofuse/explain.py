@@ -13,11 +13,12 @@ import json
 import math
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, DataError
 from .rng import Rng
 
 
@@ -198,12 +199,24 @@ def explanation_svg(exp: Explanation) -> str:
 
 
 def render_report(explanations, out_dir) -> list:
-    """Write per-utterance JSON and SVG files plus an index; returns paths."""
+    """Write per-utterance JSON and SVG files plus an index; returns paths.
+
+    Each file stem is the utterance id with path separators as
+    underscores. Before anything is written, a DataError names the ids
+    that cannot own their files.
+    """
+    stems = [exp.utterance_id.replace(os.sep, "_") for exp in explanations]
+    count = Counter(stems)
+    bad = [exp.utterance_id for exp, stem in zip(explanations, stems)
+           if count[stem] > 1 or stem == "index" or "\0" in stem]
+    if bad:
+        raise DataError(f"utterance ids {', '.join(map(repr, bad))} cannot each name their "
+                        f"own explanation files (two ids share a name, 'index' is the "
+                        f"index, or the id holds a NUL byte)")
     os.makedirs(out_dir, exist_ok=True)
     written = []
     index = []
-    for exp in explanations:
-        stem = exp.utterance_id.replace(os.sep, "_")
+    for exp, stem in zip(explanations, stems):
         jpath = os.path.join(out_dir, f"{stem}.json")
         spath = os.path.join(out_dir, f"{stem}.svg")
         with open(jpath, "w", encoding="utf-8") as fh:

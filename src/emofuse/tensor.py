@@ -19,12 +19,12 @@ points that the rest of the package relies on:
   with an optional score affine) and ``cosine_rows`` (query rows' cosines
   against candidates). Each runs its forward pass in numpy and records
   exactly one tape entry with its hand-written adjoint,
-* the batch axis is leading: ``lstm_scan`` takes a B x L batch with
-  per-row lengths, ``attend`` any leading batch axes with a key mask, and
-  ``matmul`` and ``affine`` a weight with leading batch axes, so one
-  record covers a padded batch or a stack of networks. Padding never
-  leaks: a padded LSTM step carries its state through unchanged with a
-  zero adjoint, and a padded key gets exactly zero attention weight.
+* the batch axis is leading: ``lstm_scan`` takes a B x L batch,
+  ``attend`` any leading batch axes with a key mask, and ``matmul`` and
+  ``affine`` a weight with leading batch axes, so one record covers a
+  padded batch or a stack of networks. Padding never leaks into real
+  rows: a padded LSTM step is a zero gate row (see ``lstm_scan``), and a
+  padded key gets exactly zero attention weight.
 """
 from __future__ import annotations
 
@@ -362,27 +362,24 @@ def _gate_affine(width: int):
     return half, 1.0 - half
 
 
-def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None):
+def lstm_scan(xg: Tensor, wh: Tensor, reverse):
     """D LSTM directions stepped together over precomputed input projections.
 
-    ``xg`` is n x 4DH for one sequence, or B x L x 4DH for a batch padded
-    to L, with ``lengths`` the rows' real lengths, one per row (default:
-    all L; B is 1 for one sequence).
+    ``xg`` is n x 4DH for one sequence, or B x L x 4DH for a batch of B
+    sequences of L steps (B is 1 for one sequence).
     ``wh`` is the D x H x 4H stack of the directions' recurrent weights,
     with gate blocks ordered input, forget, candidate, output; ``reverse``
     holds one flag per direction: a reverse direction visits the
     timesteps last to first, the others first to last. The columns of
     ``xg``, the output and the state hold D blocks side by side. The
-    state starts at zero. A padded step (t >= its row's length) carries
-    the state through unchanged, outputs zero and gets a zero adjoint, so
-    a reverse visit starts each row at its own last real step. Returns
-    the hidden states indexed by timestep, not visit order, in the shape
-    of ``xg`` with DH columns. The adjoint runs backpropagation through
-    time into ``xg`` and ``wh``.
+    state starts at zero. Returns the hidden states indexed by timestep,
+    not visit order, in the shape of ``xg`` with DH columns. The adjoint
+    runs backpropagation through time into ``xg`` and ``wh``.
 
     A step whose gate input is zero leaves the zero state at exactly
     zero (every gate is a half and the candidate zero), so zero gate rows
-    in front of a sequence change none of its states.
+    in front of a sequence change none of its states. A reverse direction
+    reads the zeroed gate rows of a batch padded on the right that way.
     """
     xv, whv = xg.values, wh.values
     if xv.ndim not in (2, 3) or whv.ndim != 3 or whv.shape[2] != 4 * whv.shape[1] or \
@@ -403,14 +400,6 @@ def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None):
     visit = np.array([range(n - 1, -1, -1) if r else range(n) for r in reverse],
                      dtype=np.intp).T  # step -> timesteps
     across = np.arange(dirs)
-    live = None
-    if lengths is not None:
-        lens = np.asarray(lengths)
-        if lens.size != size:
-            raise ShapeError(f"lstm_scan: need one length per row, got {lens.shape}")
-        live = np.repeat((np.arange(n)[:, None] < lens.reshape(size))[visit], hid,
-                         axis=1)  # step x DH x B
-    partial = [live is not None and not live[k].all() for k in range(n)]
     half, rest = _gate_affine(width)
     wt = np.zeros((4, dirs, hid, dirs, hid))  # (gate, direction, out, direction, in)
     wt[:, across, :, across] = whv.reshape(dirs, hid, 4, hid).transpose(0, 2, 3, 1)
@@ -421,28 +410,18 @@ def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None):
     wt_half = wt * half
     # the per-step caches feed only the adjoint, so an untaped scan skips them
     keep = _TAPE is not None and (xg.requires_grad or wh.requires_grad)
-    hs = np.zeros((n, width, size))
+    hs = np.zeros((n + 1, width, size))  # hs[0] is the start state, hs[k + 1] step k's
     if keep:
         gates = np.empty((n, 4 * width, size))
-        tanh_c, c_prev, h_prev = (np.empty((n, width, size)) for _ in range(3))
-    h = c = np.zeros((width, size))
+        tanh_c, c_prev = np.empty((n, width, size)), np.empty((n, width, size))
+    h = c = hs[0]
     for k in range(n):
         a = np.tanh(xs[k] + wt_half @ h) * half + rest
-        if keep:
-            gates[k] = a
-            c_prev[k] = c
-            h_prev[k] = h
         c_new = a[width:2 * width] * c + a[:width] * a[2 * width:3 * width]
         tc = np.tanh(c_new)
-        if partial[k]:
-            m, h_new = live[k], a[3 * width:] * tc
-            c = np.where(m, c_new, c)
-            h = np.where(m, h_new, h)
-            hs[k] = np.where(m, h_new, 0.0)
-        else:
-            c, h = c_new, np.multiply(a[3 * width:], tc, out=hs[k])
         if keep:
-            tanh_c[k] = tc
+            gates[k], c_prev[k], tanh_c[k] = a, c, tc
+        c, h = c_new, np.multiply(a[3 * width:], tc, out=hs[k + 1])
 
     def by_time(a):
         """(step, direction, feature, row) in visit order to xg's layout."""
@@ -450,7 +429,7 @@ def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None):
         t[visit, across] = a
         return t.transpose(3, 0, 1, 2).reshape(xv.shape[:-1] + (a.shape[1] * a.shape[2],))
 
-    out = by_time(hs.reshape(n, dirs, hid, size))
+    out = by_time(hs[1:].reshape(n, dirs, hid, size))
     if not keep:
         return _wrap(out)
 
@@ -459,7 +438,7 @@ def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None):
         gs = gs[visit, across].reshape(n, width, size)
         slope = gates * (1.0 - gates)
         slope[:, 2 * width:3 * width] = 1.0 - gates[:, 2 * width:3 * width] ** 2
-        dz_all = np.zeros((n, 4 * width, size))
+        dz_all = np.empty((n, 4 * width, size))
         da = np.empty((4 * width, size))
         dh = dc = np.zeros((width, size))
         back = np.ascontiguousarray(wt.T)
@@ -471,19 +450,11 @@ def lstm_scan(xg: Tensor, wh: Tensor, reverse, lengths=None):
             da[width:2 * width] = dc_t * c_prev[k]
             da[2 * width:3 * width] = dc_t * a[:width]
             da[3 * width:] = dh_t * tc
-            dz = da * slope[k]
-            if partial[k]:
-                # a padded step passed its state on untouched
-                m = live[k]
-                dz = np.where(np.tile(m, (4, 1)), dz, 0.0)
-                dh = np.where(m, back @ dz, dh)
-                dc = np.where(m, dc_t * a[width:2 * width], dc)
-            else:
-                dh = back @ dz
-                dc = dc_t * a[width:2 * width]
-            dz_all[k] = dz
+            dz = np.multiply(da, slope[k], out=dz_all[k])
+            dh = back @ dz
+            dc = dc_t * a[width:2 * width]
         # sum over every step and row, then keep each direction's own block
-        full = h_prev.transpose(1, 0, 2).reshape(width, -1) @ \
+        full = hs[:-1].transpose(1, 0, 2).reshape(width, -1) @ \
             dz_all.transpose(0, 2, 1).reshape(-1, 4 * width)
         dwh = np.einsum("ahgae->ahge", full.reshape(dirs, hid, 4, dirs, hid))
         dz_t = dz_all.reshape(n, 4, dirs, hid, size).swapaxes(1, 2)
@@ -569,15 +540,16 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # initialization and verification
 
-def init_xavier(shape, rng: Rng, requires_grad: bool = True) -> Tensor:
-    """Uniform draw in +/- sqrt(6 / (fan_in + fan_out)), seed-reproducible."""
+def init_xavier(shape, rng: Rng) -> Tensor:
+    """Uniform draw in +/- sqrt(6 / (fan_in + fan_out)), seed-reproducible,
+    as a parameter that requires grad."""
     shape = tuple(shape)
     if len(shape) < 1:
         raise ContractError("init_xavier: shape needs at least one dim")
     fan_in = shape[0]
     fan_out = shape[-1] if len(shape) > 1 else shape[0]
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return _wrap(rng.uniform_array(shape, -bound, bound), requires_grad)
+    return _wrap(rng.uniform_array(shape, -bound, bound), True)
 
 
 def finite_diff_check(f, x: Tensor, step: float = 1e-5) -> float:

@@ -267,15 +267,20 @@ def _truncate_log(path, stage: int, epoch: int) -> None:
     """Keep only the log records at or before a checkpoint's (stage, epoch).
 
     An epoch is logged before it is checkpointed, so a run stopped between
-    the two leaves a record that the resumed run writes again.
+    the two leaves a record that the resumed run writes again. A cut-short
+    last line is dropped; an earlier line that is not JSON is a DataError.
     """
     kept = []
     text = read_text(path, "training log", DataError) if os.path.exists(path) else ""
-    for line_no, line in enumerate(io.StringIO(text), start=1):
+    lines = io.StringIO(text).readlines()
+    for line_no, line in enumerate(lines, start=1):
         try:
             rec = json.loads(line)
         except json.JSONDecodeError:
-            break  # a line cut short by the interruption
+            if line_no == len(lines):
+                break
+            raise DataError(f"{path} line {line_no}: not a JSON log record: "
+                            f"{line.strip():.60}") from None
         if not isinstance(rec, dict) or not all(
                 isinstance(rec.get(k), int) and not isinstance(rec[k], bool)
                 for k in ("stage", "epoch")):

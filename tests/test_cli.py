@@ -315,6 +315,28 @@ def test_malformed_log_line_on_resume_is_data_error(workdir, tmp_path, capsys, l
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("last", [False, True], ids=["earlier-line", "last-line"])
+def test_only_a_cut_short_last_log_line_is_dropped_on_resume(workdir, tmp_path, capsys, last):
+    out = tmp_path / "r"
+    out.mkdir()
+    ck = out / "checkpoint.json"
+    ck.write_bytes((workdir["run"] / "checkpoint.json").read_bytes())
+    full = (workdir["run"] / "train_log.jsonl").read_bytes()
+    log = full.splitlines(keepends=True)
+    cut = b'{"stage": 2, "ep'
+    written = full + cut if last else log[0] + cut + b"\n" + b"".join(log[1:])
+    (out / "train_log.jsonl").write_bytes(written)
+    rc = main(["train", "--data", workdir["data"], "--resume", str(ck),
+               "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if last:  # the finished run's records, whole
+        assert rc == 0 and (out / "train_log.jsonl").read_bytes() == full
+    else:
+        assert rc == 3 and "train_log.jsonl line 2: not a JSON log record" in err
+        assert (out / "train_log.jsonl").read_bytes() == written
+
+
 @pytest.mark.parametrize("kind, problem", [
     ("missing", "No such file"), ("directory", "Is a directory"),
     ("not-utf8", "is not UTF-8 text"),

@@ -202,10 +202,10 @@ def test_row_query_never_reruns_a_bilstm(monkeypatch):
     scans = []
     real_scan = T.lstm_scan
 
-    def counted(xg, wh, reverse, lengths=None):
-        scans.append((wh.values.shape[0], xg.values.shape[:-1], lengths))
+    def counted(xg, wh, reverse):
+        scans.append((wh.values.shape[0], xg.values.shape[:-1]))
         assert not any(reverse)
-        return real_scan(xg, wh, reverse, lengths)
+        return real_scan(xg, wh, reverse)
 
     monkeypatch.setattr(context, "bilstm_forward", None)
     monkeypatch.setattr(T, "lstm_scan", counted)
@@ -215,10 +215,10 @@ def test_row_query_never_reruns_a_bilstm(monkeypatch):
     # the dialogue has three before it and two after
     query(np.zeros((5, 4)))
     query(seq.values[3:4])
-    assert scans == [(4, (5, 4), None), (4, (1, 4), None)]
+    assert scans == [(4, (5, 4)), (4, (1, 4))]
     scans.clear()
     row_query(seq, list("abaabb"), 3, p, "dialogue")(np.zeros((2, 4)))
-    assert scans == [(2, (2, 4), None)]
+    assert scans == [(2, (2, 4))]
 
 
 def test_row_query_validates():

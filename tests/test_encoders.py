@@ -89,6 +89,51 @@ def test_bilstm_forward_is_three_records():
     assert len(tape) == 3
 
 
+def ragged_batch(rng, lengths, din):
+    """A batch padded on the right with zero rows, as `pad_streams` builds
+    it, and its mask of the real rows."""
+    mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+    return T.Tensor(rng.uniform_array(mask.shape + (din,), -1.0, 1.0) * mask[..., None]), mask
+
+
+def test_bilstm_ragged_batch_equals_rows_alone():
+    # the mask is one more record; each row's real steps are its scan alone
+    # (to roundoff: BLAS may sum a batch of three and of one differently)
+    p = init_bilstm(3, 2, 4, Rng(30))
+    p.b.values[:] = Rng(31).uniform_array(p.b.shape, -0.5, 0.5)
+    seq, mask = ragged_batch(Rng(32), [5, 1, 3], 3)
+    tape = T.Tape()
+    with T.recording(tape):
+        out = bilstm_forward(p, seq, mask)
+    assert len(tape) == 4
+    for b, m in enumerate([5, 1, 3]):
+        alone = bilstm_forward(p, T.Tensor(seq.values[b, :m])).values
+        assert np.max(np.abs(out.values[b, :m] - alone)) <= 1e-15
+
+
+@pytest.mark.parametrize("probe", ["seq", "wx", "b", "wh"])
+def test_grad_bilstm_ragged_batch(probe):
+    # a nonzero bias reaches the padded gate rows before the mask zeroes them
+    p = init_bilstm(3, 2, 4, Rng(33))
+    p.b.values[:] = Rng(34).uniform_array(p.b.shape, -0.5, 0.5)
+    seq, mask = ragged_batch(Rng(35), [5, 1, 3], 3)
+    # every consumer ignores the padded output rows, so this readout does too
+    r = T.Tensor(Rng(36).uniform_array((3, 5, 4), -1.0, 1.0) * mask[..., None])
+    x = {"seq": seq, "wx": p.wx, "b": p.b, "wh": p.wh}[probe]
+
+    def loss(_):
+        return T.sum_all(T.mul(bilstm_forward(p, seq, mask), r))
+
+    assert T.finite_diff_check(loss, x) < 1e-6
+    if probe == "seq":  # padded input rows get exactly zero gradient
+        seq.requires_grad = True
+        tape = T.Tape()
+        with T.recording(tape):
+            total = loss(seq)
+        T.backward(total, tape)
+        assert np.all(seq.grad[~mask] == 0.0) and np.all(seq.grad[mask] != 0.0)
+
+
 def test_bilstm_dim_mismatch():
     p = init_bilstm(3, 2, 4, Rng(7))
     with pytest.raises(ShapeError):
@@ -230,11 +275,11 @@ def test_encoder_gradients_pass_finite_diff():
     enc = init_encoders(config, Rng(27))
     # two utterances of lengths 3 and 1, the second padded
     x = T.Tensor(Rng(28).uniform_array((2, 3, 3), -1.0, 1.0), requires_grad=True)
-    lengths = np.array([3, 1])
+    real = np.array([[True, True, True], [True, False, False]])
     probe = T.Tensor(Rng(29).uniform_array((2, 3, 4), -1.0, 1.0))
 
     def head(t):
-        full, mask = encode_mode(enc["text"], {"text": (t, lengths)})
+        full, mask = encode_mode(enc["text"], {"text": (t, real)})
         return T.sum_all(T.mul(T.mul(full, T.Tensor(mask[:, :, None] * 1.0)), probe))
 
     assert T.finite_diff_check(head, x, step=1e-5) < 1e-4
@@ -249,7 +294,7 @@ def test_encoder_gradients_pass_finite_diff():
     w = enc["text"].lstms["text"].wx
 
     def head_w(t):
-        full, mask = encode_mode(enc["text"], {"text": (x, lengths)})
+        full, mask = encode_mode(enc["text"], {"text": (x, real)})
         return T.sum_all(T.mul(T.mul(full, T.Tensor(mask[:, :, None] * 1.0)), probe))
 
     assert T.finite_diff_check(head_w, w, step=1e-5) < 1e-4

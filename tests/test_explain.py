@@ -1,12 +1,13 @@
 """Perturbation masking, surrogate fitting, and report rendering."""
 import json
 import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from emofuse.errors import ContractError
+from emofuse.errors import ContractError, DataError
 from emofuse.explain import (Explanation, PerturbationConfig, explain_instance,
                              explanation_svg, fit_surrogate, mode_groups,
                              perturb_and_score, render_report)
@@ -214,6 +215,20 @@ def test_render_report_writes_json_svg_and_index(tmp_path):
     loaded = json.loads((out / "d0_u1.json").read_text())
     assert loaded == exps[1].to_dict()
     assert (out / "d0_u2.svg").read_text().count("<rect") == 3
+
+
+@pytest.mark.parametrize("ids, named", [
+    (["a/b", "u0", "a_b"], "'a/b', 'a_b'"),  # both write a_b.json
+    (["u0", "u\0"], "'u\\x00'"),  # no file name holds a NUL byte
+    (["index", "u0"], "'index'"),  # index.json is the report's index
+], ids=["collision", "nul-byte", "index"])
+def test_render_report_rejects_ids_without_files_of_their_own(tmp_path, ids, named):
+    exps = [Explanation(uid, 0, ["t", "v", "a"], [0.1, -0.05, 0.02], 0.3, 0.9, 50, 0.5)
+            for uid in ids]
+    out = tmp_path / "report"
+    with pytest.raises(DataError, match=re.escape(f"utterance ids {named} cannot each")):
+        render_report(exps, str(out))
+    assert not out.exists()
 
 
 def test_render_report_empty_list(tmp_path):

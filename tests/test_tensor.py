@@ -282,55 +282,25 @@ def test_lstm_scan_is_one_record_and_untracked_off_tape():
 @pytest.mark.parametrize("case", ["one-sequence", "ragged", "two-forward"])
 def test_lstm_scan_after_zero_gate_rows_is_bit_identical(case, lead):
     # a step with zero gate input keeps the zero state at exactly zero, so
-    # the last n steps of the longer scan are the scan of xg itself
+    # the n steps after the zero rows are the scan of xg itself; in the
+    # ragged case row b has lead + b zero rows in front and the rest
+    # behind, as a reverse direction reads a batch padded on the right
     rng = Rng(61)
     hid, n, dirs = 3, 5, 2 if case == "two-forward" else 1
-    lengths = [5, 1, 3, 0] if case == "ragged" else None
-    shape = (n,) if lengths is None else (len(lengths), n)
-    xg = T.Tensor(rng.uniform_array(shape + (4 * dirs * hid,), -1.5, 1.5))
+    rows = 4 if case == "ragged" else 1
+    xg = rng.uniform_array((rows, n, 4 * dirs * hid), -1.5, 1.5)
     wh = T.Tensor(rng.uniform_array((dirs, hid, 4 * hid), -0.8, 0.8))
     flags = [False] * dirs
-    padded = np.concatenate([np.zeros(shape[:-1] + (lead, 4 * dirs * hid)), xg.values], -2)
-    shifted = None if lengths is None else [length + lead for length in lengths]
-    whole = T.lstm_scan(T.Tensor(padded), wh, flags, shifted).values
-    assert not whole[..., :lead, :].any()
-    assert np.array_equal(whole[..., lead:, :], T.lstm_scan(xg, wh, flags, lengths).values)
-
-
-def test_lstm_scan_wants_one_length_per_row():
-    rng = Rng(62)
-    xg = rand_t(rng, (2, 4, 16))
-    wh = rand_t(rng, (2, 2, 8))
-    with pytest.raises(ShapeError, match="one length per row"):
-        T.lstm_scan(xg, wh, [False, True], [[4, 4], [2, 2]])
-    with pytest.raises(ShapeError, match="one length per row"):
-        T.lstm_scan(rand_t(rng, (4, 16)), wh, [False, True], [4, 4])
-
-
-@pytest.mark.parametrize("reverse", [False, True])
-def test_grad_lstm_scan_batched_ragged(reverse):
-    # three rows padded to 4 steps, one of them a single real step
-    rng = Rng(55)
-    hid, n = 2, 4
-    lengths = [4, 1, 3]
-    xg = rand_t(rng, (3, n, 4 * hid), -1.5, 1.5)
-    wh = rand_t(rng, (1, hid, 4 * hid), -0.8, 0.8)
-    r = readout(rng, (3, n, hid))
-    assert T.finite_diff_check(lambda t: r(T.lstm_scan(t, wh, [reverse], lengths)), xg) < TOL
-    assert T.finite_diff_check(lambda t: r(T.lstm_scan(xg, t, [reverse], lengths)), wh) < TOL
-    tape = T.Tape()
-    with T.recording(tape):
-        out = T.lstm_scan(xg, wh, [reverse], lengths)
-        loss = r(out)
-    assert len(tape) == 3  # the scan is one record however many rows
-    T.backward(loss, tape)
-    for b, m in enumerate(lengths):
-        # padded steps output zero and pass no gradient back
-        assert np.all(out.values[b, m:] == 0.0)
-        assert np.all(xg.grad[b, m:] == 0.0)
-        # every real row is the scan of that sequence alone
-        alone = T.lstm_scan(T.Tensor(xg.values[b, :m]), wh, [reverse])
-        assert np.allclose(out.values[b, :m], alone.values, atol=1e-12)
+    padded = np.zeros((rows, lead + rows - 1 + n, 4 * dirs * hid))
+    for b in range(rows):
+        padded[b, lead + b:lead + b + n] = xg[b]
+    if rows == 1:  # the one-sequence form
+        xg, padded = xg[0], padded[0]
+    whole = T.lstm_scan(T.Tensor(padded), wh, flags).values.reshape(rows, -1, dirs * hid)
+    alone = T.lstm_scan(T.Tensor(xg), wh, flags).values.reshape(rows, n, dirs * hid)
+    for b in range(rows):
+        assert not whole[b, :lead + b].any()
+        assert np.array_equal(whole[b, lead + b:lead + b + n], alone[b])
 
 
 def test_grad_attend_self_attention_form():
@@ -658,14 +628,17 @@ def directions(rng, shape, hid, dirs=2):
 
 @pytest.mark.parametrize("case", ["one-sequence", "ragged"])
 def test_two_direction_scan_equals_two_one_direction_scans(case):
+    # ragged: rows of 5, 1, 3 and 0 steps padded to 5 with zero gate rows
     rng = Rng(64)
     hid, n = 3, 5
-    lengths = None if case == "one-sequence" else [5, 1, 3, 0]
-    shape = (n,) if lengths is None else (len(lengths), n)
+    shape = (n,) if case == "one-sequence" else (4, n)
     xg, wh, ((xf, wf), (xb, wb)) = directions(rng, shape, hid)
+    if case == "ragged":
+        for x in (xg, xf, xb):
+            x.values *= (np.arange(n) < np.array([[5], [1], [3], [0]]))[..., None]
     flags = (False, True)
-    both = T.lstm_scan(xg, wh, flags, lengths)
-    alone = [T.lstm_scan(x, w, [flag], lengths)
+    both = T.lstm_scan(xg, wh, flags)
+    alone = [T.lstm_scan(x, w, [flag])
              for (x, w), flag in zip(((xf, wf), (xb, wb)), flags)]
     assert np.max(np.abs(both.values - np.concatenate([out.values for out in alone], -1))) \
         <= 1e-12
@@ -676,7 +649,7 @@ def test_two_direction_scan_equals_two_one_direction_scans(case):
                       ((xf, wf), (xb, wb)), flags, np.split(r, 2, axis=-1))]):
         tape = T.Tape()
         with T.recording(tape):
-            terms = [T.sum_all(T.mul(T.lstm_scan(x, w, rev, lengths), T.Tensor(part)))
+            terms = [T.sum_all(T.mul(T.lstm_scan(x, w, rev), T.Tensor(part)))
                      for x, w, rev, part in parts]
             loss = terms[0] if len(terms) == 1 else T.add(*terms)
         T.backward(loss, tape)
@@ -686,15 +659,17 @@ def test_two_direction_scan_equals_two_one_direction_scans(case):
 
 @pytest.mark.parametrize("backward_first", [False, True])
 def test_grad_two_direction_scan_ragged(backward_first):
+    # rows of 4, 1 and 3 steps whose padded gate rows are masked to zero
     rng = Rng(65)
-    hid, n, lengths = 2, 4, [4, 1, 3]
+    hid, n = 2, 4
     xg, wh, _ = directions(rng, (3, n), hid)
+    live = T.Tensor((np.arange(n) < np.array([[4], [1], [3]]))[..., None])
     flags = (True, False) if backward_first else (False, True)
     r = readout(rng, (3, n, 2 * hid))
-    assert T.finite_diff_check(lambda t: r(T.lstm_scan(t, wh, flags, lengths)), xg) < TOL
-    assert T.finite_diff_check(lambda t: r(T.lstm_scan(xg, t, flags, lengths)), wh) < TOL
+    assert T.finite_diff_check(lambda t: r(T.lstm_scan(T.mul(t, live), wh, flags)), xg) < TOL
+    assert T.finite_diff_check(lambda t: r(T.lstm_scan(T.mul(xg, live), t, flags)), wh) < TOL
     with pytest.raises(ShapeError, match="reverse flags"):
-        T.lstm_scan(xg, wh, flags[:1], lengths)
+        T.lstm_scan(xg, wh, flags[:1])
 
 
 @pytest.mark.parametrize("flag", [range(3), 1, "yes"], ids=["range", "int", "str"])
@@ -770,7 +745,7 @@ RECORDED_OPS = {
     "take_rows": ([(4, 2)], lambda a: T.take_rows(a, [2, 0, 2])),
     "pick": ([(3, 2)], lambda a: T.pick(a, 2, 1)),
     "lstm_scan": ([(2, 3, 16), (2, 2, 8)],
-                  lambda x, w: T.lstm_scan(x, w, (False, True), [3, 1])),
+                  lambda x, w: T.lstm_scan(x, w, (False, True))),
     "attend": ([(2, 3, 4), (2, 5, 4), (5, 3)], lambda q, k, v: T.attend(q, k, v, 0.5)),
     "attend-affine": ([(2, 3, 4), (2, 5, 4), (2, 5, 3), (2, 1, 1), (1, 1, 1)],
                       lambda q, k, v, sc, bi: T.attend(
