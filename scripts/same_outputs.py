@@ -20,7 +20,13 @@ its own output directory:
   selection run;
 - ``train --seed 7`` for 1 + 2 epochs with fixed alphas and the
   ``dialogue`` context mode, so stage 2 runs without the probe and the
-  context classifier fills its speaker slot with zeros.
+  context classifier fills its speaker slot with zeros;
+- ``synth`` of 120 dialogues, then ``train --seed 9`` on it for 2 + 1
+  epochs. Its trainer generator draws about 2,000 outputs per stage-1
+  epoch for the shuffle and the negatives of some 480 training
+  utterances, so it passes the generator's scalar prefix of 2,048
+  outputs in epoch 2 and serves the rest from jump-ahead blocks; the
+  checkpoint's ``trainer_rng`` is taken in the middle of a block.
 
 Every output file is compared byte for byte and reported on one line.
 A differing file that parses as JSON or JSONL with the same structure on
@@ -45,16 +51,22 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# (output directory, config, flags, dataset directory)
 RUNS = (
-    ("run1", {"stage1_epochs": 2, "stage2_epochs": 2}, ["--seed", "3"]),
+    ("run1", {"stage1_epochs": 2, "stage2_epochs": 2}, ["--seed", "3"], "data"),
     ("run2", {"stage1_epochs": 1, "stage2_epochs": 2, "batch_size": 3, "man_heads": 2},
-     ["--seed", "5", "--split", "0.5,0.4,0.1"]),
+     ["--seed", "5", "--split", "0.5,0.4,0.1"], "data"),
     ("run3", {"stage1_epochs": 1, "stage2_epochs": 2, "alpha_mode": "fixed",
-              "eval_mode": "dialogue"}, ["--seed", "7"]),
+              "eval_mode": "dialogue"}, ["--seed", "7"], "data"),
+    ("run4", {"stage1_epochs": 2, "stage2_epochs": 1}, ["--seed", "9"], "data-block"),
 )
-SPEC = {"num_dialogues": 12, "informativeness": [1.0, 0.5, 0.25], "text_dim": 3,
-        "video_dim": 4, "audio_dim": 2, "text_len": [2, 4], "video_len": [1, 3],
-        "audio_len": [4, 7], "seed": 4}
+# synth specs by output directory
+SPECS = {
+    "data-spec": {"num_dialogues": 12, "informativeness": [1.0, 0.5, 0.25], "text_dim": 3,
+                  "video_dim": 4, "audio_dim": 2, "text_len": [2, 4], "video_len": [1, 3],
+                  "audio_len": [4, 7], "seed": 4},
+    "data-block": {"num_dialogues": 120, "seed": 8},
+}
 
 
 def cli(tree: Path, *args) -> None:
@@ -70,10 +82,11 @@ def produce(tree: Path, out: Path, configs: Path) -> None:
     """Run every command with the code of ``tree``, writing under ``out``."""
     data = out / "data" / "dataset.jsonl"
     cli(tree, "synth", "--seed", "3", "--out", str(out / "data"))
-    cli(tree, "synth", "--spec", str(configs / "spec.json"), "--out", str(out / "data-spec"))
-    for name, _, flags in RUNS:
+    for name in SPECS:
+        cli(tree, "synth", "--spec", str(configs / f"{name}.json"), "--out", str(out / name))
+    for name, _, flags, dataset in RUNS:
         cli(tree, "train", *flags, "--config", str(configs / f"{name}.json"),
-            "--data", str(data), "--out", str(out / name))
+            "--data", str(out / dataset / "dataset.jsonl"), "--out", str(out / name))
     checkpoint = str(out / "run1" / "checkpoint.json")
     cli(tree, "eval", "--checkpoint", checkpoint, "--data", str(data),
         "--out", str(out / "eval"))
@@ -181,9 +194,10 @@ def main(argv=None) -> int:
     configs = tmp / "configs"
     try:
         configs.mkdir()
-        for name, config, _ in RUNS:
+        for name, config, *_ in RUNS:
             (configs / f"{name}.json").write_text(json.dumps(config))
-        (configs / "spec.json").write_text(json.dumps(SPEC))
+        for name, spec in SPECS.items():
+            (configs / f"{name}.json").write_text(json.dumps(spec))
         produce(parent, tmp / "out-parent", configs)
         produce(ROOT, tmp / "out-change", configs)
         bad = compare(tmp / "out-parent", tmp / "out-change")

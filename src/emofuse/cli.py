@@ -21,7 +21,7 @@ from .data import (STREAM_MODE, SynthSpec, load_dataset, load_synth_spec,
 from .encoders import MODES
 from .errors import (ConfigError, ContractError, DataError, NumericError,
                      ShapeError)
-from .explain import PerturbationConfig, render_report
+from .explain import PerturbationConfig, render_report, report_stems
 from .model import (evaluate, explain_dialogue, load_checkpoint,
                     require_same_config)
 from .train import run_training
@@ -106,8 +106,8 @@ def cmd_synth(args) -> int:
     spec = load_synth_spec(args.spec) if args.spec else SynthSpec()
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    dialogues = synth_generate(spec)
     os.makedirs(args.out, exist_ok=True)
+    dialogues = synth_generate(spec)
     path = os.path.join(args.out, "dataset.jsonl")
     save_dataset(dialogues, path)
     n_utts = sum(len(d.utterances) for d in dialogues)
@@ -179,6 +179,7 @@ def cmd_explain(args) -> int:
                     if args.utterance in ("all", u.utterance_id)]) for d in dialogues]
     if args.utterance != "all" and not any(indices for _, indices in targets):
         raise DataError(f"utterance {args.utterance!r} not found in {args.input}")
+    report_stems([d.utterances[i].utterance_id for d, indices in targets for i in indices])
     report_dir = os.path.join(args.out, "explanations")
     os.makedirs(report_dir, exist_ok=True)
     explanations = [exp for d, indices in targets if indices

@@ -198,21 +198,24 @@ def explanation_svg(exp: Explanation) -> str:
     return "\n".join(parts)
 
 
-def render_report(explanations, out_dir) -> list:
-    """Write per-utterance JSON and SVG files plus an index; returns paths.
-
-    Each file stem is the utterance id with path separators as
-    underscores. Before anything is written, a DataError names the ids
-    that cannot own their files.
-    """
-    stems = [exp.utterance_id.replace(os.sep, "_") for exp in explanations]
+def report_stems(utterance_ids) -> list:
+    """The file stem of each id: the id with path separators as underscores.
+    A DataError names the ids that cannot own their files."""
+    stems = [uid.replace(os.sep, "_") for uid in utterance_ids]
     count = Counter(stems)
-    bad = [exp.utterance_id for exp, stem in zip(explanations, stems)
+    bad = [uid for uid, stem in zip(utterance_ids, stems)
            if count[stem] > 1 or stem == "index" or "\0" in stem]
     if bad:
         raise DataError(f"utterance ids {', '.join(map(repr, bad))} cannot each name their "
                         f"own explanation files (two ids share a name, 'index' is the "
                         f"index, or the id holds a NUL byte)")
+    return stems
+
+
+def render_report(explanations, out_dir) -> list:
+    """Write JSON and SVG files per utterance, named by `report_stems`, and an index;
+    returns the paths."""
+    stems = report_stems([exp.utterance_id for exp in explanations])
     os.makedirs(out_dir, exist_ok=True)
     written = []
     index = []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emofuse import cli
+from emofuse import cli, rng
 from emofuse.cli import ALPHA_SETTINGS, main, run_ablation
 from emofuse.config import RunConfig
 from emofuse.data import SynthSpec, load_dataset
@@ -158,6 +158,19 @@ def test_train_reruns_byte_identical(workdir, tmp_path):
     assert rc == 0
     for name in ("metrics.json", "checkpoint.json"):
         assert (again / name).read_bytes() == (workdir["run"] / name).read_bytes()
+
+
+def test_training_in_block_mode_writes_the_same_bytes(workdir, tmp_path, monkeypatch):
+    # every generator fills jump-ahead blocks after its first output
+    fills = []
+    real_fill = rng.Rng._fill
+    monkeypatch.setattr(rng, "_SCALAR_PREFIX", 1)
+    monkeypatch.setattr(rng.Rng, "_fill", lambda self: fills.append(1) or real_fill(self))
+    assert main(["train", "--data", workdir["data"], "--config", workdir["config"],
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    assert fills
+    for name in ("checkpoint.json", "train_log.jsonl"):
+        assert (tmp_path / name).read_bytes() == (workdir["run"] / name).read_bytes()
 
 
 def test_eval_reruns_byte_identical(workdir, tmp_path):
@@ -400,7 +413,7 @@ def test_unwritable_out_is_usage_error(workdir, tmp_path, capsys, sub, under):
     assert str(out) in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("sub", ["eval", "explain"])
+@pytest.mark.parametrize("sub", ["eval", "explain", "synth"])
 def test_unwritable_out_is_found_before_the_work(workdir, tmp_path, capsys, monkeypatch,
                                                  sub):
     def never(*args, **kwargs):
@@ -408,10 +421,12 @@ def test_unwritable_out_is_found_before_the_work(workdir, tmp_path, capsys, monk
 
     monkeypatch.setattr(cli, "evaluate", never)
     monkeypatch.setattr(cli, "explain_dialogue", never)
+    monkeypatch.setattr(cli, "synth_generate", never)
     blocker = tmp_path / "file"
     blocker.write_text("")
     ck = str(workdir["run"] / "checkpoint.json")
-    argv = {"eval": ["eval", "--checkpoint", ck, "--data", workdir["data"]],
+    argv = {"synth": ["synth"],
+            "eval": ["eval", "--checkpoint", ck, "--data", workdir["data"]],
             "explain": ["explain", "--checkpoint", ck, "--input", workdir["data"],
                         "--samples", "4"]}[sub]
     rc = main(argv + ["--out", str(blocker), "--quiet"])
@@ -702,6 +717,25 @@ def test_explain_checks_data_against_checkpoint(workdir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 3, err
         assert "text width 7 does not match configured width 6" in err
+
+
+def test_explain_rejects_ids_without_files_of_their_own_before_the_work(
+        workdir, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("explain ran the model before checking the file names")
+
+    monkeypatch.setattr(cli, "explain_dialogue", never)
+    data = tmp_path / "renamed.jsonl"
+    text = open(workdir["data"], encoding="utf-8").read()
+    assert '"d0000_u01"' in text
+    data.write_text(text.replace('"d0000_u01"', '"d0000/u00"'), encoding="utf-8")
+    rc = main(["explain", "--checkpoint", str(workdir["run"] / "checkpoint.json"),
+               "--input", str(data), "--utterance", "all", "--samples", "8",
+               "--out", str(tmp_path / "ex"), "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert "'d0000_u00', 'd0000/u00' cannot each name" in err
+    assert not (tmp_path / "ex" / "explanations").exists()
 
 
 def test_explain_all_fuses_each_dialogue_once_and_matches_single_runs(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from emofuse.explain import PerturbationConfig, perturb_and_score
 from emofuse.rng import Rng
 
 
@@ -166,3 +167,142 @@ def test_bulk_draws_equal_scalar_stream(seed, shape):
     assert z.tobytes() == np.array(want, dtype=np.float64).tobytes()
     assert bulk.get_state() == scalar.get_state()
     assert bulk.u64() == scalar.u64()
+
+
+# ---------------------------------------------------------------------------
+# known answers and the block path (jump-ahead lanes)
+
+_M64 = (1 << 64) - 1
+
+
+class ScalarXoshiro:
+    """Reference xoshiro256++ (Blackman & Vigna, 2021), one output per
+    step, with the draws of `Rng` built on it the way their docstrings
+    state."""
+
+    def __init__(self, state):
+        self.s = list(state)
+
+    def u64(self):
+        s0, s1, s2, s3 = self.s
+        r = (s0 + s3) & _M64
+        out = ((((r << 23) | (r >> 41)) & _M64) + s0) & _M64
+        t = (s1 << 17) & _M64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self.s = [s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & _M64]
+        return out
+
+    def randint(self, n):
+        limit = 2 ** 64 - 2 ** 64 % n
+        while True:
+            u = self.u64()
+            if u < limit:
+                return u % n
+
+    def shuffle(self, items):
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randint(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+    def sample_indices(self, n, k, exclude):
+        pool = [i for i in range(n) if i != exclude]
+        for i in range(k):
+            j = i + self.randint(len(pool) - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:k]
+
+
+REFERENCE_OUTPUTS = [41943041, 58720359, 3588806011781223, 3591011842654386,
+                     9228616714210784205, 9973669472204895162, 14011001112246962877,
+                     12406186145184390807, 15849039046786891736, 10450023813501588000]
+
+
+def test_seeding_is_splitmix64():
+    # the SplitMix64 outputs for seed 0
+    assert Rng(0).get_state()[1:] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                      0x06C45D188009454F, 0xF88BB8A8724C81EC]
+
+
+def test_outputs_are_the_reference_xoshiro256plusplus():
+    # the first outputs of xoshiro256plusplus.c from state (1, 2, 3, 4)
+    r = Rng(0)
+    r.set_state([0, 1, 2, 3, 4])
+    assert [r.u64() for _ in range(10)] == REFERENCE_OUTPUTS
+    ref = ScalarXoshiro([1, 2, 3, 4])
+    assert [ref.u64() for _ in range(10)] == REFERENCE_OUTPUTS
+
+
+def test_one_call_through_blocks_is_the_reference_stream():
+    r = Rng(0)
+    r.set_state([0, 1, 2, 3, 4])
+    got = r._u64s(20_000)  # 2,048 scalar outputs, then two blocks
+    ref = ScalarXoshiro([1, 2, 3, 4])
+    assert got[:10] == REFERENCE_OUTPUTS
+    assert got == [ref.u64() for _ in range(20_000)]
+    assert r.get_state()[1:] == ref.s == [6505995263570399941, 7044887240741313544,
+                                          3046661998898085239, 6457739391994974503]
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("u64s"), st.integers(1, 20_000)),
+    st.tuples(st.just("normal"), st.integers(0, 3_000)),
+    st.tuples(st.just("uniform"), st.integers(0, 20_000)),
+    st.tuples(st.just("randint"), st.integers(1, 2 ** 64)),
+    st.tuples(st.just("shuffle"), st.integers(0, 300)),
+    st.tuples(st.just("sample"), st.integers(1, 300)))
+
+
+@given(st.integers(0, 2 ** 64 - 1), st.lists(_OPS, min_size=1, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_every_draw_equals_the_scalar_reference(seed, ops):
+    r = Rng(seed)
+    ref = ScalarXoshiro(r.get_state()[1:])
+    for op, n in ops:
+        if op == "u64s":
+            assert r._u64s(n) == [ref.u64() for _ in range(n)]
+        elif op == "normal":
+            assert r.normal_array((n,)).tobytes() == \
+                np.array(_scalar_normals(ref, n), dtype=np.float64).tobytes()
+        elif op == "uniform":
+            assert r.uniform_array((n,), -1.5, 2.0).tobytes() == \
+                np.array(_scalar_uniforms(ref, n, -1.5, 2.0), dtype=np.float64).tobytes()
+        elif op == "randint":
+            assert r.randint(n) == ref.randint(n)
+        elif op == "shuffle":
+            got, want = list(range(n)), list(range(n))
+            r.shuffle(got)
+            ref.shuffle(want)
+            assert got == want
+        else:
+            assert r.sample_indices(n + 1, n // 2, exclude=n // 3) == \
+                ref.sample_indices(n + 1, n // 2, n // 3)
+        assert r.get_state() == [seed, *ref.s]
+
+
+def test_set_state_mid_block_continues_as_a_fresh_generator():
+    src = Rng(41)
+    src._u64s(5_000)  # mid-block
+    target = src.get_state()
+    moved = Rng(17)
+    moved._u64s(9_000)  # also mid-block, in another block
+    moved.set_state(target)
+    fresh = Rng(0)
+    fresh.set_state(target)
+    for n in (1, 63, 700, 20_000, 5):
+        assert moved._u64s(n) == fresh._u64s(n) == src._u64s(n)
+        assert moved.get_state() == fresh.get_state() == src.get_state()
+
+
+def test_small_generators_never_build_a_block(monkeypatch):
+    def no_block(self):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(Rng, "_fill", no_block)
+    Rng(5).shuffle(list(range(30)))
+    perturb_and_score(np.ones(6), lambda x: 0.5,
+                      [("text", 0, 2), ("video", 2, 4), ("audio", 4, 6)],
+                      PerturbationConfig())
