@@ -2,10 +2,11 @@
 
 The fused vector concatenates one block per mode; each block linearly
 interpolates the mode's own descriptor with every other mode's, governed
-by pairwise coefficients in [0, 1]. The coefficients themselves come
-from two learned scalars composed into a per-mode probability vector,
-estimated sample-by-sample from validation gradients and smoothed with
-an exponential moving average between batches.
+by pairwise coefficients in [0, 1]. `mixing` writes all of them as one
+n x n matrix, and `adaptive_fuse` applies it as one matmul. The
+coefficients themselves come from two learned scalars composed into a
+per-mode probability vector, estimated sample-by-sample from validation
+gradients and smoothed with an exponential moving average between batches.
 """
 from __future__ import annotations
 
@@ -32,23 +33,20 @@ def compose_alphas(alpha_prime_1: float, alpha_prime_2: float):
             1.0 - alpha_prime_2)
 
 
-def pairwise_from_composed(composed) -> dict:
-    """Bridge per-mode weights to the pairwise coefficients fusion needs.
+def mixing(weights) -> np.ndarray:
+    """The fusion coefficients of per-mode weights as one n x n matrix,
+    whose entry (j, i) weighs mode j's descriptor in mode i's block.
 
-    alpha[(m, mi)] = w_m / (w_m + w_mi), falling back to 0.5 when both
-    weights are zero. Complementary pairs sum to 1.
+    With a[i, j] = w_i / (w_i + w_j) (0.5 when both are 0), entry (j, i)
+    is a[j, i] / n off the diagonal and the sum of a[i, j] over j != i,
+    over n, on it: each block's coefficients sum to (n - 1) / n.
     """
-    if len(composed) != len(MODES):
-        raise ContractError("pairwise_from_composed: one weight per mode required")
-    w = dict(zip(MODES, composed))
-    out = {}
-    for m in MODES:
-        for mi in MODES:
-            if m == mi:
-                continue
-            denom = w[m] + w[mi]
-            out[(m, mi)] = 0.5 if denom == 0.0 else w[m] / denom
-    return out
+    w = np.asarray(weights, dtype=np.float64)
+    total = w[:, None] + w[None, :]
+    a = np.divide(w[:, None], total, out=np.full(total.shape, 0.5), where=total != 0.0)
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, a.sum(axis=1))
+    return a / len(w)
 
 
 @dataclass
@@ -70,8 +68,8 @@ class AlphaState:
     def composed(self):
         return compose_alphas(self.alpha_prime_1, self.alpha_prime_2)
 
-    def pairwise(self) -> dict:
-        return pairwise_from_composed(self.composed())
+    def mixing(self) -> np.ndarray:
+        return mixing(self.composed())
 
     def estimate(self, f: dict, grads: dict):
         """One sample's (a1', a2') from its mode descriptors ``f`` and the
@@ -81,42 +79,26 @@ class AlphaState:
         mix = self.alpha_prime_1 * f["text"] + (1.0 - self.alpha_prime_1) * f["video"]
         return a1, estimate_alpha_pair(mix, f["audio"], grads["audio"], self.epsilon)
 
-    def to_dict(self) -> dict:
-        return {"alpha_prime_1": self.alpha_prime_1, "alpha_prime_2": self.alpha_prime_2,
-                "epsilon": self.epsilon, "momentum": self.momentum}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AlphaState":
-        return cls(**d)
+def adaptive_fuse(descriptors: dict, mix: np.ndarray) -> T.Tensor:
+    """Interpolate and concatenate mode descriptors into B x (n d) rows.
 
-
-def adaptive_fuse(descriptors: dict, alphas: dict) -> T.Tensor:
-    """Interpolate and concatenate mode descriptors into B x (|M| d) rows.
-
-    ``descriptors`` maps mode -> B x d tensor, one row per utterance of a
-    batch; ``alphas`` maps ordered mode pairs (m, mi) -> coefficient in
-    [0, 1]. Gradients flow through the descriptors; the coefficients are
-    plain floats. Blocks follow ``MODES`` order.
+    ``descriptors`` maps mode -> B x d tensor, one row per utterance;
+    ``mix`` is `mixing`'s matrix, a constant. The concat of the descriptors
+    in ``MODES`` order times the (n d) x (n d) matrix whose d x d block
+    (j, i) is mix[j, i] times the identity is the fused row, block i mode i's.
     """
     for m in MODES:
         if m not in descriptors:
             raise ContractError(f"adaptive_fuse: missing descriptor for mode {m}")
     n = len(MODES)
-    blocks = []
-    for m in MODES:
-        acc = None
-        for mi in MODES:
-            if mi == m:
-                continue
-            a = alphas.get((m, mi))
-            if a is None:
-                raise ContractError(f"adaptive_fuse: missing coefficient for pair {(m, mi)}")
-            if not 0.0 <= a <= 1.0:
-                raise ContractError(f"adaptive_fuse: coefficient {a} for {(m, mi)} outside [0, 1]")
-            term = T.add(T.scale(descriptors[m], a), T.scale(descriptors[mi], 1.0 - a))
-            acc = term if acc is None else T.add(acc, term)
-        blocks.append(T.scale(acc, 1.0 / n))
-    return T.concat(blocks, -1)
+    if np.shape(mix) != (n, n):
+        raise ContractError(f"adaptive_fuse: mixing matrix of shape {np.shape(mix)}, "
+                            f"expected {(n, n)}")
+    x = T.concat([descriptors[m] for m in MODES], -1)
+    d = x.shape[-1] // n
+    blocks = (mix[:, None, :, None] * np.eye(d)[None, :, None, :]).reshape(n * d, n * d)
+    return T.matmul(x, T.Tensor(blocks))
 
 
 def estimate_alpha_pair(f_a, f_b, grad_b, epsilon: float) -> float:

@@ -193,13 +193,3 @@ class LossReport:
 
 def combined_loss(l_ace: T.Tensor, l_fl: T.Tensor) -> LossReport:
     return LossReport(l_ace=l_ace, l_fl=l_fl, total=T.add(l_ace, l_fl))
-
-
-def sample_negative_ids(ids, anchor_index: int, k: int, rng) -> list:
-    """Uniform distinct draws from the pool, never the anchor itself."""
-    n = len(ids)
-    if n < 2:
-        raise ContractError("sample_negative_ids: pool must hold at least 2 ids")
-    k = min(k, n - 1)
-    picked = rng.sample_indices(n, k, exclude=anchor_index)
-    return [ids[i] for i in picked]

@@ -13,19 +13,19 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig, read_json
+from .config import RunConfig, check_type, read_json
 from .context import ContextParams, classify_dialogue, init_context, row_query
 from .data import Utterance, all_utterances
 from .encoders import MODES, encode_mode, init_encoders, pad_streams
 from .errors import ConfigError, ContractError, DataError
 from .explain import (Explanation, PerturbationConfig, explain_instance, masked_rows,
                       mode_groups)
-from .fusion import AlphaState, adaptive_fuse
+from .fusion import AlphaState, adaptive_fuse, mixing
 from .man import CrossAttendedDescriptor, init_man, man_forward
 from .metrics import confusion, metrics_report
 from .rng import Rng
@@ -77,11 +77,12 @@ class _NoDraws:
         return np.zeros(shape)
 
 
-def pairwise_coefficients(pipeline: Pipeline) -> dict:
-    """Interpolation coefficients under the configured regime."""
+def pairwise_coefficients(pipeline: Pipeline) -> np.ndarray:
+    """`fusion.mixing`'s matrix under the configured regime; fixed mode
+    weighs the modes equally, so every pair coefficient is exactly 0.5."""
     if pipeline.config.alpha_mode == "fixed":
-        return {(m, mi): 0.5 for m in MODES for mi in MODES if m != mi}
-    return pipeline.alphas.pairwise()
+        return mixing(np.ones(len(MODES)))
+    return pipeline.alphas.mixing()
 
 
 def utterance_descriptors(pipeline: Pipeline, utts) -> dict:
@@ -102,19 +103,19 @@ def utterance_descriptors(pipeline: Pipeline, utts) -> dict:
     return man_forward(encoded, pipeline.man, masks=masks)
 
 
-def fuse_utterances(pipeline: Pipeline, utts, pairwise=None):
-    """Fused descriptors for a batch of utterances: (B x 3d tensor,
-    mode -> CrossAttendedDescriptor of B rows)."""
-    if pairwise is None:
-        pairwise = pairwise_coefficients(pipeline)
+def fuse_utterances(pipeline: Pipeline, utts, mix=None):
+    """Fused descriptors for a batch of utterances by ``mix`` (default
+    `pairwise_coefficients`): (B x 3d tensor, mode -> CrossAttendedDescriptor of B rows)."""
+    if mix is None:
+        mix = pairwise_coefficients(pipeline)
     descs = utterance_descriptors(pipeline, utts)
-    return adaptive_fuse({m: descs[m].f_ca for m in MODES}, pairwise), descs
+    return adaptive_fuse({m: descs[m].f_ca for m in MODES}, mix), descs
 
 
-def fuse_dialogue(pipeline: Pipeline, dialogue, pairwise=None):
+def fuse_dialogue(pipeline: Pipeline, dialogue, mix=None):
     """`fuse_utterances` over one dialogue, its descriptors split into one
     dict per utterance of mode -> one-row CrossAttendedDescriptor."""
-    fused, descs = fuse_utterances(pipeline, dialogue.utterances, pairwise)
+    fused, descs = fuse_utterances(pipeline, dialogue.utterances, mix)
     return fused, [{m: CrossAttendedDescriptor(T.slice_rows(d.f_ca, i, i + 1),
                                                T.slice_rows(d.probs, i, i + 1))
                     for m, d in descs.items()} for i in range(fused.shape[0])]
@@ -257,7 +258,10 @@ def decode_array(obj, what: str) -> np.ndarray:
     if len(raw) != 8 * math.prod(shape):
         raise bad(f"{len(raw)} bytes of data for shape {shape}, expected "
                   f"8 x {math.prod(shape)}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"{what} holds non-finite values")
+    return arr
 
 
 @dataclass
@@ -289,7 +293,7 @@ def save_checkpoint(path, pipeline: Pipeline, stage: int, epoch: int,
         "config_hash": pipeline.config.hash(),
         "stage": stage,
         "epoch": epoch,
-        "alphas": pipeline.alphas.to_dict(),
+        "alphas": asdict(pipeline.alphas),
         "params": {name: encode_array(t.values)
                    for name, t in named_parameters(pipeline).items()},
         "adam": adam,
@@ -352,14 +356,27 @@ def _checkpoint_from_doc(doc) -> LoadedCheckpoint:
             raise DataError(f"parameter {name} has shape {arr.shape}, "
                             f"expected {t.values.shape}")
         t.values = arr
-    try:
-        pipeline.alphas = AlphaState.from_dict(doc["alphas"])
-    except (TypeError, ContractError) as e:
-        raise DataError(f"invalid alphas: {e}") from None
+    pipeline.alphas = _alphas_from_doc(doc["alphas"], config)
     return LoadedCheckpoint(pipeline=pipeline, stage=doc["stage"],
                             epoch=doc["epoch"],
                             adam=_adam_from_doc(doc.get("adam"), params),
                             trainer_rng=_trainer_rng_from_doc(doc.get("trainer_rng")))
+
+
+def _alphas_from_doc(alphas: dict, config: RunConfig) -> AlphaState:
+    """Fusion scalars of finite numbers, with the config's hyperparameters:
+    the config hash vouches only for the config."""
+    try:
+        for key in ("alpha_prime_1", "alpha_prime_2", "epsilon", "momentum"):
+            check_type(f"alphas.{key}", alphas.get(key), "float")
+        state = AlphaState(**alphas)
+    except (TypeError, ConfigError, ContractError) as e:
+        raise DataError(f"invalid alphas: {e}") from None
+    if (state.epsilon, state.momentum) != (config.epsilon, config.alpha_momentum):
+        raise DataError(f"invalid alphas: epsilon {state.epsilon} and momentum "
+                        f"{state.momentum}, but the config says {config.epsilon} "
+                        f"and {config.alpha_momentum}")
+    return state
 
 
 def _adam_from_doc(adam, params: dict) -> AdamState:
@@ -386,6 +403,8 @@ def _adam_from_doc(adam, params: dict) -> AdamState:
             if a.shape != params[name].values.shape:
                 raise DataError(f"adam.{part} entry {name} has shape {a.shape}, "
                                 f"expected {params[name].values.shape}")
+            if part == "v" and np.any(a < 0.0):
+                raise DataError(f"adam.v entry {name} holds negative values")
     return state
 
 

@@ -184,14 +184,21 @@ class Rng:
             items[i], items[j] = items[j], items[i]
 
     def sample_indices(self, n: int, k: int, exclude: int | None = None) -> list[int]:
-        """k distinct indices from range(n), optionally never `exclude`."""
-        pool = [i for i in range(n) if i != exclude]
-        if k > len(pool):
-            raise ValueError(f"cannot sample {k} from pool of {len(pool)}")
+        """k distinct indices from range(n), optionally never `exclude`: the
+        first k slots of a Fisher-Yates shuffle of that pool, in O(k), for
+        only the moved slots are stored (slot p holds p, p + 1 from `exclude` on)."""
+        skip = exclude if exclude in range(n) else n
+        size = n - (skip < n)
+        if k > size:
+            raise ValueError(f"cannot sample {k} from pool of {size}")
+        moved = {}
+        out = []
         for i in range(k):
-            j = i + self.randint(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+            j = i + self.randint(size - i)
+            p = moved.get(j, j)
+            moved[j] = moved.get(i, i)
+            out.append(p + (p >= skip))
+        return out
 
     def categorical(self, weights) -> int:
         u = self.uniform()

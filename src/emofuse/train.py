@@ -27,8 +27,7 @@ from .data import all_utterances
 from .encoders import MODES
 from .errors import ContractError, DataError, NumericError
 from .fusion import adaptive_fuse, select_informative_samples, update_alphas
-from .losses import (ace_loss, averaged_focal, combined_loss, focal_mean,
-                     sample_negative_ids)
+from .losses import ace_loss, averaged_focal, combined_loss, focal_mean
 from .model import (AdamState, LoadedCheckpoint, Pipeline, chunks, classify_dialogues,
                     evaluate, init_pipeline, named_parameters, pairwise_coefficients,
                     require_same_config, save_checkpoint, stage1_parameters,
@@ -117,34 +116,36 @@ def _train_epoch(stage: int, order, build, params: dict, adam: AdamState,
 def _negative_cache(pipeline: Pipeline, dialogues, k: int, rng: Rng, chunk: int):
     """Frozen descriptor arrays for every pool utterance plus sampled negatives.
 
-    Returns (mode -> N x d array in pool order, utterance id -> pool
-    positions of its negatives). Descriptors are computed ``chunk``
-    dialogues at a time.
+    Returns (mode -> N x d array in pool order, N x min(k, N - 1) array
+    whose row i holds the pool positions of utterance i's negatives,
+    never i itself). Descriptors are computed ``chunk`` dialogues at a time.
     """
     cache = {m: [] for m in MODES}
     for part in chunks(dialogues, chunk):
         descs = utterance_descriptors(pipeline, all_utterances(part))
         for m in MODES:
             cache[m].append(descs[m].f_ca.values)
-    ids = [u.utterance_id for u in all_utterances(dialogues)]
-    position = {uid: i for i, uid in enumerate(ids)}
-    neg_pos = {uid: [position[n] for n in sample_negative_ids(ids, i, k, rng)]
-               for i, uid in enumerate(ids)}
-    return {m: np.concatenate(cache[m]) for m in MODES}, neg_pos
+    cache = {m: np.concatenate(cache[m]) for m in MODES}
+    n = len(cache[MODES[0]])
+    negatives = np.empty((n, min(k, n - 1)), dtype=np.intp)
+    for i in range(n):
+        negatives[i] = rng.sample_indices(n, negatives.shape[1], exclude=i)
+    return cache, negatives
 
 
 def _stage1_epoch(pipeline: Pipeline, adam: AdamState, rng: Rng,
                   train_dlgs, pool, config: RunConfig) -> dict:
     with _numeric_guard("building the stage 1 negative cache"):
-        cache, neg_pos = _negative_cache(pipeline, train_dlgs,
-                                         config.negatives_per_anchor, rng,
-                                         config.batch_size)
+        cache, negatives = _negative_cache(pipeline, train_dlgs,
+                                           config.negatives_per_anchor, rng,
+                                           config.batch_size)
+    position = {u.utterance_id: i for i, u in enumerate(pool)}
     order = list(train_dlgs)
     rng.shuffle(order)
 
     def build(batch):
         utts = all_utterances(batch)
-        negs = [neg_pos[u.utterance_id] for u in utts]
+        negs = negatives[[position[u.utterance_id] for u in utts]]
         descs = utterance_descriptors(pipeline, utts)
         l_ace = ace_loss({m: descs[m].f_ca for m in MODES},
                          {m: cache[m][negs] for m in MODES},
@@ -177,12 +178,12 @@ def per_mode_accuracy(pipeline: Pipeline, dialogues) -> dict:
 # ---------------------------------------------------------------------------
 # stage 2
 
-def _stage2_loss(pipeline: Pipeline, dialogues, f_ca: dict, pairwise: dict,
+def _stage2_loss(pipeline: Pipeline, dialogues, f_ca: dict, mix: np.ndarray,
                  config: RunConfig):
     """The focal loss of the context classifier over consecutive dialogues,
-    one batch, from their utterances' mode descriptors ``f_ca`` (mode ->
-    one row per utterance): (loss, one DialoguePredictions per dialogue)."""
-    preds = classify_dialogues(pipeline, dialogues, adaptive_fuse(f_ca, pairwise))
+    one batch, from their utterances' mode descriptors ``f_ca`` (mode -> one
+    row per utterance) fused by ``mix``: (loss, DialoguePredictions of each)."""
+    preds = classify_dialogues(pipeline, dialogues, adaptive_fuse(f_ca, mix))
     loss = focal_mean([(p.probs, [u.label for u in d.utterances])
                        for d, p in zip(dialogues, preds)],
                       config.gamma, config.focal_form)
@@ -197,7 +198,7 @@ def _update_alphas_from_val(pipeline: Pipeline, val_dlgs, config: RunConfig) -> 
     The chunk loss scales each dialogue's gradient rows by one factor,
     which an estimate does not depend on."""
     current = pipeline.alphas
-    pairwise = current.pairwise()
+    mix = current.mixing()
     estimates, labels, cache = {}, {}, {}
     for part in chunks(list(val_dlgs), config.batch_size):
         where = (f"running the alpha probe on validation dialogues "
@@ -205,7 +206,7 @@ def _update_alphas_from_val(pipeline: Pipeline, val_dlgs, config: RunConfig) -> 
         with _numeric_guard(where):
             descs = utterance_descriptors(pipeline, all_utterances(part))
             f = {m: T.Tensor(c.f_ca.values, requires_grad=True) for m, c in descs.items()}
-        _, preds = _taped(where, lambda: _stage2_loss(pipeline, part, f, pairwise, config))
+        _, preds = _taped(where, lambda: _stage2_loss(pipeline, part, f, mix, config))
         start = 0
         for d, p in zip(part, preds):
             rows = {m: T.Tensor(t.values[start:start + len(d.utterances)]) for m, t in f.items()}
@@ -224,7 +225,7 @@ def _update_alphas_from_val(pipeline: Pipeline, val_dlgs, config: RunConfig) -> 
             # the estimate pass already classified under these coefficients
             return labels[uid]
         dialogue, f, index = cache[uid]
-        fused = adaptive_fuse(f, alpha_state.pairwise())
+        fused = adaptive_fuse(f, alpha_state.mixing())
         return classify_dialogues(pipeline, [dialogue], fused)[0].labels[index]
 
     chosen = select_informative_samples(
@@ -243,7 +244,7 @@ def _stage2_epoch(pipeline: Pipeline, adam: AdamState, rng: Rng,
     rec = {}
     if config.alpha_mode == "learned" and val_dlgs:
         rec.update(_update_alphas_from_val(pipeline, val_dlgs, config))
-    pairwise = pairwise_coefficients(pipeline)
+    mix = pairwise_coefficients(pipeline)
     order = list(train_dlgs)
     rng.shuffle(order)
     params = named_parameters(pipeline)
@@ -253,7 +254,7 @@ def _stage2_epoch(pipeline: Pipeline, adam: AdamState, rng: Rng,
     def build(batch):
         descs = utterance_descriptors(pipeline, all_utterances(batch))
         loss = _stage2_loss(pipeline, batch, {m: c.f_ca for m, c in descs.items()},
-                            pairwise, config)[0]
+                            mix, config)[0]
         return loss, {"focal": loss}
 
     rec.update(_train_epoch(2, order, build, params, adam, config, scale))

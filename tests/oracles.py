@@ -227,3 +227,13 @@ def rerun_predict_fn(pipeline, dialogue, fused, index, label):
         return float(out.probs.values[index, label])
 
     return predict_fn
+
+
+def sample_indices_list_form(rng, n, k, exclude):
+    """The first k slots of a Fisher-Yates shuffle of the whole pool list
+    range(n) less ``exclude``, swapping with ``rng.randint``."""
+    pool = [i for i in range(n) if i != exclude]
+    for i in range(k):
+        j = i + rng.randint(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]

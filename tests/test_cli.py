@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: artifacts, determinism, exit codes."""
+import base64
 import contextlib
 import dataclasses
 import io
@@ -22,11 +23,6 @@ TINY = {"stage1_epochs": 1, "stage2_epochs": 1, "batch_size": 4, "seed": 2}
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
-
-
-def nan_fill(entry):
-    """An encoded array of the same shape whose bytes are all NaN."""
-    return encode_array(np.full(entry["shape"], np.nan))
 
 
 @pytest.fixture(scope="module")
@@ -256,24 +252,18 @@ def test_out_of_range_label_in_last_dialogue_names_the_utterance(workdir, tmp_pa
     assert f"utterance {uid}: label 7 outside configured 4 classes" in err
 
 
-def test_eval_nan_checkpoint_exits_numeric(workdir, tmp_path):
+def test_resume_overflowing_checkpoint_names_cache(workdir, tmp_path, capsys):
+    # finite parameters whose activations overflow fail in the first forward
+    # pass of the resumed run, the negative cache, and name it
     blob = json.loads((workdir["run"] / "checkpoint.json").read_text())
-    blob["params"]["enc.text.0"] = nan_fill(blob["params"]["enc.text.0"])
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(blob))
-    rc = main(["eval", "--checkpoint", str(bad), "--data", workdir["data"],
-               "--out", str(tmp_path), "--quiet"])
-    assert rc == 4
-
-
-def test_resume_nan_checkpoint_names_cache(workdir, tmp_path, capsys):
-    blob = json.loads((workdir["run"] / "checkpoint.json").read_text())
-    blob["params"]["enc.text.0"] = nan_fill(blob["params"]["enc.text.0"])
+    entry = blob["params"]["enc.text.3"]
+    blob["params"]["enc.text.3"] = encode_array(np.full(entry["shape"], 1.7e308))
     blob["stage"], blob["epoch"] = 1, 0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(blob))
-    rc = main(["train", "--data", workdir["data"], "--resume", str(bad),
-               "--out", str(tmp_path / "r"), "--quiet"])
+    with np.errstate(over="ignore"):
+        rc = main(["train", "--data", workdir["data"], "--resume", str(bad),
+                   "--out", str(tmp_path / "r"), "--quiet"])
     assert rc == 4
     assert "negative cache" in capsys.readouterr().err
 
@@ -479,6 +469,25 @@ def _with_param_field(blob, name, **fields):
     return _with_param(blob, name, dict(blob["params"][name], **fields))
 
 
+def _with_entry(blob, path, value):
+    """The checkpoint with the entry at key ``path`` set to ``value``."""
+    node = blob
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return blob
+
+
+def _filled(blob, path, value):
+    """The encoded array at ``path`` with one entry set to ``value``."""
+    node = blob
+    for key in path:
+        node = node[key]
+    a = np.frombuffer(base64.b64decode(node["data"]), dtype="<f8").copy()
+    a[len(a) // 2] = value
+    return _with_entry(blob, path, encode_array(a.reshape(node["shape"])))
+
+
 def _with_adam_m(blob, name, value):
     blob["adam"]["m"][name] = value
     return blob
@@ -514,10 +523,30 @@ def _with_adam_m(blob, name, value):
     (lambda b: dict(b, epoch=-4), "key 'epoch' must not be negative, got -4"),
     (lambda b: dict(b, trainer_rng=[b["trainer_rng"][0], 0, 0, 0, 0]),
      "key 'trainer_rng' holds the all-zero generator state"),
+    (lambda b: _filled(b, ("params", "enc.text.0"), np.nan),
+     "parameter enc.text.0 holds non-finite values"),
+    (lambda b: _filled(b, ("adam", "m", "ctx.0"), np.inf),
+     "adam.m entry ctx.0 holds non-finite values"),
+    (lambda b: _filled(b, ("adam", "v", "ctx.0"), np.inf),
+     "adam.v entry ctx.0 holds non-finite values"),
+    (lambda b: _filled(b, ("adam", "v", "man.text.0"), -1e-6),
+     "adam.v entry man.text.0 holds negative values"),
+    (lambda b: _with_entry(b, ("alphas", "epsilon"), float("inf")),
+     "invalid alphas: alphas.epsilon must be a finite number, got inf"),
+    (lambda b: _with_entry(b, ("alphas", "alpha_prime_1"), True),
+     "invalid alphas: alphas.alpha_prime_1 must be a finite number, got True"),
+    (lambda b: _with_entry(b, ("alphas", "momentum"), False),
+     "invalid alphas: alphas.momentum must be a finite number, got False"),
+    (lambda b: _with_entry(b, ("alphas", "epsilon"), 0.2),
+     "invalid alphas: epsilon 0.2 and momentum 0.9, but the config says 0.1 and 0.9"),
+    (lambda b: _with_entry(b, ("alphas", "momentum"), 0.5),
+     "invalid alphas: epsilon 0.1 and momentum 0.5, but the config says 0.1 and 0.9"),
 ], ids=["missing-key", "string-stage", "list-params", "unknown-alpha-key",
         "text-param", "bad-base64", "short-data", "bad-shape", "v1-format",
         "v2-format", "adam-not-object", "adam-m-shape", "trainer-rng-four", "trainer-rng-string",
-        "stage-3", "stage-0", "negative-epoch", "trainer-rng-all-zero"])
+        "stage-3", "stage-0", "negative-epoch", "trainer-rng-all-zero", "nan-param",
+        "inf-adam-m", "inf-adam-v", "negative-adam-v", "inf-epsilon", "bool-alpha",
+        "bool-momentum", "other-epsilon", "other-momentum"])
 def test_malformed_checkpoint_is_data_error(workdir, tmp_path, capsys, edit,
                                             message):
     blob = json.loads((workdir["run"] / "checkpoint.json").read_text())
@@ -527,7 +556,7 @@ def test_malformed_checkpoint_is_data_error(workdir, tmp_path, capsys, edit,
                "--out", str(tmp_path), "--quiet"])
     err = capsys.readouterr().err
     assert rc == 3
-    assert message in err and "Traceback" not in err
+    assert f"checkpoint {bad}: " in err and message in err and "Traceback" not in err
 
 
 def _json_paths(node, prefix=()):

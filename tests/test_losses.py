@@ -1,5 +1,5 @@
 """Objectives: probability model, contrastive terms against the
-transcription oracle, focal variants, combination, negative sampling."""
+transcription oracle, focal variants, combination."""
 import math
 
 import numpy as np
@@ -11,7 +11,7 @@ from emofuse.config import RunConfig
 from emofuse.errors import ConfigError, ContractError
 from emofuse.losses import (ace_loss, averaged_focal,
                             candidate_distribution, combined_loss, focal_loss,
-                            focal_mean, nce_loss, sample_negative_ids)
+                            focal_mean, nce_loss)
 from emofuse.rng import Rng
 
 from oracles import ace_oracle, focal_term, nce_printed_oracle
@@ -342,24 +342,6 @@ def test_loss_gradients_pass_finite_diff():
         return T.reshape(nce_loss(t, pos, negs, nu=0.2, tau=0.5), (1, 1))
 
     assert T.finite_diff_check(f, x, step=1e-6) < 1e-4
-
-
-# ---------------------------------------------------------------------------
-# negative sampling
-
-def test_negative_ids_exclude_anchor_and_are_deterministic():
-    ids = [f"u{i}" for i in range(10)]
-    a = sample_negative_ids(ids, 3, 4, Rng(42))
-    b = sample_negative_ids(ids, 3, 4, Rng(42))
-    assert a == b
-    assert "u3" not in a
-    assert len(a) == len(set(a)) == 4
-
-
-def test_negative_ids_cap_at_pool():
-    ids = ["a", "b", "c"]
-    got = sample_negative_ids(ids, 0, 99, Rng(1))
-    assert sorted(got) == ["b", "c"]
 
 
 def test_loss_config_validation():

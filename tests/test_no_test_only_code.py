@@ -11,7 +11,7 @@ gradient checker every op is checked with, and ``fuse_dialogue`` and
 Likewise every defaulted parameter of a function in ``src/emofuse/*.py``
 must be passed, positionally or by keyword, by some call in the same
 program. Exempt are the parameters ``tests/test_acceptance.py`` pins:
-``man_forward``'s ``trace``, ``fuse_dialogue``'s ``pairwise``,
+``man_forward``'s ``trace``, ``fuse_dialogue``'s ``mix``,
 ``Rng.uniform``'s ``lo`` and ``hi``, and ``finite_diff_check``'s
 ``step``.
 
@@ -25,7 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EXEMPT = {"finite_diff_check", "fuse_dialogue", "pick"}
-EXEMPT_PARAMETERS = {("man_forward", "trace"), ("fuse_dialogue", "pairwise"),
+EXEMPT_PARAMETERS = {("man_forward", "trace"), ("fuse_dialogue", "mix"),
                      ("uniform", "lo"), ("uniform", "hi"), ("finite_diff_check", "step")}
 
 

@@ -137,9 +137,9 @@ def test_fused_width_and_prediction_count(pipeline, corpus):
 
 def test_fixed_mode_pairwise_is_exactly_half():
     pl = init_pipeline(RunConfig(alpha_mode="fixed"))
-    pw = pairwise_coefficients(pl)
-    assert len(pw) == 6
-    assert all(v == 0.5 for v in pw.values())
+    # times n, the mixing matrix holds 1 on the diagonal and each pair's 0.5 off it
+    assert np.array_equal(len(MODES) * pairwise_coefficients(pl),
+                          np.where(np.eye(len(MODES)) == 1.0, 1.0, 0.5))
 
 
 def test_random_mode_draw_is_seeded():
@@ -400,10 +400,10 @@ def test_batch_equals_its_members_as_batches_of_one(corpus, pipeline):
         for field in ("f_ca", "probs"):
             want = np.vstack([getattr(s[m], field).values for s in singles])
             assert np.allclose(getattr(batch[m], field).values, want, atol=1e-12, rtol=0)
-    pairwise = pairwise_coefficients(pipeline)
-    fused, _ = fuse_utterances(pipeline, utts, pairwise)
+    mix = pairwise_coefficients(pipeline)
+    fused, _ = fuse_utterances(pipeline, utts, mix)
     for i, u in enumerate(utts):
-        alone, _ = fuse_utterances(pipeline, [u], pairwise)
+        alone, _ = fuse_utterances(pipeline, [u], mix)
         assert np.allclose(fused.values[i], alone.values[0], atol=1e-12, rtol=0)
     negs = {m: Rng(3).uniform_array((len(utts), 2, cfg.descriptor_dim), -1.0, 1.0)
             for m in MODES}

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from emofuse.explain import PerturbationConfig, perturb_and_score
 from emofuse.rng import Rng
 
+from oracles import sample_indices_list_form
+
 
 def test_same_seed_same_stream():
     a = Rng(1234)
@@ -209,11 +211,7 @@ class ScalarXoshiro:
             items[i], items[j] = items[j], items[i]
 
     def sample_indices(self, n, k, exclude):
-        pool = [i for i in range(n) if i != exclude]
-        for i in range(k):
-            j = i + self.randint(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+        return sample_indices_list_form(self, n, k, exclude)
 
 
 REFERENCE_OUTPUTS = [41943041, 58720359, 3588806011781223, 3591011842654386,
@@ -281,6 +279,22 @@ def test_every_draw_equals_the_scalar_reference(seed, ops):
             assert r.sample_indices(n + 1, n // 2, exclude=n // 3) == \
                 ref.sample_indices(n + 1, n // 2, n // 3)
         assert r.get_state() == [seed, *ref.s]
+
+
+def test_sample_indices_is_the_list_form_over_one_stream():
+    # (n, k, exclude): k up to the pool size, exclude at either end of
+    # range(n), inside it, outside it, or none
+    cases = [(10, 3, 4), (10, 9, 0), (10, 9, 9), (10, 10, None), (10, 10, -1),
+             (10, 10, 10), (1, 0, 0), (1, 1, None), (2, 1, 1), (2, 2, 5),
+             (500, 7, 250), (500, 499, 0), (500, 499, 499), (30, 30, 99)]
+    r = Rng(77)
+    ref = ScalarXoshiro(r.get_state()[1:])
+    for n, k, exclude in cases * 3:
+        assert r.sample_indices(n, k, exclude) == ref.sample_indices(n, k, exclude)
+        assert r.get_state()[1:] == ref.s
+    with pytest.raises(ValueError):
+        r.sample_indices(3, 3, exclude=1)
+    assert r.get_state()[1:] == ref.s
 
 
 def test_set_state_mid_block_continues_as_a_fresh_generator():

@@ -13,10 +13,11 @@ from emofuse.errors import ConfigError, ContractError, NumericError
 from emofuse.fusion import AlphaState
 from emofuse.model import (chunks, evaluate, init_pipeline, load_checkpoint, named_parameters,
                            utterance_descriptors)
+from emofuse.rng import Rng
 from emofuse.train import (AdamState, adam_step, per_mode_accuracy,
                            run_training)
 
-from oracles import adam_step_scalar
+from oracles import adam_step_scalar, sample_indices_list_form
 
 
 def small_corpus(seed=5, n=14):
@@ -290,6 +291,23 @@ def test_numeric_abort_stage1_loss(monkeypatch):
         run_training(cfg, corpus, [])
 
 
+def test_negative_cache_positions_are_the_list_form_draws():
+    corpus = small_corpus(n=4)
+    pipeline = init_pipeline(small_config())
+    n = len(all_utterances(corpus))
+    for k in (3, n - 1, 99):  # 99 caps at the rest of the pool
+        rng, ref = Rng(42), Rng(42)
+        cache, negatives = train_mod._negative_cache(pipeline, corpus, k, rng, 3)
+        assert all(c.shape == (n, pipeline.config.descriptor_dim) for c in cache.values())
+        assert negatives.shape == (n, min(k, n - 1))
+        for i, row in enumerate(negatives.tolist()):
+            assert i not in row and len(set(row)) == len(row)
+            assert row == sample_indices_list_form(ref, n, min(k, n - 1), i)
+            if k >= n - 1:
+                assert sorted(row) == [j for j in range(n) if j != i]
+        assert rng.get_state() == ref.get_state()
+
+
 def test_numeric_abort_in_negative_cache(monkeypatch):
     # non-finite activations surface as ContractErrors mid-forward; the cache
     # build happens before any batch, so the abort names the cache instead
@@ -348,13 +366,13 @@ def test_probe_leaf_gradients_equal_the_fully_taped_ones():
     _, va, _ = split(small_corpus(seed=11), (0.6, 0.3, 0.1), 1)
     cfg = small_config()
     pipeline = init_pipeline(cfg)
-    pairwise = pipeline.alphas.pairwise()
+    mix = pipeline.alphas.mixing()
     d = va[0]
 
     def loss_and_grads(f, tape):
         # ``tape`` may already hold the pass that produced ``f``
         with T.recording(tape):
-            loss, _ = train_mod._stage2_loss(pipeline, [d], f, pairwise, cfg)
+            loss, _ = train_mod._stage2_loss(pipeline, [d], f, mix, cfg)
         T.backward(loss, tape)
         T.zero_grad(named_parameters(pipeline).values())
         return loss.item(), {m: f[m].grad for m in MODES}
@@ -378,14 +396,14 @@ def test_alpha_probe_in_chunks_equals_each_dialogue_alone(monkeypatch):
     cfg = small_config(batch_size=3, alpha_mode="learned")
     pipeline = init_pipeline(cfg)
     current = pipeline.alphas
-    pairwise = current.pairwise()
+    mix = current.mixing()
     want_estimates, want_labels = {}, {}
     for d in va:
         f = {m: T.Tensor(c.f_ca.values, requires_grad=True)
              for m, c in utterance_descriptors(pipeline, d.utterances).items()}
         tape = T.Tape()
         with T.recording(tape):
-            loss, (preds,) = train_mod._stage2_loss(pipeline, [d], f, pairwise, cfg)
+            loss, (preds,) = train_mod._stage2_loss(pipeline, [d], f, mix, cfg)
         T.backward(loss, tape)
         for i, utt in enumerate(d.utterances):
             want_estimates[utt.utterance_id] = current.estimate(
