@@ -1,5 +1,5 @@
 """Objectives: probability model, contrastive terms against the
-transcription oracle, focal variants, combination."""
+transcription oracle, focal variants, combination, negative sampling."""
 import math
 
 import numpy as np
@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from emofuse import tensor as T
+from emofuse import train as train_mod
 from emofuse.config import RunConfig
+from emofuse.data import SynthSpec, all_utterances, synth_generate
 from emofuse.errors import ConfigError, ContractError
 from emofuse.losses import (ace_loss, averaged_focal,
                             candidate_distribution, combined_loss, focal_loss,
                             focal_mean, nce_loss)
+from emofuse.model import init_pipeline
 from emofuse.rng import Rng
 
 from oracles import ace_oracle, focal_term, nce_printed_oracle
@@ -342,6 +345,33 @@ def test_loss_gradients_pass_finite_diff():
         return T.reshape(nce_loss(t, pos, negs, nu=0.2, tau=0.5), (1, 1))
 
     assert T.finite_diff_check(f, x, step=1e-6) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# negative sampling: train._negative_cache draws pool positions per anchor
+
+def negative_ids(num_dialogues, per_dialogue, anchor, k, rng):
+    corpus = synth_generate(SynthSpec(num_dialogues=num_dialogues,
+                                      utterances_per_dialogue=(per_dialogue, per_dialogue),
+                                      seed=3))
+    ids = [u.utterance_id for u in all_utterances(corpus)]
+    pipeline = init_pipeline(RunConfig(seed=1))
+    _, negatives = train_mod._negative_cache(pipeline, corpus, k, rng, 2)
+    return ids, [ids[j] for j in negatives[anchor].tolist()]
+
+
+def test_negative_ids_exclude_anchor_and_are_deterministic():
+    ids, a = negative_ids(5, 2, 3, 4, Rng(42))
+    _, b = negative_ids(5, 2, 3, 4, Rng(42))
+    assert len(ids) == 10
+    assert a == b
+    assert ids[3] not in a
+    assert len(a) == len(set(a)) == 4
+
+
+def test_negative_ids_cap_at_pool():
+    ids, got = negative_ids(1, 3, 0, 99, Rng(1))
+    assert sorted(got) == sorted(ids[1:])
 
 
 def test_loss_config_validation():
